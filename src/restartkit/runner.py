@@ -227,12 +227,15 @@ def _parse_record(obj: dict, lineno: int) -> RunRecord:
     err = obj["final_error"]
     if not isinstance(err, (int, float)) or isinstance(err, bool):
         raise RunLogFormatError(f"line {lineno}: 'final_error' must be numeric")
+    diverged = obj.get("diverged", False)
+    if not isinstance(diverged, bool) or (conv and diverged):
+        raise RunLogFormatError(f"line {lineno}: 'diverged' must be a boolean, false if converged")
     return RunRecord(
         seed=seed,
         epochs=epochs,
         converged=conv,
         final_error=float(err),
-        diverged=bool(obj.get("diverged", False)),
+        diverged=diverged,
     )
 
 

@@ -8,6 +8,9 @@ known distribution the optimal schedule is a fixed cutoff minimizing
 
 with q(t) = Pr(T <= t); when the distribution is unknown, geometric
 (Walsh) or Luby universal schedules apply.
+
+Q(t) = sum_{t' < t} q(t') is one cumulative sum over the ECDF steps, so
+the fixed cutoff, the whole curve and its optimum all cost O(support).
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import AllTrialsFailedError
 from .runner import LasVegasProcess, derive_seed
-from .tailstats import Ecdf, cdf_at
+from .tailstats import Ecdf
 
 
 class RestartSchedule:
@@ -53,7 +57,7 @@ class FixedSchedule(RestartSchedule):
 
 @dataclass(frozen=True)
 class WalshSchedule(RestartSchedule):
-    """Geometric cutoffs t_i = ceil(gamma^(i-1)), gamma > 1."""
+    """Geometric cutoffs t_i = ceil(gamma^(i-1)), gamma > 1, exact at any size."""
 
     gamma: float
 
@@ -63,7 +67,7 @@ class WalshSchedule(RestartSchedule):
 
     def cutoff(self, attempt: int) -> int:
         _check_attempt(attempt)
-        return int(math.ceil(self.gamma ** (attempt - 1)))
+        return math.ceil(Fraction(self.gamma) ** (attempt - 1))
 
     def describe(self) -> str:
         return f"walsh:{self.gamma:g}"
@@ -128,19 +132,9 @@ def parse_schedule(spec: str) -> RestartSchedule:
     )
 
 
-def _sum_cdf_below(ecdf: Ecdf, t: int) -> float:
-    """sum_{t'=1}^{t-1} q(t') for the stepwise-constant empirical q."""
-    support = ecdf.support
-    cum = ecdf.cum_prob
-    total = 0.0
-    for j in range(len(support)):
-        lo = int(support[j])
-        if lo > t - 1:
-            break
-        hi = int(support[j + 1]) - 1 if j + 1 < len(support) else t - 1
-        hi = min(hi, t - 1)
-        total += float(cum[j]) * (hi - lo + 1)
-    return total
+def _prefix_sums(ecdf: Ecdf) -> np.ndarray:
+    """Q(s_j) = sum_{t' < s_j} q(t') at every support point, summed in support order."""
+    return np.concatenate(([0.0], np.cumsum(ecdf.cum_prob[:-1] * np.diff(ecdf.support))))
 
 
 def fixed_cutoff_expected_time(ecdf: Ecdf, t: int) -> float:
@@ -152,10 +146,12 @@ def fixed_cutoff_expected_time(ecdf: Ecdf, t: int) -> float:
     """
     if t < 1:
         raise ValueError(f"cutoff must be >= 1, got {t}")
-    q = cdf_at(ecdf, t)
-    if q == 0.0:
+    k = int(np.searchsorted(ecdf.support, t, side="right")) - 1
+    if k < 0:
         return math.inf
-    return (t - _sum_cdf_below(ecdf, t)) / q
+    q = float(ecdf.cum_prob[k])
+    below = float(_prefix_sums(ecdf)[k]) + q * (t - int(ecdf.support[k]))
+    return (t - below) / q
 
 
 def optimal_cutoff(ecdf: Ecdf) -> tuple[int, float]:
@@ -165,25 +161,13 @@ def optimal_cutoff(ecdf: Ecdf) -> tuple[int, float]:
     nondecreasing in t, so the minimum lies on a support point; ties break
     toward the smaller cutoff. Returns (t_star, expected_epochs).
     """
-    support = ecdf.support
-    cum = ecdf.cum_prob
-    best_t = int(support[0])
-    best_e = math.inf
-    running = 0.0  # sum_{t'=1}^{s_j - 1} q(t')
-    for j in range(len(support)):
-        s_j = int(support[j])
-        e_j = (s_j - running) / float(cum[j])
-        if e_j < best_e:
-            best_e = e_j
-            best_t = s_j
-        if j + 1 < len(support):
-            running += float(cum[j]) * (int(support[j + 1]) - s_j)
-    return best_t, best_e
+    return min(expected_time_curve(ecdf), key=lambda point: point[1])
 
 
 def expected_time_curve(ecdf: Ecdf) -> list[tuple[int, float]]:
     """(t, E[S_t]) at every support point, for the cutoff-sweep plot."""
-    return [(int(t), fixed_cutoff_expected_time(ecdf, int(t))) for t in ecdf.support]
+    expected = (ecdf.support - _prefix_sums(ecdf)) / ecdf.cum_prob
+    return list(zip(ecdf.support.tolist(), expected.tolist()))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Covers the diagnostic chain for deciding whether restarts can pay off:
 empirical CDF and survival function, log-log tail slope, the Hill tail
 index, and the conditional expected remaining time E[T - tau | T > tau].
 
+E[T - tau | T > tau] at every tau on the support comes from one exact
+integer suffix sum over the sorted completion times: O(support) after the sort.
+
 Convention: the CDF is q(t) = Pr(T <= t). Censored runs count in the
 denominator of q (they provably ran past every t up to the cap) but are
 excluded from moment estimates, which biases conditional means downward
@@ -175,6 +178,17 @@ def expected_remaining(sample: RunSample, tau: int) -> float:
     return float(np.mean(beyond - tau))
 
 
+def _conditional_means(sample: RunSample) -> tuple[np.ndarray, ...]:
+    """Sorted epochs, each tau, its first survivor and E[T-tau|T>tau]."""
+    epochs = np.sort(sample.converged_epochs())
+    if epochs.size == 0:
+        raise InsufficientDataError("no converged runs")
+    taus = np.concatenate(([0], np.unique(epochs)[:-1]))
+    starts = np.searchsorted(epochs, taus, side="right")
+    n = epochs.size - starts
+    return epochs, taus, starts, (np.cumsum(epochs[::-1])[::-1][starts] - n * taus) / n
+
+
 def remaining_time_profile(
     sample: RunSample,
 ) -> list[tuple[int, float, int, float]]:
@@ -184,16 +198,12 @@ def remaining_time_profile(
     and cover every distinct completion time that still has converged runs
     beyond it. stderr is NaN when fewer than 2 survivors remain.
     """
-    epochs = np.sort(sample.converged_epochs())
-    if epochs.size == 0:
-        raise InsufficientDataError("no converged runs")
-    taus = [0] + [int(t) for t in np.unique(epochs)[:-1]]
+    epochs, taus, starts, means = _conditional_means(sample)
     out = []
-    for tau in taus:
-        beyond = epochs[epochs > tau] - tau
-        n = int(beyond.size)
-        stderr = float(np.std(beyond, ddof=1) / math.sqrt(n)) if n >= 2 else math.nan
-        out.append((tau, float(np.mean(beyond)), n, stderr))
+    for tau, j, mean in zip(taus.tolist(), starts.tolist(), means.tolist()):
+        n = epochs.size - j
+        se = np.std(epochs[j:] - tau, ddof=1) / math.sqrt(n) if n >= 2 else math.nan
+        out.append((tau, mean, n, float(se)))
     return out
 
 
@@ -205,6 +215,5 @@ def restart_profitable(sample: RunSample) -> list[int]:
     is not filtered here; callers needing significance should compare
     against the stderr column of `remaining_time_profile`.
     """
-    profile = remaining_time_profile(sample)
-    baseline = profile[0][1]
-    return [tau for tau, mean, _, _ in profile if tau > 0 and mean > baseline]
+    _, taus, _, means = _conditional_means(sample)
+    return taus[1:][means[1:] > means[0]].tolist()

@@ -208,3 +208,28 @@ class TestRunLog:
         path.write_text('{"cap":10,"metadata":""}\n' + rec + "\n", encoding="utf-8")
         with pytest.raises(RunLogFormatError, match="line 2.*epochs"):
             load_runs(path)
+
+    @pytest.mark.parametrize("flag", ['"false"', '"true"', "0", "1", "null"])
+    def test_diverged_must_be_boolean(self, tmp_path, flag):
+        path = tmp_path / "bad.jsonl"
+        rec = '{"seed":1,"epochs":10,"converged":false,"final_error":1.0,"diverged":%s}'
+        path.write_text('{"cap":10}\n' + rec % flag + "\n", encoding="utf-8")
+        with pytest.raises(RunLogFormatError, match="line 2.*diverged"):
+            load_runs(path)
+
+    def test_converged_and_diverged_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        ok = '{"seed":1,"epochs":3,"converged":true,"final_error":0.0}'
+        both = '{"seed":2,"epochs":3,"converged":true,"final_error":0.0,"diverged":true}'
+        path.write_text(f'{{"cap":10}}\n{ok}\n{both}\n', encoding="utf-8")
+        with pytest.raises(RunLogFormatError, match="line 3.*diverged.*converged"):
+            load_runs(path)
+
+    def test_diverged_flag_round_trips(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        rec = '{"seed":1,"epochs":10,"converged":false,"final_error":1.0,"diverged":%s}'
+        path.write_text(
+            '{"cap":10}\n' + rec % "true" + "\n" + rec % "false" + "\n",
+            encoding="utf-8",
+        )
+        assert [r.diverged for r in load_runs(path).records] == [True, False]

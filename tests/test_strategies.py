@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from restartkit import (
     SyntheticProcess,
     TwoPoint,
     WalshSchedule,
+    cdf_at,
     derive_seed,
     empirical_cdf,
     evaluate_strategy_mc,
@@ -65,6 +67,23 @@ class TestSchedules:
     def test_walsh_nondecreasing(self, gamma, i):
         s = WalshSchedule(gamma)
         assert s.cutoff(i + 1) >= s.cutoff(i) >= 1
+
+    def test_walsh_huge_cutoff_is_exact(self):
+        assert WalshSchedule(10.0).cutoff(400) == 10**399
+
+    @pytest.mark.parametrize("gamma", [1.01, 1.1, 1.5, 2, 2.5, 3, 10])
+    def test_walsh_matches_float_power_below_1e12(self, gamma):
+        s = WalshSchedule(gamma)
+        i = 1
+        while (t := math.ceil(gamma ** (i - 1))) <= 1e12:
+            assert s.cutoff(i) == t
+            i += 1
+
+    @pytest.mark.parametrize("gamma", [1.01, 1.0001, 1.3333, 2.0, 2.5, 10.0])
+    def test_walsh_equals_exact_rational_ceiling(self, gamma):
+        s = WalshSchedule(gamma)
+        for i in range(1, 600):
+            assert s.cutoff(i) == math.ceil(Fraction(gamma) ** (i - 1))
 
     def test_walsh_rejects_gamma_at_most_one(self):
         for gamma in (1.0, 0.5, -2.0):
@@ -190,6 +209,45 @@ class TestOptimalCutoff:
         e = exact_ecdf(Geometric(0.2), cap=30)
         for t, val in expected_time_curve(e):
             assert val == pytest.approx(fixed_cutoff_expected_time(e, t), abs=1e-12)
+
+
+@st.composite
+def small_ecdfs(draw):
+    """ECDF of a small random sample, censored runs included."""
+    cap = draw(st.integers(min_value=1, max_value=60))
+    epochs = draw(st.lists(st.integers(1, cap), min_size=1, max_size=25))
+    censored = draw(st.integers(min_value=0, max_value=5))
+    return empirical_cdf(make_sample(epochs, cap=cap, censored=censored))
+
+
+class TestExpectedTimeEngine:
+    @given(small_ecdfs())
+    def test_fixed_cutoff_matches_brute_force_prefix_sum(self, e):
+        for t in range(1, e.cap + 2):
+            q = cdf_at(e, t)
+            got = fixed_cutoff_expected_time(e, t)
+            if q == 0.0:
+                assert got == math.inf
+            else:
+                below = sum(cdf_at(e, u) for u in range(1, t))
+                assert got == pytest.approx((t - below) / q, rel=1e-12)
+
+    @given(small_ecdfs())
+    def test_curve_bit_equal_to_sequential_accumulation(self, e):
+        support = [int(s) for s in e.support]
+        cum = [float(c) for c in e.cum_prob]
+        expect, running = [], 0.0
+        for j, t in enumerate(support):
+            expect.append((t, (t - running) / cum[j]))
+            if j + 1 < len(support):
+                running += cum[j] * (support[j + 1] - t)
+        assert expected_time_curve(e) == expect
+
+    @given(small_ecdfs())
+    def test_optimum_is_first_argmin_of_curve(self, e):
+        curve = expected_time_curve(e)
+        best = min(v for _, v in curve)
+        assert optimal_cutoff(e) == next((t, v) for t, v in curve if v == best)
 
 
 class StubAtThree:

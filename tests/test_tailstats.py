@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from restartkit import (
     DegenerateTailError,
@@ -185,6 +187,35 @@ class TestRemainingProfile:
         s = make_sample([2, 4, 9])
         taus = [row[0] for row in remaining_time_profile(s)]
         assert taus == [0, 2, 4]
+
+
+@st.composite
+def small_samples(draw):
+    """Small random run sample, censored runs included."""
+    cap = draw(st.integers(min_value=1, max_value=200))
+    epochs = draw(st.lists(st.integers(1, cap), min_size=1, max_size=40))
+    censored = draw(st.integers(min_value=0, max_value=8))
+    return make_sample(epochs, cap=cap, censored=censored)
+
+
+class TestProfileOracle:
+    @given(small_samples())
+    def test_means_are_exact_integer_sums(self, s):
+        epochs = sorted(int(e) for e in s.converged_epochs())
+        for tau, mean, n, stderr in remaining_time_profile(s):
+            beyond = [e - tau for e in epochs if e > tau]
+            assert n == len(beyond)
+            assert mean == sum(beyond) / n
+            if n >= 2:
+                assert stderr == np.std(beyond, ddof=1) / math.sqrt(n)
+            else:
+                assert math.isnan(stderr)
+
+    @given(small_samples())
+    def test_profitable_matches_profile(self, s):
+        profile = remaining_time_profile(s)
+        expect = [tau for tau, mean, _, _ in profile[1:] if mean > profile[0][1]]
+        assert restart_profitable(s) == expect
 
 
 class TestRestartProfitable:
