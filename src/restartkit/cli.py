@@ -18,63 +18,30 @@ import sys
 
 from . import dataset as ds
 from . import mlp, runner, strategies, synth, tailstats
-from .errors import (
-    AllTrialsFailedError,
-    DegenerateTailError,
-    InsufficientDataError,
-    ParseError,
-    RunLogFormatError,
-)
+from .errors import AllTrialsFailedError, InsufficientDataError
 
-_ERRORS = (
-    AllTrialsFailedError,
-    DegenerateTailError,
-    InsufficientDataError,
-    ParseError,
-    RunLogFormatError,
-    OSError,
-    ValueError,
-)
+_ERRORS = (AllTrialsFailedError, OSError, ValueError)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, accept, requirement: str, kind: str):
+    """Argparse type: `convert` the text, then require `accept(value)`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0,1), got {value}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1", "an integer")
+_nonneg_int = _checked(int, lambda v: v >= 0, ">= 0", "an integer")
+_positive_float = _checked(float, lambda v: v > 0.0, "> 0", "a number")
+_fraction = _checked(float, lambda v: 0.0 < v < 1.0, "in (0,1)", "a number")
 
 
 def _gamma_list(text: str) -> list[float]:
@@ -217,7 +184,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
         alpha = tailstats.hill_estimator(sample, r)
         print(f"hill_alpha\t{alpha:.4f}")
         print(f"hill_mean_log_spacing\t{1.0 / alpha:.4f}")
-    except (DegenerateTailError, InsufficientDataError, ValueError) as exc:
+    except ValueError as exc:
         print(f"hill_alpha\tn/a ({exc})")
     print(f"hill_r\t{r}")
     try:

@@ -110,23 +110,21 @@ def forward(state: MlpState, inputs: np.ndarray) -> np.ndarray:
 
 def training_error(state: MlpState, data: Dataset) -> float:
     """MSE averaged over patterns and output units."""
-    _check_dims(state, data)
+    _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     _, out = _forward_batch(state, data.features)
     return float(np.mean((out - data.targets) ** 2))
 
 
-def _check_dims(state: MlpState, data: Dataset) -> None:
+def _check_dims(data: Dataset, n_inputs: int, n_outputs: int) -> None:
     if data.n_rows == 0:
         raise InsufficientDataError("dataset is empty")
-    if data.n_features != state.w_hidden.shape[1]:
+    if data.n_features != n_inputs:
         raise ValueError(
-            f"dataset has {data.n_features} features, network expects "
-            f"{state.w_hidden.shape[1]}"
+            f"dataset has {data.n_features} features, network expects {n_inputs}"
         )
-    if data.n_outputs != state.w_out.shape[0]:
+    if data.n_outputs != n_outputs:
         raise ValueError(
-            f"dataset has {data.n_outputs} targets, network expects "
-            f"{state.w_out.shape[0]}"
+            f"dataset has {data.n_outputs} targets, network expects {n_outputs}"
         )
 
 
@@ -152,7 +150,7 @@ def backprop_gradients(
     state: MlpState, data: Dataset
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of `training_error` w.r.t. (w_hidden, b_hidden, w_out, b_out)."""
-    _check_dims(state, data)
+    _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     hidden, output = _forward_batch(state, data.features)
     return _gradients(state, data.features, data.targets, hidden, output)
 
@@ -182,7 +180,7 @@ def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
     the run early with the record flagged as diverged. Deterministic in
     (cfg, data, seed).
     """
-    _train_check(cfg, data)
+    _check_dims(data, cfg.n_inputs, cfg.n_outputs)
     x, y = data.features, data.targets
     lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
     state = init_weights(cfg, seed)
@@ -226,19 +224,6 @@ def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
         converged=False,
         final_error=last_error,
     )
-
-
-def _train_check(cfg: MlpConfig, data: Dataset) -> None:
-    if data.n_rows == 0:
-        raise InsufficientDataError("cannot train on an empty dataset")
-    if data.n_features != cfg.n_inputs:
-        raise ValueError(
-            f"dataset has {data.n_features} features, config expects {cfg.n_inputs}"
-        )
-    if data.n_outputs != cfg.n_outputs:
-        raise ValueError(
-            f"dataset has {data.n_outputs} targets, config expects {cfg.n_outputs}"
-        )
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from a single base seed, regardless of execution order or parallelism.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -20,21 +21,53 @@ from .errors import DivergenceError, InsufficientDataError, RunLogFormatError
 _MASK64 = (1 << 64) - 1
 
 
-def derive_seed(base_seed: int, index: int) -> int:
-    """Seed for run `index` of a batch started from `base_seed`.
+def mix64(z):
+    """SplitMix64 finalizer, all arithmetic mod 2**64.
 
-    SplitMix64 finalizer applied to ``base_seed XOR index``, all arithmetic
-    mod 2**64. Pinned so run logs are reproducible across implementations:
+    Takes a Python int or a uint64 array and returns the same type. Pinned
+    so run logs are reproducible across implementations:
 
-        z = (base ^ index) + 0x9E3779B97F4A7C15
+        z = z + 0x9E3779B97F4A7C15
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-        seed = z ^ (z >> 31)
+        out = z ^ (z >> 31)
     """
-    z = ((base_seed ^ index) + 0x9E3779B97F4A7C15) & _MASK64
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def derive_seed(base_seed: int, index):
+    """Seed for run `index` of a batch started from `base_seed`: mix64(base ^ index).
+
+    `index` is a Python int or a uint64 array of indices (then the result
+    is a uint64 array). Only the low 64 bits of `base_seed` matter.
+    """
+    return mix64((base_seed & _MASK64) ^ index)
+
+
+def worker_count(n_jobs: int, n_items: int) -> int:
+    """Workers worth starting: at most `n_jobs`, the items, and the usable CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_jobs, n_items, cpus))
+
+
+def parallel_map(fn, items: list, n_jobs: int) -> list:
+    """[fn(x) for x in items], in order, on a process pool when that helps.
+
+    Runs serially when one worker suffices (see `worker_count`). `fn` and
+    the items must pickle.
+    """
+    workers = worker_count(n_jobs, len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
+    chunk = max(1, len(items) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunk))
 
 
 @dataclass(frozen=True)
@@ -157,13 +190,9 @@ def collect_runs(
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     cap = process.cap
-    jobs = [(process, derive_seed(base_seed, i), cap) for i in range(n_runs)]
-    if n_jobs > 1:
-        chunk = max(1, n_runs // (n_jobs * 8))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(_attempt_one, jobs, chunksize=chunk))
-    else:
-        records = [_attempt_one(j) for j in jobs]
+    seeds = derive_seed(base_seed, np.arange(n_runs, dtype=np.uint64)).tolist()
+    jobs = [(process, seed, cap) for seed in seeds]
+    records = parallel_map(_attempt_one, jobs, n_jobs)
     meta = f"process={process.describe()} base_seed={base_seed} n_runs={n_runs}"
     return RunSample(records=records, cap=cap, metadata=meta)
 
@@ -213,15 +242,17 @@ def save_runs(sample: RunSample, path) -> None:
             fh.write(_record_line(r) + "\n")
 
 
-def _parse_record(obj: dict, lineno: int) -> RunRecord:
+def _parse_record(obj: dict, lineno: int, cap: int) -> RunRecord:
     for key in ("seed", "epochs", "converged", "final_error"):
         if key not in obj:
             raise RunLogFormatError(f"line {lineno}: missing field '{key}'")
     seed, epochs, conv = obj["seed"], obj["epochs"], obj["converged"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise RunLogFormatError(f"line {lineno}: 'seed' must be an integer")
-    if not isinstance(epochs, int) or isinstance(epochs, bool):
-        raise RunLogFormatError(f"line {lineno}: 'epochs' must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise RunLogFormatError(f"line {lineno}: 'seed' must be an integer >= 0, got {seed!r}")
+    if not isinstance(epochs, int) or isinstance(epochs, bool) or not 1 <= epochs <= cap:
+        raise RunLogFormatError(
+            f"line {lineno}: 'epochs' must be an integer in [1, cap={cap}], got {epochs!r}"
+        )
     if not isinstance(conv, bool):
         raise RunLogFormatError(f"line {lineno}: 'converged' must be a boolean")
     err = obj["final_error"]
@@ -230,6 +261,8 @@ def _parse_record(obj: dict, lineno: int) -> RunRecord:
     diverged = obj.get("diverged", False)
     if not isinstance(diverged, bool) or (conv and diverged):
         raise RunLogFormatError(f"line {lineno}: 'diverged' must be a boolean, false if converged")
+    if not conv and not diverged and epochs != cap:
+        raise RunLogFormatError(f"line {lineno}: censored run must carry epochs == cap={cap}")
     return RunRecord(
         seed=seed,
         epochs=epochs,
@@ -255,6 +288,7 @@ def load_runs(path) -> RunSample:
     if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
         raise RunLogFormatError("line 1: 'cap' must be a positive integer")
     records = []
+    seed_lines: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -264,7 +298,13 @@ def load_runs(path) -> RunSample:
             raise RunLogFormatError(f"line {lineno}: invalid record: {exc}") from exc
         if not isinstance(obj, dict):
             raise RunLogFormatError(f"line {lineno}: record must be an object")
-        records.append(_parse_record(obj, lineno))
+        record = _parse_record(obj, lineno, cap)
+        if record.seed in seed_lines:
+            raise RunLogFormatError(
+                f"line {lineno}: seed {record.seed} repeats line {seed_lines[record.seed]}"
+            )
+        seed_lines[record.seed] = lineno
+        records.append(record)
     if not records:
         raise InsufficientDataError(f"run log {path} has no records")
     return RunSample(records=records, cap=cap, metadata=str(header.get("metadata", "")))

@@ -16,14 +16,13 @@ the fixed cutoff, the whole curve and its optimum all cost O(support).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import AllTrialsFailedError
-from .runner import LasVegasProcess, derive_seed
+from .runner import LasVegasProcess, derive_seed, parallel_map
 from .tailstats import Ecdf
 
 
@@ -108,11 +107,6 @@ def luby_term(i: int) -> int:
         i = i - (1 << (k - 1)) + 1
         k = i.bit_length()
     return 1 << (k - 1)
-
-
-def schedule_cutoff(schedule: RestartSchedule, attempt: int) -> int:
-    """Cutoff t_i the schedule assigns to attempt i (1-based)."""
-    return schedule.cutoff(attempt)
 
 
 def parse_schedule(spec: str) -> RestartSchedule:
@@ -261,16 +255,9 @@ def evaluate_strategy_mc(
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2, got {n_trials}")
-    jobs = [
-        (process, schedule, derive_seed(base_seed, j), budget)
-        for j in range(n_trials)
-    ]
-    if n_jobs > 1:
-        chunk = max(1, n_trials // (n_jobs * 8))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_run_trial, jobs, chunksize=chunk))
-    else:
-        outcomes = [_run_trial(j) for j in jobs]
+    seeds = derive_seed(base_seed, np.arange(n_trials, dtype=np.uint64)).tolist()
+    jobs = [(process, schedule, seed, budget) for seed in seeds]
+    outcomes = parallel_map(_run_trial, jobs, n_jobs)
     totals = np.array([t for ok, t in outcomes if ok], dtype=np.float64)
     n_succ = totals.size
     if n_succ == 0:

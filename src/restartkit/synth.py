@@ -11,29 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runner import RunRecord
+from .runner import RunRecord, mix64
 from .tailstats import Ecdf
 
 
-def _mix64(seeds: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array (wraps mod 2**64)."""
-    z = seeds + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _uniforms(seeds: np.ndarray) -> np.ndarray:
-    """One deterministic uniform in [0, 1) per seed."""
-    return _mix64(seeds.astype(np.uint64)) / np.float64(2**64)
+def _uniforms(seeds):
+    """One deterministic uniform in [0, 1) per seed (Python int or uint64 array)."""
+    return mix64(seeds) / 2.0**64
 
 
 class SyntheticLaw:
     """A distribution over positive-integer completion times."""
 
-    def sample_many(self, seeds: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draw for each seed (int64 array)."""
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """Inverse CDF: the completion time for each uniform in `u` (int64 array)."""
         raise NotImplementedError
+
+    def sample_many(self, seeds) -> np.ndarray:
+        """Inverse-CDF draw for each seed (int64 array)."""
+        return self.quantile(_uniforms(np.asarray(seeds, dtype=np.uint64)))
 
     def cdf(self, t: int) -> float:
         """Closed-form Pr(T <= t)."""
@@ -53,8 +49,8 @@ class Constant(SyntheticLaw):
         if self.c < 1:
             raise ValueError(f"constant time must be >= 1, got {self.c}")
 
-    def sample_many(self, seeds: np.ndarray) -> np.ndarray:
-        return np.full(len(seeds), self.c, dtype=np.int64)
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        return np.full(len(u), self.c, dtype=np.int64)
 
     def cdf(self, t: int) -> float:
         return 1.0 if t >= self.c else 0.0
@@ -77,8 +73,7 @@ class TwoPoint(SyntheticLaw):
         if not 1 <= self.a < self.b:
             raise ValueError(f"need 1 <= a < b, got a={self.a}, b={self.b}")
 
-    def sample_many(self, seeds: np.ndarray) -> np.ndarray:
-        u = _uniforms(seeds)
+    def quantile(self, u: np.ndarray) -> np.ndarray:
         return np.where(u < self.p, self.a, self.b).astype(np.int64)
 
     def cdf(self, t: int) -> float:
@@ -102,8 +97,7 @@ class Geometric(SyntheticLaw):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0,1), got {self.p}")
 
-    def sample_many(self, seeds: np.ndarray) -> np.ndarray:
-        u = _uniforms(seeds)
+    def quantile(self, u: np.ndarray) -> np.ndarray:
         t = np.ceil(np.log1p(-u) / np.log1p(-self.p)).astype(np.int64)
         return np.maximum(t, 1)
 
@@ -133,8 +127,7 @@ class DiscretePareto(SyntheticLaw):
         if self.x_min < 1:
             raise ValueError(f"x_min must be >= 1, got {self.x_min}")
 
-    def sample_many(self, seeds: np.ndarray) -> np.ndarray:
-        u = _uniforms(seeds)
+    def quantile(self, u: np.ndarray) -> np.ndarray:
         x = self.x_min * (1.0 - u) ** (-1.0 / self.alpha)
         return np.ceil(x).astype(np.int64)
 
@@ -145,16 +138,6 @@ class DiscretePareto(SyntheticLaw):
 
     def describe(self) -> str:
         return f"discrete-pareto:{self.alpha}:{self.x_min}"
-
-
-def sample(law: SyntheticLaw, seed: int) -> int:
-    """Single deterministic draw for `seed` (same value `sample_many` gives)."""
-    return int(law.sample_many(np.array([seed], dtype=np.uint64))[0])
-
-
-def exact_cdf(law: SyntheticLaw, t: int) -> float:
-    """Closed-form Pr(T <= t) for the law."""
-    return law.cdf(t)
 
 
 def exact_ecdf(law: SyntheticLaw, cap: int) -> Ecdf:
@@ -206,7 +189,10 @@ class SyntheticProcess:
     def attempt(self, seed: int, cutoff: int) -> RunRecord:
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        t = sample(self.law, seed)
+        # Mix the seed as a Python int, but invert on a 1-element array:
+        # numpy's array power and log1p can round differently from Python
+        # float math, and an attempt must equal `sample_many` bit for bit.
+        t = int(self.law.quantile(np.array([_uniforms(int(seed))]))[0])
         if t <= cutoff:
             return RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
         return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)

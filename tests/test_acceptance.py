@@ -218,9 +218,9 @@ def test_criterion_6d_case_study_walsh_gain(case_study):
 def test_criterion_7_schedule_unit_values():
     """Exact cutoff sequences for the Walsh and Luby schedules."""
     walsh = rk.WalshSchedule(2.0)
-    assert [rk.schedule_cutoff(walsh, i) for i in range(1, 6)] == [1, 2, 4, 8, 16]
+    assert [walsh.cutoff(i) for i in range(1, 6)] == [1, 2, 4, 8, 16]
     luby = rk.LubySchedule(1)
-    assert [rk.schedule_cutoff(luby, i) for i in range(1, 8)] == [1, 1, 2, 1, 1, 2, 4]
+    assert [luby.cutoff(i) for i in range(1, 8)] == [1, 1, 2, 1, 1, 2, 4]
     report(7, "walsh(2) -> 1,2,4,8,16; luby(1) -> 1,1,2,1,1,2,4")
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from restartkit import load_runs
-from restartkit.cli import main
+from restartkit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +294,43 @@ class TestSweep:
                 ]
             )
         assert exc.value.code == 2
+
+
+class TestValidators:
+    # Parsing fails or stops before any file is opened, so "x" is never touched.
+    COLLECT = ["collect", "--stub", "constant:3", "--out", "x"]
+    TAIL = ["tail", "--runs-file", "x"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (COLLECT + ["--runs", "0"], "collect: error: argument --runs: must be >= 1, got 0"),
+            (COLLECT + ["--runs", "1x"], "collect: error: argument --runs: not an integer: '1x'"),
+            (COLLECT + ["--runs", "1", "--seed", "-1"], "collect: error: argument --seed: must be >= 0, got -1"),
+            (COLLECT + ["--runs", "1", "--delta", "0"], "collect: error: argument --delta: must be > 0, got 0.0"),
+            (COLLECT + ["--runs", "1", "--delta", "abc"], "collect: error: argument --delta: not a number: 'abc'"),
+            (TAIL + ["--r-fraction", "0"], "tail: error: argument --r-fraction: must be in (0,1), got 0.0"),
+            (TAIL + ["--r-fraction", "1"], "tail: error: argument --r-fraction: must be in (0,1), got 1.0"),
+        ],
+    )
+    def test_rejected_value_and_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"restartkit {message}"
+
+    @pytest.mark.parametrize(
+        "argv, attr, value",
+        [
+            (COLLECT + ["--runs", "1"], "runs", 1),
+            (COLLECT + ["--runs", "1", "--seed", "0"], "seed", 0),
+            (COLLECT + ["--runs", "1", "--delta", "1e-9"], "delta", 1e-9),
+            (TAIL + ["--r-fraction", "1e-9"], "r_fraction", 1e-9),
+            (TAIL + ["--r-fraction", "0.999999"], "r_fraction", 0.999999),
+        ],
+    )
+    def test_accepted_boundary(self, argv, attr, value):
+        assert getattr(build_parser().parse_args(argv), attr) == value
 
 
 class TestRestartRun:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from restartkit import runner
 from restartkit import (
     DivergenceError,
     InsufficientDataError,
@@ -40,6 +45,47 @@ class TestDeriveSeed:
 
     def test_deterministic(self):
         assert derive_seed(99, 5) == derive_seed(99, 5)
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @example(2**64 - 1)
+    @example(2**63)
+    def test_array_matches_scalar(self, base):
+        index = np.arange(300, dtype=np.uint64)
+        seeds = derive_seed(base, index)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(base, i) for i in range(300)]
+
+    def test_only_low_64_bits_of_base_matter(self):
+        index = np.arange(5, dtype=np.uint64)
+        assert derive_seed(2**64 + 7, index).tolist() == derive_seed(7, index).tolist()
+        assert derive_seed(2**64 + 7, 3) == derive_seed(7, 3)
+
+
+class TestWorkerCount:
+    """Pure checks of the pool size; no process is started."""
+
+    @pytest.mark.parametrize(
+        "n_jobs, n_items, cpus, expected",
+        [(1, 100, 8, 1), (2, 1, 8, 1), (2, 100, 8, 2), (16, 100, 2, 2), (4, 3, 8, 3)],
+    )
+    def test_bounded_by_jobs_items_and_affinity(self, monkeypatch, n_jobs, n_items, cpus, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert runner.worker_count(n_jobs, n_items) == expected
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert runner.worker_count(64, 100) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert runner.worker_count(64, 100) == 1
+
+    def test_single_run_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        sample = collect_runs(FormulaStub(), 1, base_seed=5, n_jobs=2)
+        assert sample.records == [FormulaStub().attempt(derive_seed(5, 0), 1000)]
 
 
 class TestRunRecord:
@@ -227,9 +273,34 @@ class TestRunLog:
 
     def test_diverged_flag_round_trips(self, tmp_path):
         path = tmp_path / "ok.jsonl"
-        rec = '{"seed":1,"epochs":10,"converged":false,"final_error":1.0,"diverged":%s}'
+        rec = '{"seed":%d,"epochs":10,"converged":false,"final_error":1.0,"diverged":%s}'
         path.write_text(
-            '{"cap":10}\n' + rec % "true" + "\n" + rec % "false" + "\n",
+            '{"cap":10}\n' + rec % (1, "true") + "\n" + rec % (2, "false") + "\n",
             encoding="utf-8",
         )
         assert [r.diverged for r in load_runs(path).records] == [True, False]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"seed":3,"epochs":0,"converged":true,"final_error":0.0}', "line 3: 'epochs'.*got 0"),
+            ('{"seed":-1,"epochs":2,"converged":true,"final_error":0.0}', "line 3: 'seed'.*got -1"),
+            ('{"seed":3,"epochs":11,"converged":true,"final_error":0.0}', "line 3: 'epochs'.*cap=10.*got 11"),
+            ('{"seed":3,"epochs":4,"converged":false,"final_error":1.0}', "line 3: censored.*cap=10"),
+        ],
+    )
+    def test_out_of_range_record_names_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        ok = '{"seed":1,"epochs":3,"converged":true,"final_error":0.0}'
+        path.write_text(f'{{"cap":10}}\n{ok}\n{record}\n', encoding="utf-8")
+        with pytest.raises(RunLogFormatError, match=message):
+            load_runs(path)
+
+    def test_duplicate_seed_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        rec = '{"seed":%d,"epochs":3,"converged":true,"final_error":0.0}'
+        path.write_text(
+            '{"cap":10}\n' + "\n".join(rec % s for s in (1, 2, 1)) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(RunLogFormatError, match="line 4: seed 1 repeats line 2"):
+            load_runs(path)

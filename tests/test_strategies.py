@@ -26,7 +26,6 @@ from restartkit import (
     optimal_cutoff,
     parse_schedule,
     run_with_strategy,
-    schedule_cutoff,
 )
 
 from conftest import ParityStub, make_sample
@@ -37,11 +36,11 @@ TWO_POINT = TwoPoint(0.5, 1, 10)
 class TestSchedules:
     def test_walsh_gamma_two(self):
         s = WalshSchedule(2.0)
-        assert [schedule_cutoff(s, i) for i in range(1, 6)] == [1, 2, 4, 8, 16]
+        assert [s.cutoff(i) for i in range(1, 6)] == [1, 2, 4, 8, 16]
 
     def test_luby_unit_sequence(self):
         s = LubySchedule(1)
-        assert [schedule_cutoff(s, i) for i in range(1, 8)] == [1, 1, 2, 1, 1, 2, 4]
+        assert [s.cutoff(i) for i in range(1, 8)] == [1, 1, 2, 1, 1, 2, 4]
 
     def test_luby_longer_prefix(self):
         expected = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]

@@ -9,10 +9,8 @@ from restartkit import (
     Geometric,
     SyntheticProcess,
     TwoPoint,
-    exact_cdf,
     exact_ecdf,
     parse_law,
-    sample,
 )
 
 
@@ -23,9 +21,9 @@ def seeds(n, offset=0):
 class TestConstant:
     def test_sample_and_cdf(self):
         law = Constant(7)
-        assert sample(law, 123) == 7
-        assert exact_cdf(law, 6) == 0.0
-        assert exact_cdf(law, 7) == 1.0
+        assert law.sample_many([123])[0] == 7
+        assert law.cdf(6) == 0.0
+        assert law.cdf(7) == 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -41,10 +39,10 @@ class TestTwoPoint:
 
     def test_cdf_steps(self):
         law = TwoPoint(0.3, 2, 5)
-        assert exact_cdf(law, 1) == 0.0
-        assert exact_cdf(law, 2) == 0.3
-        assert exact_cdf(law, 4) == 0.3
-        assert exact_cdf(law, 5) == 1.0
+        assert law.cdf(1) == 0.0
+        assert law.cdf(2) == 0.3
+        assert law.cdf(4) == 0.3
+        assert law.cdf(5) == 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -63,8 +61,8 @@ class TestGeometric:
     def test_textbook_cdf(self):
         law = Geometric(0.25)
         for t in (1, 2, 5, 20):
-            assert exact_cdf(law, t) == pytest.approx(1 - 0.75**t, rel=1e-12)
-        assert exact_cdf(law, 0) == 0.0
+            assert law.cdf(t) == pytest.approx(1 - 0.75**t, rel=1e-12)
+        assert law.cdf(0) == 0.0
 
     def test_min_value_is_one(self):
         law = Geometric(0.9)
@@ -75,15 +73,15 @@ class TestDiscretePareto:
     def test_cdf_polynomial_decay(self):
         law = DiscretePareto(1.5, 1)
         for t in (1, 2, 10, 100):
-            assert exact_cdf(law, t) == pytest.approx(1 - t**-1.5, rel=1e-12)
+            assert law.cdf(t) == pytest.approx(1 - t**-1.5, rel=1e-12)
 
     def test_ceil_coupling_frequencies(self):
-        # Contract: sample() must be distributed exactly as exact_cdf says.
+        # Contract: draws must be distributed exactly as cdf() says.
         law = DiscretePareto(1.5, 1)
         draws = law.sample_many(seeds(1_000_000))
         for t in (1, 2, 3, 5, 10, 50):
             emp = np.mean(draws <= t)
-            assert abs(emp - exact_cdf(law, t)) < 0.005
+            assert abs(emp - law.cdf(t)) < 0.005
 
     def test_samples_at_least_one(self):
         law = DiscretePareto(0.5, 1)
@@ -112,8 +110,10 @@ class TestScalarVectorConsistency:
         for law in (TwoPoint(0.5, 1, 10), Geometric(0.3), DiscretePareto(2.0, 3)):
             s = seeds(200, offset=31)
             bulk = law.sample_many(s)
-            singles = [sample(law, int(x)) for x in s]
-            assert singles == bulk.tolist()
+            proc = SyntheticProcess(law)
+            attempts = [proc.attempt(int(x), proc.cap).epochs for x in s]
+            singles = [law.sample_many([int(x)])[0] for x in s]
+            assert attempts == singles == bulk.tolist()
 
 
 class TestExactEcdf:
@@ -139,7 +139,7 @@ class TestSyntheticProcess:
         proc = SyntheticProcess(TwoPoint(0.5, 1, 10), cap_epochs=100)
         for seed in range(50):
             rec = proc.attempt(seed, 5)
-            drawn = sample(proc.law, seed)
+            drawn = proc.law.sample_many([seed])[0]
             if drawn <= 5:
                 assert rec.converged and rec.epochs == drawn
             else:
