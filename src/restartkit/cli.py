@@ -160,13 +160,23 @@ def cmd_collect(args: argparse.Namespace) -> int:
     process = _build_process(args)
     sample = runner.collect_runs(process, args.runs, args.seed, n_jobs=args.jobs)
     runner.save_runs(sample, args.out)
-    stats = runner.summary_stats(sample)
-    print("n_runs\tconverged\tcensored\tmean\tstddev\tratio")
-    print(
-        f"{sample.n_runs}\t{stats.n_converged}\t{stats.n_censored}"
-        f"\t{stats.mean:.3f}\t{stats.stddev:.3f}\t{100.0 * stats.ratio:.1f}%"
+    stats = _summary_or_none(sample)
+    moments = (
+        "n/a\tn/a\tn/a"
+        if stats is None
+        else f"{stats.mean:.3f}\t{stats.stddev:.3f}\t{100.0 * stats.ratio:.1f}%"
     )
+    print("n_runs\tconverged\tcensored\tmean\tstddev\tratio")
+    print(f"{sample.n_runs}\t{sample.n_converged}\t{sample.n_censored}\t{moments}")
     return 0
+
+
+def _summary_or_none(sample: runner.RunSample) -> runner.SummaryStats | None:
+    """Summary moments, or None when fewer than 2 runs converged."""
+    try:
+        return runner.summary_stats(sample)
+    except InsufficientDataError:
+        return None
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
@@ -252,13 +262,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     baseline_sample = runner.collect_runs(
         process, args.trials, args.seed, n_jobs=args.jobs
     )
-    baseline = runner.summary_stats(baseline_sample)
+    baseline = _summary_or_none(baseline_sample)
+    failure_rate = f"{baseline_sample.n_censored / baseline_sample.n_runs:.4f}"
     print("schedule\tmean_epochs\tstderr\tfailure_rate\treduction")
-    print(
-        f"none\t{baseline.mean:.3f}\t"
-        f"{baseline.stddev / math.sqrt(baseline.n_converged):.3f}\t"
-        f"{baseline.n_censored / baseline_sample.n_runs:.4f}\t0.0%"
-    )
+    if baseline is None:
+        print(f"none\tn/a\tn/a\t{failure_rate}\t-")
+    else:
+        print(
+            f"none\t{baseline.mean:.3f}\t"
+            f"{baseline.stddev / math.sqrt(baseline.n_converged):.3f}\t"
+            f"{failure_rate}\t0.0%"
+        )
     # Every schedule reuses the same base seed: common random numbers make
     # the schedule comparison sharper than independent seeding would.
     for sched in _sweep_schedules(args):
@@ -269,10 +283,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except AllTrialsFailedError:
             print(f"{sched.describe()}\tall-failed\t-\t1.0000\t-")
             continue
-        reduction = 100.0 * (baseline.mean - res.mean_epochs) / baseline.mean
+        reduction = (
+            "-"
+            if baseline is None
+            else f"{100.0 * (baseline.mean - res.mean_epochs) / baseline.mean:.1f}%"
+        )
         print(
             f"{sched.describe()}\t{res.mean_epochs:.3f}\t{res.stderr:.3f}"
-            f"\t{res.failure_rate:.4f}\t{reduction:.1f}%"
+            f"\t{res.failure_rate:.4f}\t{reduction}"
         )
     return 0
 

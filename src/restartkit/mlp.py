@@ -5,10 +5,22 @@ drops to the target, or until an epoch cap censors the run. With weights
 drawn uniformly at random per seed, the number of epochs needed is a
 random variable: this is the Las Vegas process the rest of the toolkit
 analyzes.
+
+Every epoch runs on one in-place kernel (`_Epoch`): buffers for the
+activations, output - y, the deltas and the four gradients are allocated
+once per run, and the weights are updated in place. `train_until`,
+`training_error`, `backprop_gradients`, `train_epoch` and `forward` all use
+it. The kernel is bit-identical to the plain allocating formulas: each
+elementwise formula keeps its left-to-right grouping, each matmul keeps its
+operand layouts, and the MSE is the same pairwise sum divided by the size.
+Column sums go through einsum, which adds rows in the same order as
+`sum(axis=0)`, except at width 1 (`--hidden 1`, or one output), where the
+reduction is a pairwise sum and stays `np.sum`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,17 +95,106 @@ def init_weights(cfg: MlpConfig, seed: int) -> MlpState:
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp may overflow to inf for very negative inputs; 1/(1+inf) = 0 is
-    # exactly the right limit, so the overflow warning is suppressed.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def _params(state: MlpState) -> list[np.ndarray]:
+    return [state.w_hidden, state.b_hidden, state.w_out, state.b_out]
 
 
-def _forward_batch(state: MlpState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = _sigmoid(x @ state.w_hidden.T + state.b_hidden)
-    output = _sigmoid(hidden @ state.w_out.T + state.b_out)
-    return hidden, output
+def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=0)` written into `out`, bit for bit.
+
+    For width > 1, einsum adds the rows in the same order as the reduction
+    but without its per-row overhead. At width 1 the reduction is one
+    contiguous pairwise sum, which einsum's accumulation does not match.
+    """
+    if a.shape[1] > 1:
+        return np.einsum("ij->j", a, out=out)
+    return np.sum(a, axis=0, out=out)
+
+
+def _sigmoid_layer(
+    inputs: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out = 1 / (1 + exp(-(inputs @ w.T + b))), computed in place.
+
+    exp may overflow to inf for very negative pre-activations; 1/(1+inf) = 0
+    is exactly the right limit, so callers run under
+    np.errstate(over="ignore").
+    """
+    np.matmul(inputs, w.T, out=out)
+    out += b
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+class _Epoch:
+    """Full-batch epoch on preallocated buffers; the weights update in place.
+
+    `params` is [w_hidden, b_hidden, w_out, b_out]; `descend` writes into
+    those arrays. One epoch is `gradients()`, `descend()`, then `error()`,
+    which runs the forward pass at the new weights and caches output - y
+    for the next gradient.
+    """
+
+    def __init__(
+        self, params: list[np.ndarray], x: np.ndarray, y: np.ndarray | None
+    ) -> None:
+        n = x.shape[0]
+        n_hidden, n_out = params[0].shape[0], params[2].shape[0]
+        self.params, self.x, self.y = params, x, y
+        self.hidden = np.empty((n, n_hidden))
+        self.output = np.empty((n, n_out))
+        self.diff = np.empty((n, n_out))
+        self.d_out = np.empty((n, n_out))
+        self.d_hidden = np.empty((n, n_hidden))
+        self.scale = 2.0 / (n * n_out)
+        self.grads = [np.empty(p.shape) for p in params]
+        self.velocity: list[np.ndarray] | None = None
+
+    def forward(self) -> np.ndarray:
+        w_hidden, b_hidden, w_out, b_out = self.params
+        _sigmoid_layer(self.x, w_hidden, b_hidden, self.hidden)
+        return _sigmoid_layer(self.hidden, w_out, b_out, self.output)
+
+    def error(self) -> float:
+        """MSE averaged over patterns and output units at the current weights."""
+        np.subtract(self.forward(), self.y, out=self.diff)
+        sq = np.multiply(self.diff, self.diff, out=self.d_out)
+        return float(np.add.reduce(sq, axis=None) / sq.size)
+
+    def gradients(self) -> list[np.ndarray]:
+        """Backprop gradients at the last `error()` pass.
+
+        Consumes that pass: the activation buffers are overwritten.
+        """
+        g_w_hidden, g_b_hidden, g_w_out, g_b_out = self.grads
+        hidden, output = self.hidden, self.output
+        d_out = np.multiply(self.diff, output, out=self.d_out)
+        d_out *= np.subtract(1.0, output, out=output)
+        d_out *= self.scale
+        np.matmul(d_out.T, hidden, out=g_w_out)
+        _column_sums(d_out, g_b_out)
+        d_hidden = np.matmul(d_out, self.params[2], out=self.d_hidden)
+        d_hidden *= hidden
+        d_hidden *= np.subtract(1.0, hidden, out=hidden)
+        np.matmul(d_hidden.T, self.x, out=g_w_hidden)
+        _column_sums(d_hidden, g_b_hidden)
+        return self.grads
+
+    def descend(self, learning_rate: float, momentum: float = 0.0) -> None:
+        """Step the weights along the last gradients (heavy-ball momentum)."""
+        step = self.grads
+        if momentum > 0.0:
+            if self.velocity is None:
+                self.velocity = [g.copy() for g in self.grads]
+            else:
+                for v, g in zip(self.velocity, self.grads):
+                    v *= momentum
+                    v += g
+            step = self.velocity
+        for p, s, g in zip(self.params, step, self.grads):
+            p -= np.multiply(s, learning_rate, out=g)
 
 
 def forward(state: MlpState, inputs: np.ndarray) -> np.ndarray:
@@ -104,15 +205,15 @@ def forward(state: MlpState, inputs: np.ndarray) -> np.ndarray:
             f"input must be a vector of length {state.w_hidden.shape[1]}, "
             f"got shape {x.shape}"
         )
-    _, out = _forward_batch(state, x[None, :])
-    return out[0]
+    with np.errstate(over="ignore"):
+        return _Epoch(_params(state), x[None, :], None).forward()[0]
 
 
 def training_error(state: MlpState, data: Dataset) -> float:
     """MSE averaged over patterns and output units."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
-    _, out = _forward_batch(state, data.features)
-    return float(np.mean((out - data.targets) ** 2))
+    with np.errstate(over="ignore"):
+        return _Epoch(_params(state), data.features, data.targets).error()
 
 
 def _check_dims(data: Dataset, n_inputs: int, n_outputs: int) -> None:
@@ -128,47 +229,30 @@ def _check_dims(data: Dataset, n_inputs: int, n_outputs: int) -> None:
         )
 
 
-def _gradients(
-    state: MlpState,
-    x: np.ndarray,
-    y: np.ndarray,
-    hidden: np.ndarray,
-    output: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop gradients of the MSE at a cached forward pass."""
-    n, n_out = y.shape
-    d_z2 = (output - y) * output * (1.0 - output) * (2.0 / (n * n_out))
-    g_w_out = d_z2.T @ hidden
-    g_b_out = d_z2.sum(axis=0)
-    d_z1 = (d_z2 @ state.w_out) * hidden * (1.0 - hidden)
-    g_w_hidden = d_z1.T @ x
-    g_b_hidden = d_z1.sum(axis=0)
-    return g_w_hidden, g_b_hidden, g_w_out, g_b_out
-
-
 def backprop_gradients(
     state: MlpState, data: Dataset
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of `training_error` w.r.t. (w_hidden, b_hidden, w_out, b_out)."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
-    hidden, output = _forward_batch(state, data.features)
-    return _gradients(state, data.features, data.targets, hidden, output)
+    with np.errstate(over="ignore"):
+        epoch = _Epoch(_params(state), data.features, data.targets)
+        epoch.error()
+        return tuple(epoch.gradients())
 
 
 def train_epoch(state: MlpState, data: Dataset, learning_rate: float) -> MlpState:
     """One full-batch gradient-descent step on the MSE objective."""
     if learning_rate < 0.0:
         raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
-    grads = backprop_gradients(state, data)
-    if not all(np.isfinite(g).all() for g in grads):
-        raise DivergenceError("non-finite gradient in backpropagation step")
-    gw1, gb1, gw2, gb2 = grads
-    return MlpState(
-        w_hidden=state.w_hidden - learning_rate * gw1,
-        b_hidden=state.b_hidden - learning_rate * gb1,
-        w_out=state.w_out - learning_rate * gw2,
-        b_out=state.b_out - learning_rate * gb2,
-    )
+    _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
+    params = [np.array(p, dtype=np.float64) for p in _params(state)]
+    with np.errstate(over="ignore"):
+        epoch = _Epoch(params, data.features, data.targets)
+        epoch.error()
+        if not all(np.isfinite(g).all() for g in epoch.gradients()):
+            raise DivergenceError("non-finite gradient in backpropagation step")
+        epoch.descend(learning_rate)
+    return MlpState(*params)
 
 
 def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
@@ -181,43 +265,27 @@ def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
     (cfg, data, seed).
     """
     _check_dims(data, cfg.n_inputs, cfg.n_outputs)
-    x, y = data.features, data.targets
     lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
-    state = init_weights(cfg, seed)
-    hidden, output = _forward_batch(state, x)
-    last_error = float(np.mean((output - y) ** 2))
-    velocity = None
-    for epoch in range(1, cfg.max_epochs + 1):
-        grads = _gradients(state, x, y, hidden, output)
-        if beta > 0.0:
-            if velocity is None:
-                velocity = grads
-            else:
-                velocity = tuple(beta * v + g for v, g in zip(velocity, grads))
-            step = velocity
-        else:
-            step = grads
-        state = MlpState(
-            w_hidden=state.w_hidden - lr * step[0],
-            b_hidden=state.b_hidden - lr * step[1],
-            w_out=state.w_out - lr * step[2],
-            b_out=state.b_out - lr * step[3],
-        )
-        hidden, output = _forward_batch(state, x)
-        error = float(np.mean((output - y) ** 2))
-        if not np.isfinite(error):
-            return RunRecord(
-                seed=seed,
-                epochs=epoch,
-                converged=False,
-                final_error=last_error,
-                diverged=True,
-            )
-        last_error = error
-        if error <= delta:
-            return RunRecord(
-                seed=seed, epochs=epoch, converged=True, final_error=error
-            )
+    with np.errstate(over="ignore"):
+        kernel = _Epoch(_params(init_weights(cfg, seed)), data.features, data.targets)
+        last_error = kernel.error()
+        for epoch in range(1, cfg.max_epochs + 1):
+            kernel.gradients()
+            kernel.descend(lr, beta)
+            error = kernel.error()
+            if not math.isfinite(error):
+                return RunRecord(
+                    seed=seed,
+                    epochs=epoch,
+                    converged=False,
+                    final_error=last_error,
+                    diverged=True,
+                )
+            last_error = error
+            if error <= delta:
+                return RunRecord(
+                    seed=seed, epochs=epoch, converged=True, final_error=error
+                )
     return RunRecord(
         seed=seed,
         epochs=cfg.max_epochs,

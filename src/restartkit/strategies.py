@@ -15,7 +15,9 @@ the fixed cutoff, the whole curve and its optimum all cost O(support).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +33,10 @@ class RestartSchedule:
 
     def cutoff(self, attempt: int) -> int:
         raise NotImplementedError
+
+    def cutoffs(self) -> Iterator[int]:
+        """t_1, t_2, ... in attempt order, as `cutoff` gives them."""
+        return map(self.cutoff, itertools.count(1))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -67,6 +73,15 @@ class WalshSchedule(RestartSchedule):
     def cutoff(self, attempt: int) -> int:
         _check_attempt(attempt)
         return math.ceil(Fraction(self.gamma) ** (attempt - 1))
+
+    def cutoffs(self) -> Iterator[int]:
+        """The same exact cutoffs, each power one multiplication from the last."""
+        num, den = Fraction(self.gamma).as_integer_ratio()
+        power_num, power_den = 1, 1
+        while True:
+            yield -(-power_num // power_den)
+            power_num *= num
+            power_den *= den
 
     def describe(self) -> str:
         return f"walsh:{self.gamma:g}"
@@ -196,9 +211,10 @@ def run_with_strategy(
         raise ValueError(f"budget must be >= 1, got {budget}")
     total = 0
     per_attempt: list[tuple[int, int]] = []
+    cutoffs = schedule.cutoffs()
     i = 1
     while True:
-        t_i = schedule.cutoff(i)
+        t_i = next(cutoffs)
         if total + t_i > budget:
             return StrategyOutcome(
                 total_epochs=total,

@@ -56,6 +56,28 @@ class TestCollect:
         sample = load_runs(log)
         assert sample.n_runs == 1000
 
+    @pytest.mark.parametrize(
+        "stub, runs, row",
+        [
+            ("constant:3", "1", "1\t1\t0\tn/a\tn/a\tn/a"),
+            ("constant:10", "3", "3\t0\t3\tn/a\tn/a\tn/a"),
+        ],
+        ids=["one-converged", "none-converged"],
+    )
+    def test_under_two_converged_runs_prints_na(self, capsys, tmp_path, stub, runs, row):
+        log = tmp_path / "few.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "collect",
+            "--stub", stub,
+            "--stub-cap", "5",
+            "--runs", runs,
+            "--out", str(log),
+        )
+        assert code == 0, err
+        assert out == f"n_runs\tconverged\tcensored\tmean\tstddev\tratio\n{row}\n"
+        assert load_runs(log).n_runs == int(runs)
+
     def test_zero_runs_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -282,6 +304,22 @@ class TestSweep:
         assert code == 0
         rows = {r["schedule"]: r for r in parse_table(out)}
         assert rows["walsh:2"]["mean_epochs"] == "all-failed"
+
+    def test_baseline_under_two_converged_runs(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep",
+            "--stub", "two-point:0.1:1:10",
+            "--stub-cap", "5",
+            "--trials", "4",
+            "--gammas", "2",
+        )
+        assert code == 0, err
+        rows = {r["schedule"]: r for r in parse_table(out)}
+        assert set(rows) == {"none", "walsh:2"}
+        assert list(rows["none"].values()) == ["none", "n/a", "n/a", "1.0000", "-"]
+        assert rows["walsh:2"]["reduction"] == "-"
+        assert float(rows["walsh:2"]["mean_epochs"]) >= 1.0
 
     def test_rejects_gamma_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

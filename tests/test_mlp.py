@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restartkit import (
     Dataset,
@@ -9,6 +11,7 @@ from restartkit import (
     MlpConfig,
     MlpProcess,
     MlpState,
+    RunRecord,
     backprop_gradients,
     forward,
     init_weights,
@@ -18,6 +21,7 @@ from restartkit import (
 )
 
 from conftest import tiny_dataset
+from restartkit.mlp import _column_sums
 
 
 def naive_forward(state: MlpState, x):
@@ -61,6 +65,73 @@ def finite_difference_gradients(state: MlpState, data: Dataset, h=1e-5):
             fd[idx] = (error_at(plus) - error_at(minus)) / (2 * h)
         grads.append(fd)
     return grads
+
+
+# Allocating reference epoch: one fresh array per operation. The package's
+# in-place kernel must reproduce its results bit for bit.
+
+
+def alloc_sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def alloc_forward(state, x):
+    hidden = alloc_sigmoid(x @ state.w_hidden.T + state.b_hidden)
+    output = alloc_sigmoid(hidden @ state.w_out.T + state.b_out)
+    return hidden, output
+
+
+def alloc_gradients(state, x, y, hidden, output):
+    n, n_out = y.shape
+    d_z2 = (output - y) * output * (1.0 - output) * (2.0 / (n * n_out))
+    g_w_out = d_z2.T @ hidden
+    g_b_out = d_z2.sum(axis=0)
+    d_z1 = (d_z2 @ state.w_out) * hidden * (1.0 - hidden)
+    g_w_hidden = d_z1.T @ x
+    g_b_hidden = d_z1.sum(axis=0)
+    return g_w_hidden, g_b_hidden, g_w_out, g_b_out
+
+
+def alloc_train_until(cfg, data, seed):
+    x, y = data.features, data.targets
+    lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
+    state = init_weights(cfg, seed)
+    hidden, output = alloc_forward(state, x)
+    last_error = float(np.mean((output - y) ** 2))
+    velocity = None
+    for epoch in range(1, cfg.max_epochs + 1):
+        grads = alloc_gradients(state, x, y, hidden, output)
+        if beta > 0.0:
+            if velocity is None:
+                velocity = grads
+            else:
+                velocity = tuple(beta * v + g for v, g in zip(velocity, grads))
+            step = velocity
+        else:
+            step = grads
+        state = MlpState(
+            w_hidden=state.w_hidden - lr * step[0],
+            b_hidden=state.b_hidden - lr * step[1],
+            w_out=state.w_out - lr * step[2],
+            b_out=state.b_out - lr * step[3],
+        )
+        hidden, output = alloc_forward(state, x)
+        error = float(np.mean((output - y) ** 2))
+        if not np.isfinite(error):
+            return RunRecord(seed, epoch, False, last_error, diverged=True)
+        last_error = error
+        if error <= delta:
+            return RunRecord(seed, epoch, True, error)
+    return RunRecord(seed, cfg.max_epochs, False, last_error)
+
+
+def record_bits(rec: RunRecord):
+    return (rec.seed, rec.epochs, rec.converged, rec.diverged, rec.final_error.hex())
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestConfig:
@@ -331,3 +402,72 @@ class TestMlpProcess:
             assert again.converged and again.epochs == rec.epochs
         below = proc.attempt(seed=8, cutoff=rec.epochs - 1)
         assert not below.converged and below.epochs == rec.epochs - 1
+
+
+class TestBitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_rows=st.integers(1, 40),
+        n_inputs=st.integers(1, 5),
+        n_hidden=st.integers(1, 5),
+        n_outputs=st.integers(1, 5),
+        momentum=st.sampled_from([0.0, 0.5]),
+        learning_rate=st.sampled_from([0.5, 5.0, 80.0]),
+        target_error=st.sampled_from([0.01, 0.05, 0.15]),
+        seed=st.integers(0, 2**64 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_allocating_epoch(
+        self, n_rows, n_inputs, n_hidden, n_outputs, momentum, learning_rate,
+        target_error, seed, data_seed,
+    ):
+        cfg = MlpConfig(
+            n_inputs=n_inputs, n_hidden=n_hidden, n_outputs=n_outputs,
+            learning_rate=learning_rate, momentum=momentum,
+            target_error=target_error, max_epochs=60,
+        )
+        d = tiny_dataset(n_rows, n_inputs, n_outputs, seed=data_seed)
+        assert record_bits(train_until(cfg, d, seed)) == record_bits(
+            alloc_train_until(cfg, d, seed)
+        )
+        state = init_weights(cfg, seed)
+        hidden, output = alloc_forward(state, d.features)
+        grads = alloc_gradients(state, d.features, d.targets, hidden, output)
+        mse = float(np.mean((output - d.targets) ** 2))
+        assert training_error(state, d).hex() == mse.hex()
+        x0 = d.features[0]
+        assert same_bits(forward(state, x0), alloc_forward(state, x0[None, :])[1][0])
+        assert all(map(same_bits, backprop_gradients(state, d), grads))
+        stepped = train_epoch(state, d, learning_rate)
+        for new, old, g in zip(
+            (stepped.w_hidden, stepped.b_hidden, stepped.w_out, stepped.b_out),
+            (state.w_hidden, state.b_hidden, state.w_out, state.b_out),
+            grads,
+        ):
+            assert same_bits(new, old - learning_rate * g)
+
+    def test_divergence_matches_allocating_epoch(self):
+        # Momentum near 1 accumulates steps of lr*g ~ 1e306 until a weight
+        # overflows to inf and inf - inf turns the error into NaN.
+        cfg = MlpConfig(
+            n_inputs=4, n_hidden=3, n_outputs=2, learning_rate=1e308,
+            momentum=0.99, target_error=1e-9, max_epochs=300,
+        )
+        d = tiny_dataset(n_rows=6, n_features=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = train_until(cfg, d, seed=0)
+            assert rec.diverged and rec.epochs < cfg.max_epochs
+            assert record_bits(rec) == record_bits(alloc_train_until(cfg, d, 0))
+
+
+class TestColumnSums:
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_bit_equal_to_axis_zero_sum(self, width):
+        rng = np.random.default_rng(width)
+        for rows in (1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 100, 1000, 4000):
+            a = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(
+                -6, 6, size=(rows, width)
+            )
+            out = np.empty(width)
+            assert _column_sums(a, out) is out
+            assert same_bits(out, a.sum(axis=0)), (rows, width)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -83,6 +84,17 @@ class TestSchedules:
         s = WalshSchedule(gamma)
         for i in range(1, 600):
             assert s.cutoff(i) == math.ceil(Fraction(gamma) ** (i - 1))
+
+    @pytest.mark.parametrize("gamma", [1.01, 1.5, 2.0, 10.0])
+    def test_walsh_walk_equals_cutoff(self, gamma):
+        s = WalshSchedule(gamma)
+        walked = list(itertools.islice(s.cutoffs(), 2000))
+        assert walked == [s.cutoff(i) for i in range(1, 2001)]
+
+    @pytest.mark.parametrize("schedule", [FixedSchedule(7), LubySchedule(3)])
+    def test_default_walk_equals_cutoff(self, schedule):
+        walked = list(itertools.islice(schedule.cutoffs(), 100))
+        assert walked == [schedule.cutoff(i) for i in range(1, 101)]
 
     def test_walsh_rejects_gamma_at_most_one(self):
         for gamma in (1.0, 0.5, -2.0):
@@ -307,6 +319,15 @@ class TestRunWithStrategy:
         for base in range(10):
             outcome = run_with_strategy(proc, WalshSchedule(2.0), base, budget=500)
             assert outcome.total_epochs == sum(u for _, u in outcome.per_attempt)
+
+    def test_trace_follows_schedule_cutoffs(self):
+        # Every attempt below 1000 epochs is cut off; gamma 1.01 needs 696.
+        proc = SyntheticProcess(Constant(1000), cap_epochs=1000)
+        s = WalshSchedule(1.01)
+        outcome = run_with_strategy(proc, s, 5, budget=10**6)
+        assert outcome.succeeded and outcome.attempts == 696
+        cutoffs = [t for t, _ in outcome.per_attempt]
+        assert cutoffs == [s.cutoff(i) for i in range(1, 697)]
 
     def test_deterministic(self):
         proc = SyntheticProcess(Geometric(0.05), cap_epochs=1000)
