@@ -231,11 +231,15 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     sample = runner.load_runs(args.runs_file)
     ecdf = tailstats.empirical_cdf(sample)
-    stats = runner.summary_stats(sample)
+    stats = _summary_or_none(sample)
     t_star, expected = strategies.optimal_cutoff(ecdf)
-    reduction = 100.0 * (stats.mean - expected) / stats.mean
+    baseline = (
+        "n/a\t-"
+        if stats is None
+        else f"{stats.mean:.3f}\t{100.0 * (stats.mean - expected) / stats.mean:.1f}%"
+    )
     print("t_star\texpected_epochs\tno_restart_mean\treduction")
-    print(f"{t_star}\t{expected:.3f}\t{stats.mean:.3f}\t{reduction:.1f}%")
+    print(f"{t_star}\t{expected:.3f}\t{baseline}")
     if args.curve_out:
         rows = [
             (t, f"{e:.6f}" if math.isfinite(e) else "inf")
@@ -259,8 +263,11 @@ def _sweep_schedules(args: argparse.Namespace) -> list[strategies.RestartSchedul
 def cmd_sweep(args: argparse.Namespace) -> int:
     process = _build_process(args)
     budget = args.budget if args.budget is not None else 20 * process.cap
-    baseline_sample = runner.collect_runs(
-        process, args.trials, args.seed, n_jobs=args.jobs
+    schedules = _sweep_schedules(args)
+    # Every schedule reuses the same base seed: common random numbers make
+    # the schedule comparison sharper than independent seeding would.
+    baseline_sample, trials = strategies.run_trials(
+        process, schedules, args.trials, args.seed, budget, args.jobs, baseline=True
     )
     baseline = _summary_or_none(baseline_sample)
     failure_rate = f"{baseline_sample.n_censored / baseline_sample.n_runs:.4f}"
@@ -273,23 +280,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{baseline.stddev / math.sqrt(baseline.n_converged):.3f}\t"
             f"{failure_rate}\t0.0%"
         )
-    # Every schedule reuses the same base seed: common random numbers make
-    # the schedule comparison sharper than independent seeding would.
-    for sched in _sweep_schedules(args):
+    for sched, outcomes in zip(schedules, trials):
         try:
-            res = strategies.evaluate_strategy_mc(
-                process, sched, args.trials, args.seed, budget, n_jobs=args.jobs
-            )
+            res = strategies.mc_result(outcomes, sched, budget)
         except AllTrialsFailedError:
             print(f"{sched.describe()}\tall-failed\t-\t1.0000\t-")
             continue
+        stderr = "n/a" if math.isnan(res.stderr) else f"{res.stderr:.3f}"
         reduction = (
             "-"
             if baseline is None
             else f"{100.0 * (baseline.mean - res.mean_epochs) / baseline.mean:.1f}%"
         )
         print(
-            f"{sched.describe()}\t{res.mean_epochs:.3f}\t{res.stderr:.3f}"
+            f"{sched.describe()}\t{res.mean_epochs:.3f}\t{stderr}"
             f"\t{res.failure_rate:.4f}\t{reduction}"
         )
     return 0

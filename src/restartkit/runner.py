@@ -100,6 +100,11 @@ class LasVegasProcess(Protocol):
     function of its arguments. If an attempt converges at epoch e, any
     attempt with the same seed and cutoff >= e converges at the same e.
     `cap` is the default censoring cutoff for plain (no-restart) runs.
+
+    This prefix contract (a seed's trajectory does not depend on the
+    cutoff) is what a resumable session relies on: a process may offer
+    `session()`, whose attempts equal these but continue a seed's earlier
+    attempt instead of retraining it (see `mlp.MlpSession`).
     """
 
     @property

@@ -17,14 +17,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import AllTrialsFailedError
-from .runner import LasVegasProcess, derive_seed, parallel_map
+from .runner import (
+    LasVegasProcess,
+    RunRecord,
+    RunSample,
+    _attempt_one,
+    derive_seed,
+    parallel_map,
+)
 from .tailstats import Ecdf
 
 
@@ -246,34 +253,61 @@ class McResult:
     n_succeeded: int
 
 
-def _run_trial(
-    args: tuple[LasVegasProcess, RestartSchedule, int, int],
-) -> tuple[bool, int]:
-    process, schedule, seed, budget = args
-    outcome = run_with_strategy(process, schedule, seed, budget)
-    return outcome.succeeded, outcome.total_epochs
+def _trial(
+    args: tuple[LasVegasProcess, list[RestartSchedule], int, int, bool],
+) -> tuple[RunRecord | None, list[tuple[bool, int]]]:
+    """Baseline run j (if asked) and trial j of every schedule, for trial seed `seed`.
+
+    The schedules share one session of the process when it offers one, so
+    an attempt seed they have in common is trained only once.
+    """
+    process, schedules, seed, budget, baseline = args
+    record = _attempt_one((process, seed, process.cap)) if baseline else None
+    session = process.session() if hasattr(process, "session") else process
+    outcomes = [run_with_strategy(session, s, seed, budget) for s in schedules]
+    return record, [(o.succeeded, o.total_epochs) for o in outcomes]
 
 
-def evaluate_strategy_mc(
+def run_trials(
     process: LasVegasProcess,
-    schedule: RestartSchedule,
+    schedules: list[RestartSchedule],
     n_trials: int,
     base_seed: int,
     budget: int,
     n_jobs: int = 1,
-) -> McResult:
-    """Estimate the schedule's expected total epochs over seeded trials.
+    baseline: bool = False,
+) -> tuple[RunSample | None, list[tuple[tuple[bool, int], ...]]]:
+    """Monte Carlo trials of several schedules, one pool task per trial index.
 
-    Trial j runs `run_with_strategy` under base seed
-    derive_seed(base_seed, j). Mean and standard error are taken over
-    succeeded trials; the failure rate counts budget exhaustions. The
+    Trial j of every schedule runs `run_with_strategy` under base seed
+    derive_seed(base_seed, j), as does baseline run j (with `baseline`),
+    which is one plain attempt on that seed at the process cap, as in
+    `collect_runs`. Returns the baseline sample (None without `baseline`)
+    and, per schedule, the (succeeded, total_epochs) of every trial. The
     result is invariant under `n_jobs`.
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     seeds = derive_seed(base_seed, np.arange(n_trials, dtype=np.uint64)).tolist()
-    jobs = [(process, schedule, seed, budget) for seed in seeds]
-    outcomes = parallel_map(_run_trial, jobs, n_jobs)
+    jobs = [(process, schedules, seed, budget, baseline) for seed in seeds]
+    results = parallel_map(_trial, jobs, n_jobs)
+    sample = (
+        RunSample(records=[record for record, _ in results], cap=process.cap)
+        if baseline
+        else None
+    )
+    return sample, list(zip(*(outcomes for _, outcomes in results)))
+
+
+def mc_result(
+    outcomes: Sequence[tuple[bool, int]], schedule: RestartSchedule, budget: int
+) -> McResult:
+    """Mean and standard error over the succeeded trials of `outcomes`.
+
+    The failure rate counts budget exhaustions; with one success the
+    standard error is NaN. Raises AllTrialsFailedError if none succeeded.
+    """
+    n_trials = len(outcomes)
     totals = np.array([t for ok, t in outcomes if ok], dtype=np.float64)
     n_succ = totals.size
     if n_succ == 0:
@@ -291,3 +325,22 @@ def evaluate_strategy_mc(
         n_trials=n_trials,
         n_succeeded=int(n_succ),
     )
+
+
+def evaluate_strategy_mc(
+    process: LasVegasProcess,
+    schedule: RestartSchedule,
+    n_trials: int,
+    base_seed: int,
+    budget: int,
+    n_jobs: int = 1,
+) -> McResult:
+    """Estimate the schedule's expected total epochs over seeded trials.
+
+    Trial j runs `run_with_strategy` under base seed
+    derive_seed(base_seed, j). Mean and standard error are taken over
+    succeeded trials; the failure rate counts budget exhaustions. The
+    result is invariant under `n_jobs`.
+    """
+    _, (outcomes,) = run_trials(process, [schedule], n_trials, base_seed, budget, n_jobs)
+    return mc_result(outcomes, schedule, budget)

@@ -1,9 +1,23 @@
 import math
+import os
 
 import pytest
 
-from restartkit import load_runs
-from restartkit.cli import build_parser, main
+from restartkit import (
+    AllTrialsFailedError,
+    collect_runs,
+    evaluate_strategy_mc,
+    load_runs,
+)
+from restartkit.cli import (
+    _build_process,
+    _summary_or_none,
+    _sweep_schedules,
+    build_parser,
+    main,
+)
+
+DATA_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "thyroidlike-train.data")
 
 
 def run_cli(capsys, *argv):
@@ -262,7 +276,109 @@ class TestOptimize:
         assert float(row["reduction"].rstrip("%")) == 0.0
 
 
+    def test_under_two_converged_runs_prints_na(self, capsys, tmp_path):
+        log = tmp_path / "one.jsonl"
+        run_cli(
+            capsys,
+            "collect", "--stub", "constant:3", "--runs", "1", "--out", str(log),
+        )
+        code, out, err = run_cli(capsys, "optimize", "--runs-file", str(log))
+        assert code == 0, err
+        assert out == "t_star\texpected_epochs\tno_restart_mean\treduction\n3\t3.000\tn/a\t-\n"
+
+
+class FreshAttempts:
+    """The process without a session: every attempt trains from scratch."""
+
+    def __init__(self, process):
+        self.process = process
+        self.cap = process.cap
+
+    def describe(self):
+        return self.process.describe()
+
+    def attempt(self, seed, cutoff):
+        return self.process.attempt(seed, cutoff)
+
+
+def separate_pools_sweep(argv):
+    """`sweep` stdout composed as the command did before it ran one pool:
+    collect_runs for the baseline, then evaluate_strategy_mc per schedule
+    with fresh attempts."""
+    args = build_parser().parse_args(argv)
+    process = _build_process(args)
+    budget = args.budget if args.budget is not None else 20 * process.cap
+    sample = collect_runs(process, args.trials, args.seed)
+    baseline = _summary_or_none(sample)
+    lines = ["schedule\tmean_epochs\tstderr\tfailure_rate\treduction"]
+    rate = f"{sample.n_censored / sample.n_runs:.4f}"
+    if baseline is None:
+        lines.append(f"none\tn/a\tn/a\t{rate}\t-")
+    else:
+        se = baseline.stddev / math.sqrt(baseline.n_converged)
+        lines.append(f"none\t{baseline.mean:.3f}\t{se:.3f}\t{rate}\t0.0%")
+    for sched in _sweep_schedules(args):
+        try:
+            res = evaluate_strategy_mc(
+                FreshAttempts(process), sched, args.trials, args.seed, budget
+            )
+        except AllTrialsFailedError:
+            lines.append(f"{sched.describe()}\tall-failed\t-\t1.0000\t-")
+            continue
+        reduction = (
+            "-"
+            if baseline is None
+            else f"{100.0 * (baseline.mean - res.mean_epochs) / baseline.mean:.1f}%"
+        )
+        stderr = "n/a" if math.isnan(res.stderr) else f"{res.stderr:.3f}"
+        lines.append(
+            f"{sched.describe()}\t{res.mean_epochs:.3f}\t{stderr}"
+            f"\t{res.failure_rate:.4f}\t{reduction}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 class TestSweep:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["--stub", "discrete-pareto:0.5:50", "--stub-cap", "5000", "--gammas", "2,3",
+             "--luby-unit", "40", "--fixed", "90", "--trials", "60", "--seed", "5"],
+            ["--data", DATA_PATH, "--max-epochs", "1500", "--gammas", "2,4",
+             "--luby-unit", "200", "--fixed", "600", "--trials", "3", "--seed", "11"],
+        ],
+        ids=["stub", "mlp"],
+    )
+    def test_equals_separate_pools(self, capsys, source):
+        expected = separate_pools_sweep(["sweep", *source])
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, "sweep", *source, "--jobs", jobs)
+            assert code == 0, err
+            assert out == expected, jobs
+
+    def test_one_trial_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--stub", "constant:5", "--gammas", "2", "--trials", "1"
+        )
+        assert code == 1
+        assert err == "restartkit: error: n_trials must be >= 2, got 1\n"
+        assert out == ""
+
+    def test_single_success_stderr_is_na(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep",
+            "--stub", "two-point:0.1:1:10",
+            "--stub-cap", "5",
+            "--trials", "2",
+            "--gammas", "2",
+            "--budget", "12",
+            "--seed", "3",
+        )
+        assert code == 0, err
+        rows = {r["schedule"]: r for r in parse_table(out)}
+        assert list(rows["walsh:2"].values()) == ["walsh:2", "2.000", "n/a", "0.5000", "-"]
+
     def test_walsh_matches_renewal_oracle(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -28,6 +28,8 @@ from restartkit import (
     parse_schedule,
     run_with_strategy,
 )
+from restartkit.runner import RunRecord
+from restartkit.strategies import run_trials
 
 from conftest import ParityStub, make_sample
 
@@ -334,6 +336,57 @@ class TestRunWithStrategy:
         a = run_with_strategy(proc, LubySchedule(4), 77, budget=10_000)
         b = run_with_strategy(proc, LubySchedule(4), 77, budget=10_000)
         assert a == b
+
+
+class LoggingProcess:
+    """Converges at epoch 2 iff the seed is even; logs who took each attempt."""
+
+    cap = 50
+
+    def __init__(self):
+        self.log = []
+        self.sessions = 0
+
+    def describe(self):
+        return "logging"
+
+    def attempt(self, seed, cutoff, via="process"):
+        self.log.append((via, seed, cutoff))
+        if seed % 2 == 0 and cutoff >= 2:
+            return RunRecord(seed=seed, epochs=2, converged=True, final_error=0.0)
+        return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+
+    def session(self):
+        self.sessions += 1
+        k = self.sessions
+
+        class Session:
+            def attempt(_, seed, cutoff):
+                return self.attempt(seed, cutoff, via=k)
+
+        return Session()
+
+
+class TestRunTrials:
+    def test_one_session_per_trial_for_all_schedules(self):
+        proc = LoggingProcess()
+        schedules = [FixedSchedule(1), WalshSchedule(2.0), LubySchedule(3)]
+        sample, per_schedule = run_trials(proc, schedules, 4, 7, 100, baseline=True)
+        assert proc.sessions == 4
+        trial_seeds = [derive_seed(7, j) for j in range(4)]
+        baseline = [(via, seed) for via, seed, cutoff in proc.log if via == "process"]
+        assert baseline == [("process", s) for s in trial_seeds]
+        assert [r.seed for r in sample.records] == trial_seeds and sample.cap == 50
+        for k, trial_seed in enumerate(trial_seeds, start=1):
+            seeds = {seed for via, seed, _ in proc.log if via == k}
+            assert seeds <= {derive_seed(trial_seed, i) for i in range(1, 101)}
+        for schedule, outcomes in zip(schedules, per_schedule):
+            fresh = [run_with_strategy(LoggingProcess(), schedule, s, 100) for s in trial_seeds]
+            assert list(outcomes) == [(o.succeeded, o.total_epochs) for o in fresh]
+
+    def test_no_baseline_and_no_session(self):
+        sample, (outcomes,) = run_trials(ParityStub(50), [FixedSchedule(1)], 3, 0, 10)
+        assert sample is None and len(outcomes) == 3
 
 
 class TestEvaluateStrategyMc:
