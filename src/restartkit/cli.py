@@ -52,8 +52,8 @@ def _gamma_list(text: str) -> list[float]:
     if not gammas:
         raise argparse.ArgumentTypeError("gamma list is empty")
     for g in gammas:
-        if not g > 1.0:
-            raise argparse.ArgumentTypeError(f"gamma must be > 1, got {g}")
+        if not 1.0 < g < math.inf:
+            raise argparse.ArgumentTypeError(f"gamma must be > 1 and finite, got {g}")
     return gammas
 
 

@@ -16,17 +16,12 @@ operand layouts, and the MSE is the same pairwise sum divided by the size.
 Column sums go through einsum, which adds rows in the same order as
 `sum(axis=0)`, except at width 1 (`--hidden 1`, or one output), where the
 reduction is a pairwise sum and stays `np.sum`.
-
-A `Run` is the one training loop: `train_until` and `MlpProcess.attempt`
-drive a fresh one to their cutoff, and an `MlpSession` keeps one per seed,
-so a later attempt on the same seed resumes where the last one stopped.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,14 +56,15 @@ class MlpConfig:
     def __post_init__(self) -> None:
         if min(self.n_inputs, self.n_hidden, self.n_outputs) < 1:
             raise ValueError("layer sizes must all be >= 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.momentum < 0.0 or self.momentum >= 1.0:
+        # Written so that NaN fails every range check.
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be in (0,inf), got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.init_half_width < 0.0:
-            raise ValueError(f"init_half_width must be >= 0, got {self.init_half_width}")
-        if self.target_error <= 0.0:
-            raise ValueError(f"target_error must be positive, got {self.target_error}")
+        if not 0.0 <= self.init_half_width < math.inf:
+            raise ValueError(f"init_half_width must be in [0,inf), got {self.init_half_width}")
+        if not 0.0 < self.target_error < math.inf:
+            raise ValueError(f"target_error must be in (0,inf), got {self.target_error}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
@@ -260,73 +256,6 @@ def train_epoch(state: MlpState, data: Dataset, learning_rate: float) -> MlpStat
     return MlpState(*params)
 
 
-class Run:
-    """One seeded training run, trained lazily and never twice.
-
-    `record(cutoff)` is the record of training under `cutoff` epochs, as
-    `train_until` with max_epochs = cutoff gives it. Epochs that no earlier
-    call reached are trained; a smaller cutoff is answered from the stored
-    error after each epoch (8 bytes per epoch), and any cutoff at or past
-    the epoch the run converged or diverged at returns that terminal record.
-    `cfg.max_epochs` is not used. Deterministic in (cfg, data, seed).
-    """
-
-    def __init__(self, cfg: MlpConfig, data: Dataset, seed: int) -> None:
-        _check_dims(data, cfg.n_inputs, cfg.n_outputs)
-        self.cfg, self.seed = cfg, seed
-        self._kernel: _Epoch | None = _Epoch(
-            _params(init_weights(cfg, seed)), data.features, data.targets
-        )
-        self._errors = array("d")  # error after epoch k at index k - 1
-        self._end: RunRecord | None = None
-
-    def record(self, cutoff: int) -> RunRecord:
-        if self._end is None and cutoff > len(self._errors):
-            self._train(cutoff)
-        if self._end is not None and cutoff >= self._end.epochs:
-            return self._end
-        return RunRecord(
-            seed=self.seed,
-            epochs=cutoff,
-            converged=False,
-            final_error=self._errors[cutoff - 1],
-        )
-
-    def _train(self, cutoff: int) -> None:
-        """Train on to epoch `cutoff`, stopping early at a terminal epoch.
-
-        The run converges at the first epoch whose error is <= the target,
-        and diverges at the first non-finite error; its record then keeps
-        the last finite error.
-        """
-        kernel, errors, seed = self._kernel, self._errors, self.seed
-        lr, beta, delta = self.cfg.learning_rate, self.cfg.momentum, self.cfg.target_error
-        with np.errstate(over="ignore"):
-            last_error = errors[-1] if errors else kernel.error()
-            for epoch in range(len(errors) + 1, cutoff + 1):
-                kernel.gradients()
-                kernel.descend(lr, beta)
-                error = kernel.error()
-                if not math.isfinite(error):
-                    self._end = RunRecord(
-                        seed=seed,
-                        epochs=epoch,
-                        converged=False,
-                        final_error=last_error,
-                        diverged=True,
-                    )
-                    break
-                errors.append(error)
-                last_error = error
-                if error <= delta:
-                    self._end = RunRecord(
-                        seed=seed, epochs=epoch, converged=True, final_error=error
-                    )
-                    break
-        if self._end is not None:
-            self._kernel = None  # a terminal run never trains again
-
-
 def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
     """Train from a seeded random initialization until the error target.
 
@@ -336,7 +265,34 @@ def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
     the run early with the record flagged as diverged. Deterministic in
     (cfg, data, seed).
     """
-    return Run(cfg, data, seed).record(cfg.max_epochs)
+    _check_dims(data, cfg.n_inputs, cfg.n_outputs)
+    lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
+    with np.errstate(over="ignore"):
+        kernel = _Epoch(_params(init_weights(cfg, seed)), data.features, data.targets)
+        last_error = kernel.error()
+        for epoch in range(1, cfg.max_epochs + 1):
+            kernel.gradients()
+            kernel.descend(lr, beta)
+            error = kernel.error()
+            if not math.isfinite(error):
+                return RunRecord(
+                    seed=seed,
+                    epochs=epoch,
+                    converged=False,
+                    final_error=last_error,
+                    diverged=True,
+                )
+            last_error = error
+            if error <= delta:
+                return RunRecord(
+                    seed=seed, epochs=epoch, converged=True, final_error=error
+                )
+    return RunRecord(
+        seed=seed,
+        epochs=cfg.max_epochs,
+        converged=False,
+        final_error=last_error,
+    )
 
 
 @dataclass(frozen=True)
@@ -365,35 +321,6 @@ class MlpProcess:
         )
 
     def attempt(self, seed: int, cutoff: int) -> RunRecord:
-        _check_cutoff(cutoff)
-        return Run(self.cfg, self.data, seed).record(cutoff)
-
-    def session(self) -> MlpSession:
-        """A fresh session: the same attempts, each seed trained at most once."""
-        return MlpSession(self.cfg, self.data, self.note)
-
-
-@dataclass(frozen=True)
-class MlpSession(MlpProcess):
-    """MlpProcess whose attempts resume one `Run` per seed.
-
-    `attempt(seed, cutoff)` equals `MlpProcess.attempt` bit for bit, but
-    an attempt on a seed seen before trains only the epochs past the
-    furthest one reached. That is the prefix contract of LasVegasProcess:
-    a run's trajectory does not depend on its cutoff. The runs stay in
-    memory for the life of the session.
-    """
-
-    runs: dict[int, Run] = field(default_factory=dict, repr=False, compare=False)
-
-    def attempt(self, seed: int, cutoff: int) -> RunRecord:
-        _check_cutoff(cutoff)
-        run = self.runs.get(seed)
-        if run is None:
-            run = self.runs[seed] = Run(self.cfg, self.data, seed)
-        return run.record(cutoff)
-
-
-def _check_cutoff(cutoff: int) -> None:
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        return train_until(replace(self.cfg, max_epochs=cutoff), self.data, seed)

@@ -97,14 +97,14 @@ class LasVegasProcess(Protocol):
     """Behavioral contract for a restartable randomized process.
 
     `attempt(seed, cutoff)` runs at most `cutoff` epochs and is a pure
-    function of its arguments. If an attempt converges at epoch e, any
-    attempt with the same seed and cutoff >= e converges at the same e.
-    `cap` is the default censoring cutoff for plain (no-restart) runs.
+    function of its arguments. `cap` is the default censoring cutoff for
+    plain (no-restart) runs.
 
-    This prefix contract (a seed's trajectory does not depend on the
-    cutoff) is what a resumable session relies on: a process may offer
-    `session()`, whose attempts equal these but continue a seed's earlier
-    attempt instead of retraining it (see `mlp.MlpSession`).
+    Attempts obey the prefix contract: a seed's trajectory does not depend
+    on the cutoff. If an attempt converges or diverges at epoch e, any
+    attempt with the same seed and cutoff >= e does so at the same e, and
+    one with cutoff t < e is censored at t. `strategies.run_schedules`
+    relies on it to serve several cutoffs of one seed from one attempt.
     """
 
     @property
@@ -237,14 +237,25 @@ def _record_line(r: RunRecord) -> str:
 
 
 def save_runs(sample: RunSample, path) -> None:
-    """Write a run log: a JSON header line, then one JSON record per line."""
+    """Write a run log: a JSON header line, then one JSON record per line.
+
+    The lines go to a temporary file beside `path`, which is then renamed
+    onto it, so a write that fails midway leaves any earlier log intact.
+    """
     header = json.dumps(
         {"cap": sample.cap, "metadata": sample.metadata}, separators=(",", ":")
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for r in sample.records:
-            fh.write(_record_line(r) + "\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for r in sample.records:
+                fh.write(_record_line(r) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_record(obj: dict, lineno: int, cap: int) -> RunRecord:

@@ -69,13 +69,13 @@ class FixedSchedule(RestartSchedule):
 
 @dataclass(frozen=True)
 class WalshSchedule(RestartSchedule):
-    """Geometric cutoffs t_i = ceil(gamma^(i-1)), gamma > 1, exact at any size."""
+    """Geometric cutoffs t_i = ceil(gamma^(i-1)), 1 < gamma < inf, exact at any size."""
 
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
+        if not 1.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
 
     def cutoff(self, attempt: int) -> int:
         _check_attempt(attempt)
@@ -214,32 +214,52 @@ def run_with_strategy(
     cutoff. The execution stops unsuccessfully before any attempt whose
     cutoff would push the accumulated epochs past `budget`.
     """
+    return run_schedules(process, [schedule], base_seed, budget)[0]
+
+
+def run_schedules(
+    process: LasVegasProcess,
+    schedules: Sequence[RestartSchedule],
+    base_seed: int,
+    budget: int,
+) -> list[StrategyOutcome]:
+    """`run_with_strategy` for every schedule, walked in lockstep over attempts.
+
+    The schedules still running at attempt i share one attempt of the
+    process, at seed derive_seed(base_seed, i) and the largest of their
+    cutoffs. By the prefix contract of `LasVegasProcess`, a schedule with
+    cutoff t_i succeeded iff that attempt converged within t_i, and it
+    spent min(epochs, t_i). So every attempt seed runs once, however many
+    schedules try it, and each outcome equals its schedule run alone.
+    """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    total = 0
-    per_attempt: list[tuple[int, int]] = []
-    cutoffs = schedule.cutoffs()
+    walks = [schedule.cutoffs() for schedule in schedules]
+    traces: list[list[tuple[int, int]]] = [[] for _ in schedules]
+    spent = [0] * len(schedules)
+    succeeded = [False] * len(schedules)
+    running = list(range(len(schedules)))
     i = 1
-    while True:
-        t_i = next(cutoffs)
-        if total + t_i > budget:
-            return StrategyOutcome(
-                total_epochs=total,
-                attempts=i - 1,
-                succeeded=False,
-                per_attempt=per_attempt,
-            )
-        record = process.attempt(derive_seed(base_seed, i), t_i)
-        per_attempt.append((t_i, record.epochs))
-        total += record.epochs
-        if record.converged:
-            return StrategyOutcome(
-                total_epochs=total,
-                attempts=i,
-                succeeded=True,
-                per_attempt=per_attempt,
-            )
+    while running:
+        cutoffs = {}
+        for k in running:
+            t_i = next(walks[k])
+            if spent[k] + t_i <= budget:
+                cutoffs[k] = t_i
+        if not cutoffs:
+            break
+        record = process.attempt(derive_seed(base_seed, i), max(cutoffs.values()))
+        for k, t_i in cutoffs.items():
+            used = min(record.epochs, t_i)
+            traces[k].append((t_i, used))
+            spent[k] += used
+            succeeded[k] = record.converged and record.epochs <= t_i
+        running = [k for k in cutoffs if not succeeded[k]]
         i += 1
+    return [
+        StrategyOutcome(total, len(trace), ok, trace)
+        for total, trace, ok in zip(spent, traces, succeeded)
+    ]
 
 
 @dataclass(frozen=True)
@@ -256,15 +276,10 @@ class McResult:
 def _trial(
     args: tuple[LasVegasProcess, list[RestartSchedule], int, int, bool],
 ) -> tuple[RunRecord | None, list[tuple[bool, int]]]:
-    """Baseline run j (if asked) and trial j of every schedule, for trial seed `seed`.
-
-    The schedules share one session of the process when it offers one, so
-    an attempt seed they have in common is trained only once.
-    """
+    """Baseline run j (if asked) and trial j of every schedule, for trial seed `seed`."""
     process, schedules, seed, budget, baseline = args
     record = _attempt_one((process, seed, process.cap)) if baseline else None
-    session = process.session() if hasattr(process, "session") else process
-    outcomes = [run_with_strategy(session, s, seed, budget) for s in schedules]
+    outcomes = run_schedules(process, schedules, seed, budget)
     return record, [(o.succeeded, o.total_epochs) for o in outcomes]
 
 
@@ -279,7 +294,7 @@ def run_trials(
 ) -> tuple[RunSample | None, list[tuple[tuple[bool, int], ...]]]:
     """Monte Carlo trials of several schedules, one pool task per trial index.
 
-    Trial j of every schedule runs `run_with_strategy` under base seed
+    Trial j of every schedule runs `run_schedules` under base seed
     derive_seed(base_seed, j), as does baseline run j (with `baseline`),
     which is one plain attempt on that seed at the process cap, as in
     `collect_runs`. Returns the baseline sample (None without `baseline`)

@@ -153,6 +153,33 @@ class TestCollect:
         assert code == 1
         assert "--fold" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--init", "nan", "init_half_width"),
+            ("--init", "inf", "init_half_width"),
+            ("--momentum", "nan", "momentum"),
+            ("--lr", "inf", "learning_rate"),
+            ("--delta", "inf", "target_error"),
+        ],
+    )
+    def test_non_finite_mlp_setting_fails_cleanly(
+        self, capsys, tmp_path, thyroid_like_file, flag, value, field
+    ):
+        log = tmp_path / "x.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "collect",
+            "--data", str(thyroid_like_file),
+            "--runs", "2",
+            "--max-epochs", "5",
+            flag, value,
+            "--out", str(log),
+        )
+        assert code == 1
+        assert err.startswith(f"restartkit: error: {field} must be") and value in err
+        assert not log.exists()
+
     def test_missing_data_file(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys,
@@ -450,6 +477,17 @@ class TestSweep:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("gammas", ["inf", "2,1e400"])
+    def test_rejects_infinite_gamma(self, capsys, gammas):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--stub", "constant:5", "--gammas", gammas, "--trials", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "restartkit sweep: error: argument --gammas: "
+            "gamma must be > 1 and finite, got inf"
+        )
+
+
 class TestValidators:
     # Parsing fails or stops before any file is opened, so "x" is never touched.
     COLLECT = ["collect", "--stub", "constant:3", "--out", "x"]
@@ -515,6 +553,16 @@ class TestRestartRun:
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 5 + 1
         assert lines[-1] == "# budget-exhausted: attempts=5 total_epochs=10"
+
+    def test_infinite_gamma_fails_cleanly(self, capsys):
+        code, out, err = run_cli(
+            capsys, "restart-run", "--stub", "constant:3", "--schedule", "walsh:inf"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "restartkit: error: bad schedule spec 'walsh:inf': "
+            "gamma must be > 1 and finite, got inf\n"
+        )
 
     def test_luby_schedule_trace(self, capsys):
         code, out, err = run_cli(

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from restartkit import (
 )
 
 from conftest import tiny_dataset
-from restartkit.mlp import MlpSession, _column_sums, _Epoch
+from restartkit.mlp import _column_sums, _Epoch
 
 
 def naive_forward(state: MlpState, x):
@@ -156,6 +155,14 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MlpConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["learning_rate", "momentum", "init_half_width", "target_error"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MlpConfig(**{field: value})
 
 
 class TestInitWeights:
@@ -405,6 +412,58 @@ class TestMlpProcess:
         below = proc.attempt(seed=8, cutoff=rec.epochs - 1)
         assert not below.converged and below.epochs == rec.epochs - 1
 
+    # On tiny_dataset(6, 4), seeds 0-3 converge within 81 epochs under
+    # CONVERGING (momentum 0 or 0.5); seeds 0 and 2 diverge within 123
+    # under DIVERGING (as in the divergence test below). Drawn cutoffs go
+    # past those epochs.
+    CONVERGING = MlpConfig(
+        n_inputs=4, n_hidden=3, n_outputs=2, learning_rate=5.0,
+        target_error=0.09, max_epochs=10,
+    )
+    DIVERGING = replace(CONVERGING, learning_rate=1e308, momentum=0.99, target_error=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        cutoffs=st.lists(st.integers(1, 160), min_size=1, max_size=6),
+        momentum=st.sampled_from([0.0, 0.5]),
+        diverging=st.booleans(),
+    )
+    @example(seed=0, cutoffs=[5, 39, 38, 1], momentum=0.0, diverging=False)
+    @example(seed=1, cutoffs=[300, 3, 1], momentum=0.5, diverging=False)
+    @example(seed=0, cutoffs=[2, 122, 123, 300], momentum=0.0, diverging=True)
+    def test_attempts_obey_prefix_contract(self, seed, cutoffs, momentum, diverging):
+        # strategies.run_schedules reads every shorter cutoff of a seed from
+        # its attempt at the longest one; each must equal a fresh attempt.
+        cfg = self.DIVERGING if diverging else replace(self.CONVERGING, momentum=momentum)
+        d = tiny_dataset(n_rows=6, n_features=4)
+        process = MlpProcess(cfg=cfg, data=d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            longest = process.attempt(seed, max(cutoffs))
+            for cutoff in cutoffs:
+                rec = process.attempt(seed, cutoff)
+                fresh = alloc_train_until(replace(cfg, max_epochs=cutoff), d, seed)
+                assert record_bits(rec) == record_bits(fresh)
+                if longest.epochs <= cutoff:
+                    assert record_bits(rec) == record_bits(longest)
+                else:
+                    assert (rec.epochs, rec.converged, rec.diverged) == (cutoff, False, False)
+
+    def test_reaches_terminal_epochs(self):
+        # The configs above do stop early, so the examples cover cutoffs
+        # past convergence and past divergence.
+        d = tiny_dataset(n_rows=6, n_features=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            converged = MlpProcess(self.CONVERGING, d).attempt(0, 5000)
+            diverged = MlpProcess(self.DIVERGING, d).attempt(0, 300)
+        assert converged.converged and converged.epochs == 39
+        assert diverged.diverged and diverged.epochs == 123
+
+    def test_rejects_cutoff_below_one(self):
+        process = MlpProcess(self.CONVERGING, tiny_dataset())
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            process.attempt(0, 0)
+
 
 class TestBitIdentity:
     @settings(max_examples=150, deadline=None)
@@ -460,67 +519,6 @@ class TestBitIdentity:
             rec = train_until(cfg, d, seed=0)
             assert rec.diverged and rec.epochs < cfg.max_epochs
             assert record_bits(rec) == record_bits(alloc_train_until(cfg, d, 0))
-
-
-class TestSession:
-    # On tiny_dataset(6, 4), seeds 0-3 converge within 81 epochs under
-    # CONVERGING (momentum 0 or 0.5); seeds 0 and 2 diverge within 123
-    # under DIVERGING (as in the divergence test above). Drawn cutoffs go
-    # past those epochs.
-    CONVERGING = MlpConfig(
-        n_inputs=4, n_hidden=3, n_outputs=2, learning_rate=5.0,
-        target_error=0.09, max_epochs=10,
-    )
-    DIVERGING = replace(CONVERGING, learning_rate=1e308, momentum=0.99, target_error=1e-9)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        calls=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(1, 160)), min_size=1, max_size=10
-        ),
-        momentum=st.sampled_from([0.0, 0.5]),
-        diverging=st.booleans(),
-    )
-    @example(calls=[(0, 5), (0, 39), (0, 5000), (0, 38), (0, 5)], momentum=0.0, diverging=False)
-    @example(calls=[(1, 300), (1, 3), (1, 300), (1, 1)], momentum=0.5, diverging=False)
-    @example(calls=[(0, 2), (0, 300), (0, 122), (0, 123), (0, 2)], momentum=0.0, diverging=True)
-    def test_matches_fresh_attempts_and_trains_each_epoch_once(
-        self, calls, momentum, diverging
-    ):
-        cfg = self.DIVERGING if diverging else replace(self.CONVERGING, momentum=momentum)
-        d = tiny_dataset(n_rows=6, n_features=4)
-        process = MlpProcess(cfg=cfg, data=d)
-        session = process.session()
-        assert isinstance(session, MlpSession) and session.cap == process.cap
-        with np.errstate(over="ignore", invalid="ignore"):
-            with mock.patch.object(
-                _Epoch, "descend", autospec=True, side_effect=_Epoch.descend
-            ) as descend:
-                got = [session.attempt(seed, cutoff) for seed, cutoff in calls]
-            trained: dict[int, int] = {}
-            for (seed, cutoff), rec in zip(calls, got):
-                fresh = alloc_train_until(replace(cfg, max_epochs=cutoff), d, seed)
-                assert record_bits(rec) == record_bits(fresh)
-                assert record_bits(rec) == record_bits(process.attempt(seed, cutoff))
-                trained[seed] = max(trained.get(seed, 0), rec.epochs)
-        # Epoch e of a seed is one descend call, so equality means no epoch
-        # of any seed was trained twice.
-        assert descend.call_count == sum(trained.values())
-
-    def test_reaches_terminal_epochs(self):
-        # The configs above do stop early, so the examples cover cutoffs
-        # past convergence and past divergence.
-        d = tiny_dataset(n_rows=6, n_features=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            converged = MlpProcess(self.CONVERGING, d).attempt(0, 5000)
-            diverged = MlpProcess(self.DIVERGING, d).attempt(0, 300)
-        assert converged.converged and converged.epochs == 39
-        assert diverged.diverged and diverged.epochs == 123
-
-    def test_rejects_cutoff_below_one(self):
-        session = MlpProcess(self.CONVERGING, tiny_dataset()).session()
-        with pytest.raises(ValueError, match="cutoff must be >= 1"):
-            session.attempt(0, 0)
 
 
 class TestColumnSums:

@@ -210,6 +210,25 @@ class TestRunLog:
         save_runs(sample, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_write_keeps_existing_log(self, tmp_path, monkeypatch):
+        path = tmp_path / "runs.jsonl"
+        save_runs(make_sample([2, 4]), path)
+        before = path.read_bytes()
+        record_line = runner._record_line
+        calls = []
+
+        def fail_third(r):
+            calls.append(r)
+            if len(calls) == 3:
+                raise RuntimeError("disk gone")
+            return record_line(r)
+
+        monkeypatch.setattr(runner, "_record_line", fail_third)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_runs(make_sample([1, 5, 9, 12]), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl"]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartkit import (
@@ -28,8 +28,8 @@ from restartkit import (
     parse_schedule,
     run_with_strategy,
 )
-from restartkit.runner import RunRecord
-from restartkit.strategies import run_trials
+from restartkit.runner import RunRecord, mix64
+from restartkit.strategies import StrategyOutcome, run_schedules, run_trials
 
 from conftest import ParityStub, make_sample
 
@@ -102,6 +102,12 @@ class TestSchedules:
         for gamma in (1.0, 0.5, -2.0):
             with pytest.raises(ValueError):
                 WalshSchedule(gamma)
+
+    def test_walsh_rejects_infinite_gamma(self):
+        with pytest.raises(ValueError, match="finite"):
+            WalshSchedule(math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            parse_schedule("walsh:inf")
 
     def test_larger_gamma_reaches_threshold_sooner(self):
         # Minimal i with t_i >= t_star never increases with gamma.
@@ -339,54 +345,151 @@ class TestRunWithStrategy:
 
 
 class LoggingProcess:
-    """Converges at epoch 2 iff the seed is even; logs who took each attempt."""
+    """Converges at epoch 2 iff the seed is even; logs every attempt."""
 
     cap = 50
 
     def __init__(self):
         self.log = []
-        self.sessions = 0
 
     def describe(self):
         return "logging"
 
-    def attempt(self, seed, cutoff, via="process"):
-        self.log.append((via, seed, cutoff))
+    def attempt(self, seed, cutoff):
+        self.log.append((seed, cutoff))
         if seed % 2 == 0 and cutoff >= 2:
             return RunRecord(seed=seed, epochs=2, converged=True, final_error=0.0)
         return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
 
-    def session(self):
-        self.sessions += 1
-        k = self.sessions
-
-        class Session:
-            def attempt(_, seed, cutoff):
-                return self.attempt(seed, cutoff, via=k)
-
-        return Session()
-
 
 class TestRunTrials:
-    def test_one_session_per_trial_for_all_schedules(self):
+    def test_baseline_and_outcomes_per_trial(self):
         proc = LoggingProcess()
         schedules = [FixedSchedule(1), WalshSchedule(2.0), LubySchedule(3)]
         sample, per_schedule = run_trials(proc, schedules, 4, 7, 100, baseline=True)
-        assert proc.sessions == 4
         trial_seeds = [derive_seed(7, j) for j in range(4)]
-        baseline = [(via, seed) for via, seed, cutoff in proc.log if via == "process"]
-        assert baseline == [("process", s) for s in trial_seeds]
         assert [r.seed for r in sample.records] == trial_seeds and sample.cap == 50
-        for k, trial_seed in enumerate(trial_seeds, start=1):
-            seeds = {seed for via, seed, _ in proc.log if via == k}
+        # One task per trial, run in order: baseline run j at the cap, then
+        # only attempt seeds derived from trial seed j.
+        starts = [proc.log.index((s, 50)) for s in trial_seeds]
+        assert starts == sorted(starts) and starts[0] == 0
+        for trial_seed, a, b in zip(trial_seeds, starts, starts[1:] + [len(proc.log)]):
+            seeds = {seed for seed, _ in proc.log[a + 1:b]}
             assert seeds <= {derive_seed(trial_seed, i) for i in range(1, 101)}
         for schedule, outcomes in zip(schedules, per_schedule):
             fresh = [run_with_strategy(LoggingProcess(), schedule, s, 100) for s in trial_seeds]
             assert list(outcomes) == [(o.succeeded, o.total_epochs) for o in fresh]
 
-    def test_no_baseline_and_no_session(self):
+    def test_no_baseline(self):
         sample, (outcomes,) = run_trials(ParityStub(50), [FixedSchedule(1)], 3, 0, 10)
         assert sample is None and len(outcomes) == 3
+
+
+class PrefixFake:
+    """Obeys the prefix contract; logs every attempt.
+
+    Seed s converges, diverges, or never stops (by mix64(s ^ salt) mod 3),
+    at epoch d in [1, max_d]; an attempt whose cutoff is below d is
+    censored at the cutoff.
+    """
+
+    cap = 1000
+
+    def __init__(self, salt, max_d):
+        self.salt, self.max_d, self.log = salt, max_d, []
+
+    def describe(self):
+        return "prefix-fake"
+
+    def attempt(self, seed, cutoff):
+        self.log.append((seed, cutoff))
+        z = mix64(seed ^ self.salt)
+        kind, d = z % 3, 1 + (z >> 2) % self.max_d
+        if kind == 2 or d > cutoff:
+            return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+        return RunRecord(
+            seed=seed, epochs=d, converged=kind == 0, final_error=0.0, diverged=kind == 1
+        )
+
+
+def sequential_run(process, schedule, base_seed, budget):
+    """Reference: one schedule alone, every attempt at its own cutoff."""
+    total = 0
+    per_attempt = []
+    cutoffs = schedule.cutoffs()
+    i = 1
+    while True:
+        t_i = next(cutoffs)
+        if total + t_i > budget:
+            return StrategyOutcome(total, i - 1, False, per_attempt)
+        record = process.attempt(derive_seed(base_seed, i), t_i)
+        per_attempt.append((t_i, record.epochs))
+        total += record.epochs
+        if record.converged:
+            return StrategyOutcome(total, i, True, per_attempt)
+        i += 1
+
+
+schedules_st = st.one_of(
+    st.builds(FixedSchedule, st.integers(1, 60)),
+    st.builds(WalshSchedule, st.sampled_from([1.01, 1.5, 2.0, 3.0, 10.0])),
+    st.builds(LubySchedule, st.integers(1, 10)),
+)
+
+
+class TestRunSchedules:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        schedules=st.lists(schedules_st, min_size=1, max_size=4),
+        budget=st.integers(1, 600),
+        base_seed=st.integers(0, 2**64 - 1),
+        salt=st.integers(0, 2**64 - 1),
+        max_d=st.integers(1, 80),
+    )
+    @example(
+        schedules=[FixedSchedule(5), FixedSchedule(40), WalshSchedule(2.0)],
+        budget=200, base_seed=0, salt=0, max_d=30,
+    )
+    def test_equals_sequential_runs_and_attempts_each_seed_once(
+        self, schedules, budget, base_seed, salt, max_d
+    ):
+        lockstep = PrefixFake(salt, max_d)
+        got = run_schedules(lockstep, schedules, base_seed, budget)
+        alone = [
+            sequential_run(PrefixFake(salt, max_d), s, base_seed, budget)
+            for s in schedules
+        ]
+        assert got == alone
+        # Attempt i runs once, at the largest cutoff of the schedules that
+        # made an attempt i.
+        n = max(o.attempts for o in alone)
+        assert lockstep.log == [
+            (
+                derive_seed(base_seed, i),
+                max(o.per_attempt[i - 1][0] for o in alone if o.attempts >= i),
+            )
+            for i in range(1, n + 1)
+        ]
+
+    def test_diverged_attempt_costs_its_epochs(self):
+        class DivergesAtThree:
+            cap = 100
+
+            def attempt(self, seed, cutoff):
+                if cutoff < 3:
+                    return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                return RunRecord(
+                    seed=seed, epochs=3, converged=False, final_error=1.0, diverged=True
+                )
+
+        long, short = run_schedules(DivergesAtThree(), [FixedSchedule(5), FixedSchedule(2)], 0, 12)
+        # The budget check charges the full cutoff: 9 + 5 > 12 stops it.
+        assert long == StrategyOutcome(9, 3, False, [(5, 3)] * 3)
+        assert short == StrategyOutcome(12, 6, False, [(2, 2)] * 6)
+
+    def test_rejects_budget_below_one(self):
+        with pytest.raises(ValueError, match="budget"):
+            run_schedules(LoggingProcess(), [FixedSchedule(1)], 0, 0)
 
 
 class TestEvaluateStrategyMc:
