@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DivergenceError, InsufficientDataError
-from .runner import RunRecord
+from .runner import LasVegasProcess, RunRecord
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
 
 
 @dataclass(frozen=True)
-class MlpProcess:
+class MlpProcess(LasVegasProcess):
     """LasVegasProcess adapter: one attempt = one seeded training run.
 
     `note` is free-form provenance (e.g. which cross-validation fold the

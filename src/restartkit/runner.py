@@ -65,9 +65,14 @@ def parallel_map(fn, items: list, n_jobs: int) -> list:
     workers = worker_count(n_jobs, len(items))
     if workers == 1:
         return [fn(x) for x in items]
-    chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, items, chunksize=_task_size(len(items), workers)))
+
+
+def _task_size(n_items: int, workers: int) -> int:
+    """Items per pool task: an eighth of each worker's share, or every item
+    when one worker runs them all."""
+    return n_items if workers == 1 else max(1, n_items // (workers * 8))
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,9 @@ class LasVegasProcess(Protocol):
     function of its arguments. `cap` is the default censoring cutoff for
     plain (no-restart) runs.
 
+    Processes that subclass the protocol inherit `attempt_many`, which
+    `collect_runs` calls once per block of seeds.
+
     Attempts obey the prefix contract: a seed's trajectory does not depend
     on the cutoff. If an attempt converges or diverges at epoch e, any
     attempt with the same seed and cutoff >= e does so at the same e, and
@@ -113,6 +121,15 @@ class LasVegasProcess(Protocol):
     def describe(self) -> str: ...
 
     def attempt(self, seed: int, cutoff: int) -> RunRecord: ...
+
+    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
+        """`attempt` for each seed, with a `DivergenceError` recorded as a
+        diverged run rather than raised.
+
+        A process that can attempt a block of seeds at once overrides this;
+        its records must equal this default's.
+        """
+        return [_attempt_one((self, seed, cutoff)) for seed in seeds]
 
 
 @dataclass(frozen=True)
@@ -180,6 +197,11 @@ def _attempt_one(args: tuple[LasVegasProcess, int, int]) -> RunRecord:
         )
 
 
+def _attempt_block(args: tuple[LasVegasProcess, list[int], int]) -> list[RunRecord]:
+    process, seeds, cutoff = args
+    return process.attempt_many(seeds, cutoff)
+
+
 def collect_runs(
     process: LasVegasProcess,
     n_runs: int,
@@ -191,13 +213,18 @@ def collect_runs(
     records[i] uses seed ``derive_seed(base_seed, i)`` and the process cap
     as cutoff. The result is identical for any `n_jobs`: records are keyed
     by index, and attempts share no mutable state.
+
+    Each `attempt_many` call gets a contiguous block of seeds: all of them
+    when the runs are serial, else the chunk `parallel_map` would give one
+    pool task, so each block is one task.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     cap = process.cap
     seeds = derive_seed(base_seed, np.arange(n_runs, dtype=np.uint64)).tolist()
-    jobs = [(process, seed, cap) for seed in seeds]
-    records = parallel_map(_attempt_one, jobs, n_jobs)
+    size = _task_size(n_runs, worker_count(n_jobs, n_runs))
+    blocks = [(process, seeds[i : i + size], cap) for i in range(0, n_runs, size)]
+    records = [r for block in parallel_map(_attempt_block, blocks, n_jobs) for r in block]
     meta = f"process={process.describe()} base_seed={base_seed} n_runs={n_runs}"
     return RunSample(records=records, cap=cap, metadata=meta)
 
@@ -224,16 +251,21 @@ def summary_stats(sample: RunSample) -> SummaryStats:
     )
 
 
+def _json_number(x) -> str:
+    """`x` spelled as `json.dumps` spells it, without its per-call cost:
+    `float.__repr__` for a finite float, `NaN` or `[-]Infinity` otherwise."""
+    if isinstance(x, float) and x - x == 0.0:
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
 def _record_line(r: RunRecord) -> str:
-    obj: dict = {
-        "seed": r.seed,
-        "epochs": r.epochs,
-        "converged": r.converged,
-        "final_error": r.final_error,
-    }
-    if r.diverged:
-        obj["diverged"] = True
-    return json.dumps(obj, separators=(",", ":"))
+    converged = "true" if r.converged else "false"
+    end = ',"diverged":true}' if r.diverged else "}"
+    return (
+        f'{{"seed":{r.seed},"epochs":{r.epochs},"converged":{converged},'
+        f'"final_error":{_json_number(r.final_error)}{end}'
+    )
 
 
 def save_runs(sample: RunSample, path) -> None:
@@ -245,12 +277,11 @@ def save_runs(sample: RunSample, path) -> None:
     header = json.dumps(
         {"cap": sample.cap, "metadata": sample.metadata}, separators=(",", ":")
     )
+    text = "\n".join([header, *map(_record_line, sample.records), ""])
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for r in sample.records:
-                fh.write(_record_line(r) + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -259,23 +290,29 @@ def save_runs(sample: RunSample, path) -> None:
 
 
 def _parse_record(obj: dict, lineno: int, cap: int) -> RunRecord:
-    for key in ("seed", "epochs", "converged", "final_error"):
-        if key not in obj:
-            raise RunLogFormatError(f"line {lineno}: missing field '{key}'")
-    seed, epochs, conv = obj["seed"], obj["epochs"], obj["converged"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    # Values come from json, so `type(v) is int` excludes exactly the bools.
+    try:
+        seed, epochs, conv, err = obj["seed"], obj["epochs"], obj["converged"], obj["final_error"]
+    except KeyError as exc:
+        raise RunLogFormatError(f"line {lineno}: missing field '{exc.args[0]}'") from None
+    if type(seed) is not int or seed < 0:
         raise RunLogFormatError(f"line {lineno}: 'seed' must be an integer >= 0, got {seed!r}")
-    if not isinstance(epochs, int) or isinstance(epochs, bool) or not 1 <= epochs <= cap:
+    if type(epochs) is not int or not 1 <= epochs <= cap:
         raise RunLogFormatError(
             f"line {lineno}: 'epochs' must be an integer in [1, cap={cap}], got {epochs!r}"
         )
-    if not isinstance(conv, bool):
+    if type(conv) is not bool:
         raise RunLogFormatError(f"line {lineno}: 'converged' must be a boolean")
-    err = obj["final_error"]
-    if not isinstance(err, (int, float)) or isinstance(err, bool):
+    if type(err) is not float and type(err) is not int:
         raise RunLogFormatError(f"line {lineno}: 'final_error' must be numeric")
+    try:
+        err = float(err)
+    except OverflowError:
+        raise RunLogFormatError(
+            f"line {lineno}: 'final_error' is an integer beyond float range"
+        ) from None
     diverged = obj.get("diverged", False)
-    if not isinstance(diverged, bool) or (conv and diverged):
+    if type(diverged) is not bool or (conv and diverged):
         raise RunLogFormatError(f"line {lineno}: 'diverged' must be a boolean, false if converged")
     if not conv and not diverged and epochs != cap:
         raise RunLogFormatError(f"line {lineno}: censored run must carry epochs == cap={cap}")
@@ -283,7 +320,7 @@ def _parse_record(obj: dict, lineno: int, cap: int) -> RunRecord:
         seed=seed,
         epochs=epochs,
         converged=conv,
-        final_error=float(err),
+        final_error=err,
         diverged=diverged,
     )
 
@@ -305,13 +342,21 @@ def load_runs(path) -> RunSample:
         raise RunLogFormatError("line 1: 'cap' must be a positive integer")
     records = []
     seed_lines: dict[int, int] = {}
+    scan = json.JSONDecoder().scan_once
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        # The C scanner that `json.loads` calls, minus its wrapper; a line
+        # it does not consume whole takes the `json.loads` path, errors too.
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RunLogFormatError(f"line {lineno}: invalid record: {exc}") from exc
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RunLogFormatError(f"line {lineno}: invalid record: {exc}") from exc
         if not isinstance(obj, dict):
             raise RunLogFormatError(f"line {lineno}: record must be an object")
         record = _parse_record(obj, lineno, cap)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runner import RunRecord, mix64
+from .runner import LasVegasProcess, RunRecord, mix64
 from .tailstats import Ecdf
 
 
@@ -169,7 +169,7 @@ def exact_ecdf(law: SyntheticLaw, cap: int) -> Ecdf:
 
 
 @dataclass(frozen=True)
-class SyntheticProcess:
+class SyntheticProcess(LasVegasProcess):
     """LasVegasProcess adapter over a synthetic law.
 
     An attempt draws the law once for its seed; it converges if the drawn
@@ -187,15 +187,18 @@ class SyntheticProcess:
         return f"stub({self.law.describe()},cap={self.cap_epochs})"
 
     def attempt(self, seed: int, cutoff: int) -> RunRecord:
+        return self.attempt_many([seed], cutoff)[0]
+
+    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
+        """`attempt` for each seed, from one `quantile` call for the block."""
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        # Mix the seed as a Python int, but invert on a 1-element array:
-        # numpy's array power and log1p can round differently from Python
-        # float math, and an attempt must equal `sample_many` bit for bit.
-        t = int(self.law.quantile(np.array([_uniforms(int(seed))]))[0])
-        if t <= cutoff:
-            return RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
-        return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+        return [
+            RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
+            if t <= cutoff
+            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+            for seed, t in zip(seeds, self.law.sample_many(seeds).tolist())
+        ]
 
 
 def parse_law(spec: str) -> SyntheticLaw:

@@ -5,11 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from restartkit import Dataset, RunRecord, RunSample
+from restartkit import Dataset, LasVegasProcess, RunRecord, RunSample
 
 
 @dataclass(frozen=True)
-class FormulaStub:
+class FormulaStub(LasVegasProcess):
     """Deterministic process: converges at epoch (seed mod modulus) + 1."""
 
     modulus: int = 7

@@ -314,24 +314,25 @@ class TestOptimize:
         assert out == "t_star\texpected_epochs\tno_restart_mean\treduction\n3\t3.000\tn/a\t-\n"
 
 
-class FreshAttempts:
-    """The process without a session: every attempt trains from scratch."""
-
-    def __init__(self, process):
-        self.process = process
-        self.cap = process.cap
-
-    def describe(self):
-        return self.process.describe()
-
-    def attempt(self, seed, cutoff):
-        return self.process.attempt(seed, cutoff)
+@pytest.mark.parametrize("command", ["tail", "optimize"])
+def test_integer_error_beyond_float_range_is_an_error_line(capsys, tmp_path, command):
+    log = tmp_path / "huge.jsonl"
+    rec = '{"seed":%d,"epochs":2,"converged":true,"final_error":%s}'
+    log.write_text(
+        '{"cap":10}\n' + rec % (1, "0.5") + "\n" + rec % (2, "1" + "0" * 400) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, command, "--runs-file", str(log))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "restartkit: error: line 3: 'final_error' is an integer beyond float range\n"
+    )
 
 
 def separate_pools_sweep(argv):
     """`sweep` stdout composed as the command did before it ran one pool:
-    collect_runs for the baseline, then evaluate_strategy_mc per schedule
-    with fresh attempts."""
+    collect_runs for the baseline, then evaluate_strategy_mc per schedule."""
     args = build_parser().parse_args(argv)
     process = _build_process(args)
     budget = args.budget if args.budget is not None else 20 * process.cap
@@ -346,9 +347,7 @@ def separate_pools_sweep(argv):
         lines.append(f"none\t{baseline.mean:.3f}\t{se:.3f}\t{rate}\t0.0%")
     for sched in _sweep_schedules(args):
         try:
-            res = evaluate_strategy_mc(
-                FreshAttempts(process), sched, args.trials, args.seed, budget
-            )
+            res = evaluate_strategy_mc(process, sched, args.trials, args.seed, budget)
         except AllTrialsFailedError:
             lines.append(f"{sched.describe()}\tall-failed\t-\t1.0000\t-")
             continue

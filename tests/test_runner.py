@@ -11,6 +11,7 @@ from restartkit import runner
 from restartkit import (
     DivergenceError,
     InsufficientDataError,
+    LasVegasProcess,
     RunLogFormatError,
     RunRecord,
     RunSample,
@@ -130,7 +131,7 @@ class TestCollectRuns:
             collect_runs(FormulaStub(), 0, base_seed=1)
 
     def test_divergence_recorded_not_raised(self):
-        class ExplodingStub:
+        class ExplodingStub(LasVegasProcess):
             cap = 10
 
             def describe(self):
@@ -313,6 +314,14 @@ class TestRunLog:
         ok = '{"seed":1,"epochs":3,"converged":true,"final_error":0.0}'
         path.write_text(f'{{"cap":10}}\n{ok}\n{record}\n', encoding="utf-8")
         with pytest.raises(RunLogFormatError, match=message):
+            load_runs(path)
+
+    def test_integer_error_beyond_float_range_names_line(self, tmp_path):
+        path = tmp_path / "huge.jsonl"
+        ok = '{"seed":1,"epochs":3,"converged":true,"final_error":7}'
+        huge = '{"seed":2,"epochs":3,"converged":true,"final_error":1%s}' % ("0" * 400)
+        path.write_text(f'{{"cap":10}}\n{ok}\n{huge}\n', encoding="utf-8")
+        with pytest.raises(RunLogFormatError, match="line 3: 'final_error'.*float range"):
             load_runs(path)
 
     def test_duplicate_seed_names_both_lines(self, tmp_path):

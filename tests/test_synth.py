@@ -1,4 +1,6 @@
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,11 +9,16 @@ from restartkit import (
     Constant,
     DiscretePareto,
     Geometric,
+    RunRecord,
     SyntheticProcess,
     TwoPoint,
+    collect_runs,
     exact_ecdf,
     parse_law,
+    runner,
 )
+from restartkit.cli import main
+from restartkit.runner import mix64
 
 
 def seeds(n, offset=0):
@@ -159,6 +166,77 @@ class TestSyntheticProcess:
     def test_deterministic(self):
         proc = SyntheticProcess(DiscretePareto(1.5, 1), cap_epochs=10_000)
         assert proc.attempt(99, 500) == proc.attempt(99, 500)
+
+
+LAWS = [Constant(5), TwoPoint(0.3, 2, 40), Geometric(0.1), DiscretePareto(1.2, 3)]
+EDGE_SEEDS = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+def one_seed_attempt(law, seed, cutoff):
+    """A one-seed attempt as drawn before blocks existed: the seed mixed as
+    a Python int, then inverted on a 1-element array."""
+    t = int(law.quantile(np.array([mix64(int(seed)) / 2.0**64]))[0])
+    if t <= cutoff:
+        return RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
+    return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+
+
+class TestAttemptMany:
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.describe())
+    def test_equals_one_seed_attempts(self, law):
+        proc = SyntheticProcess(law, cap_epochs=1000)
+        block = EDGE_SEEDS + seeds(400, offset=2**40).tolist()
+        draws = law.sample_many(block)
+        # Cutoffs below every draw, between draws, and above every draw.
+        for cutoff in (1, int(np.median(draws)), int(draws.max())):
+            batch = proc.attempt_many(block, cutoff)
+            assert batch == [proc.attempt(s, cutoff) for s in block]
+            assert batch == [one_seed_attempt(law, s, cutoff) for s in block]
+
+    def test_cutoff_is_checked(self):
+        with pytest.raises(ValueError, match="cutoff"):
+            SyntheticProcess(Geometric(0.5)).attempt_many([1, 2], 0)
+
+    def test_empty_block(self):
+        assert SyntheticProcess(Geometric(0.5)).attempt_many([], 3) == []
+
+
+def count_quantile_calls(monkeypatch, law_class) -> list[int]:
+    """Log the size of every `law_class.quantile` call in the returned list."""
+    calls = []
+    quantile = law_class.quantile
+
+    def counting(self, u):
+        calls.append(len(u))
+        return quantile(self, u)
+
+    monkeypatch.setattr(law_class, "quantile", counting)
+    return calls
+
+
+class TestStubCollectBlocks:
+    def test_parallel_equals_serial_on_ragged_blocks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        n = 203
+        assert n % runner._task_size(n, 2) != 0
+        proc = SyntheticProcess(DiscretePareto(0.5, 50), cap_epochs=5000)
+        assert collect_runs(proc, n, 9, n_jobs=1) == collect_runs(proc, n, 9, n_jobs=2)
+
+    def test_one_quantile_call_per_block(self, monkeypatch):
+        # Threads stand in for the pool so the calls are counted here.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", ThreadPoolExecutor)
+        calls = count_quantile_calls(monkeypatch, Geometric)
+        sample = collect_runs(SyntheticProcess(Geometric(0.01)), 203, 4, n_jobs=2)
+        assert sample.n_runs == 203
+        assert sorted(calls) == [11] + [12] * 16
+
+    def test_serial_cli_collect_draws_once(self, monkeypatch, tmp_path, capsys):
+        calls = count_quantile_calls(monkeypatch, DiscretePareto)
+        out = str(tmp_path / "runs.jsonl")
+        argv = ["collect", "--stub", "discrete-pareto:0.5:50", "--stub-cap", "5000"]
+        assert main([*argv, "--runs", "500", "--seed", "3", "--out", out]) == 0
+        assert calls == [500]
 
 
 class TestParseLaw:
