@@ -40,6 +40,7 @@ def _checked(convert, accept, requirement: str, kind: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1", "an integer")
 _nonneg_int = _checked(int, lambda v: v >= 0, ">= 0", "an integer")
+_cap = _checked(int, lambda v: 1 <= v <= runner.MAX_CAP, "in [1, 2**63 - 1]", "an integer")
 _positive_float = _checked(float, lambda v: v > 0.0, "> 0", "a number")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "in (0,1)", "a number")
 
@@ -70,7 +71,7 @@ def _add_process_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--stub-cap",
-        type=_positive_int,
+        type=_cap,
         default=1_000_000,
         help="censoring cap for stub processes (default 1000000)",
     )
@@ -98,7 +99,7 @@ def _add_process_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--max-epochs",
-        type=_positive_int,
+        type=_cap,
         default=defaults.max_epochs,
         help="censoring cap per training run",
     )

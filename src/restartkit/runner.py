@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -132,43 +133,108 @@ class LasVegasProcess(Protocol):
         return [_attempt_one((self, seed, cutoff)) for seed in seeds]
 
 
-@dataclass(frozen=True)
+# Largest censoring cap: a sample keeps its epochs in an int64 column.
+MAX_CAP = 2**63 - 1
+
+
 class RunSample:
-    """An ordered collection of runs sharing one censoring cap."""
+    """An ordered collection of runs sharing one censoring cap.
 
-    records: list[RunRecord]
-    cap: int
-    metadata: str = ""
+    The runs are held as columns, one entry per run in record order:
+    `seeds` (a list of Python ints, so any non-negative seed round-trips),
+    `epochs` (int64), `converged` and `diverged` (bool) and `final_error`
+    (float64); the arrays are read-only. `records` builds the `RunRecord`s
+    on first read, except that a sample built from records keeps that list.
+    """
 
-    def __post_init__(self) -> None:
-        if self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-        for i, r in enumerate(self.records):
-            if r.epochs > self.cap:
-                raise ValueError(f"record {i}: epochs {r.epochs} exceeds cap {self.cap}")
-            if not r.converged and not r.diverged and r.epochs != self.cap:
-                raise ValueError(
-                    f"record {i}: censored run must carry epochs == cap, "
-                    f"got {r.epochs} != {self.cap}"
+    def __init__(self, records: list[RunRecord], cap: int, metadata: str = "") -> None:
+        if not 1 <= cap <= MAX_CAP:
+            raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
+        epochs = [r.epochs for r in records]
+        # Checked first: past the cap an epochs value may not fit int64.
+        if max(epochs, default=1) > cap:
+            _raise_first_bad(records, cap)
+        self._set_columns(
+            [r.seed for r in records],
+            epochs,
+            [r.converged for r in records],
+            [r.final_error for r in records],
+            [r.diverged for r in records],
+            cap,
+            metadata,
+        )
+        if np.any(~(self.converged | self.diverged) & (self.epochs != cap)):
+            _raise_first_bad(records, cap)
+        self._records = records
+
+    @classmethod
+    def _from_columns(cls, seeds, epochs, converged, final_error, diverged, cap, metadata):
+        """A sample over columns that already passed `load_runs`'s checks."""
+        sample = cls.__new__(cls)
+        sample._set_columns(seeds, epochs, converged, final_error, diverged, cap, metadata)
+        sample._records = None
+        return sample
+
+    def _set_columns(self, seeds, epochs, converged, final_error, diverged, cap, metadata):
+        self.seeds = seeds
+        self.epochs = _frozen(epochs, np.int64)
+        self.converged = _frozen(converged, bool)
+        self.diverged = _frozen(diverged, bool)
+        self.final_error = _frozen(final_error, np.float64)
+        self.cap = cap
+        self.metadata = metadata
+        self.n_converged = int(np.count_nonzero(self.converged))
+
+    @property
+    def records(self) -> list[RunRecord]:
+        if self._records is None:
+            self._records = list(
+                map(
+                    RunRecord,
+                    self.seeds,
+                    self.epochs.tolist(),
+                    self.converged.tolist(),
+                    self.final_error.tolist(),
+                    self.diverged.tolist(),
                 )
+            )
+        return self._records
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunSample):
+            return NotImplemented
+        return (self.records, self.cap, self.metadata) == (other.records, other.cap, other.metadata)
+
+    def __repr__(self) -> str:
+        return f"RunSample(records={self.records!r}, cap={self.cap!r}, metadata={self.metadata!r})"
 
     @property
     def n_runs(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_converged(self) -> int:
-        return sum(1 for r in self.records if r.converged)
+        return len(self.seeds)
 
     @property
     def n_censored(self) -> int:
-        return len(self.records) - self.n_converged
+        return self.n_runs - self.n_converged
 
     def converged_epochs(self) -> np.ndarray:
         """Completion times of converged runs, in record order (int64)."""
-        return np.array(
-            [r.epochs for r in self.records if r.converged], dtype=np.int64
-        )
+        return self.epochs[self.converged]
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _raise_first_bad(records: list[RunRecord], cap: int) -> None:
+    for i, r in enumerate(records):
+        if r.epochs > cap:
+            raise ValueError(f"record {i}: epochs {r.epochs} exceeds cap {cap}")
+        if not r.converged and not r.diverged and r.epochs != cap:
+            raise ValueError(
+                f"record {i}: censored run must carry epochs == cap, got {r.epochs} != {cap}"
+            )
 
 
 @dataclass(frozen=True)
@@ -289,7 +355,8 @@ def save_runs(sample: RunSample, path) -> None:
         raise
 
 
-def _parse_record(obj: dict, lineno: int, cap: int) -> RunRecord:
+def _parse_record(obj: dict, lineno: int, cap: int) -> tuple:
+    """(seed, epochs, converged, final_error, diverged) of one decoded record."""
     # Values come from json, so `type(v) is int` excludes exactly the bools.
     try:
         seed, epochs, conv, err = obj["seed"], obj["epochs"], obj["converged"], obj["final_error"]
@@ -316,34 +383,50 @@ def _parse_record(obj: dict, lineno: int, cap: int) -> RunRecord:
         raise RunLogFormatError(f"line {lineno}: 'diverged' must be a boolean, false if converged")
     if not conv and not diverged and epochs != cap:
         raise RunLogFormatError(f"line {lineno}: censored run must carry epochs == cap={cap}")
-    return RunRecord(
-        seed=seed,
-        epochs=epochs,
-        converged=conv,
-        final_error=err,
-        diverged=diverged,
-    )
+    return seed, epochs, conv, err, diverged
 
 
-def load_runs(path) -> RunSample:
-    """Read a run log written by `save_runs` (lossless round trip)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise InsufficientDataError(f"run log {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise RunLogFormatError(f"line 1: invalid header: {exc}") from exc
-    if not isinstance(header, dict) or "cap" not in header:
-        raise RunLogFormatError("line 1: header must carry 'cap'")
-    cap = header["cap"]
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise RunLogFormatError("line 1: 'cap' must be a positive integer")
-    records = []
+# One line exactly as `save_runs` writes it. The digit bounds keep every
+# epochs value inside int64 and every integer far below `int`'s digit limit;
+# a longer number, like any other spelling, takes the line-by-line path.
+_CANONICAL_RECORD = re.compile(
+    r'^\{"seed":(0|[1-9][0-9]{0,19}),"epochs":([1-9][0-9]{0,17}),"converged":(true|false),'
+    r'"final_error":(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)'
+    r'|NaN|-?Infinity)'
+    r'(,"diverged":true)?\}$',
+    re.MULTILINE | re.ASCII,
+)
+
+
+def _canonical_columns(lines: list[str], cap: int) -> tuple | None:
+    """The record columns, when every line is canonical and passes every check.
+
+    One regex pass extracts the fields; `float` parses each error as `json`
+    does. Anything else returns None.
+    """
+    rows = _CANONICAL_RECORD.findall("\n".join(lines))
+    if not rows or len(rows) != len(lines):
+        return None
+    seeds, epochs, converged, final_error, diverged = zip(*rows)
+    seeds = list(map(int, seeds))
+    epochs = np.array(list(map(int, epochs)), dtype=np.int64)
+    converged = np.fromiter(map(len, converged), np.int64, len(rows)) == 4  # "true"
+    diverged = np.fromiter(map(bool, diverged), bool, len(rows))
+    if (
+        epochs.max() > cap
+        or np.any((converged & diverged) | (~(converged | diverged) & (epochs != cap)))
+        or len(set(seeds)) != len(seeds)
+    ):
+        return None
+    return seeds, epochs, converged, list(map(float, final_error)), diverged
+
+
+def _strict_columns(lines: list[str], cap: int) -> tuple:
+    """The record columns, decoding each line with `json` and checking it."""
+    parsed = []
     seed_lines: dict[int, int] = {}
     scan = json.JSONDecoder().scan_once
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         # The C scanner that `json.loads` calls, minus its wrapper; a line
@@ -355,17 +438,44 @@ def load_runs(path) -> RunSample:
         if end != len(line):
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or int's digit limit
                 raise RunLogFormatError(f"line {lineno}: invalid record: {exc}") from exc
         if not isinstance(obj, dict):
             raise RunLogFormatError(f"line {lineno}: record must be an object")
-        record = _parse_record(obj, lineno, cap)
-        if record.seed in seed_lines:
+        row = _parse_record(obj, lineno, cap)
+        if row[0] in seed_lines:
             raise RunLogFormatError(
-                f"line {lineno}: seed {record.seed} repeats line {seed_lines[record.seed]}"
+                f"line {lineno}: seed {row[0]} repeats line {seed_lines[row[0]]}"
             )
-        seed_lines[record.seed] = lineno
-        records.append(record)
-    if not records:
+        seed_lines[row[0]] = lineno
+        parsed.append(row)
+    seeds, epochs, converged, final_error, diverged = zip(*parsed) if parsed else ((),) * 5
+    return list(seeds), epochs, converged, final_error, diverged
+
+
+def load_runs(path) -> RunSample:
+    """Read a run log written by `save_runs` (lossless round trip).
+
+    A log whose records are all spelled as `save_runs` spells them and pass
+    every check is read in one regex pass into columns. Any other log goes
+    line by line through `json`, so it is accepted or rejected, with the
+    same message and line, exactly as that decoder and `_parse_record` decide.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise InsufficientDataError(f"run log {path} is empty")
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:  # JSONDecodeError, or int's digit limit
+        raise RunLogFormatError(f"line 1: invalid header: {exc}") from exc
+    if not isinstance(header, dict) or "cap" not in header:
+        raise RunLogFormatError("line 1: header must carry 'cap'")
+    cap = header["cap"]
+    if type(cap) is not int or not 1 <= cap <= MAX_CAP:
+        raise RunLogFormatError("line 1: 'cap' must be an integer in [1, 2**63 - 1]")
+    columns = _canonical_columns(lines[1:], cap) or _strict_columns(lines[1:], cap)
+    if not columns[0]:
         raise InsufficientDataError(f"run log {path} has no records")
-    return RunSample(records=records, cap=cap, metadata=str(header.get("metadata", "")))
+    metadata = str(header.get("metadata", ""))
+    return RunSample._from_columns(*columns, cap=cap, metadata=metadata)

@@ -4,8 +4,9 @@ Covers the diagnostic chain for deciding whether restarts can pay off:
 empirical CDF and survival function, log-log tail slope, the Hill tail
 index, and the conditional expected remaining time E[T - tau | T > tau].
 
-E[T - tau | T > tau] at every tau on the support comes from one exact
-integer suffix sum over the sorted completion times: O(support) after the sort.
+E[T - tau | T > tau] and its standard error at every tau on the support
+come from exact integer suffix sums of T and T^2 over the distinct
+completion times: O(support) after the sort, with no int64 overflow.
 
 Convention: the CDF is q(t) = Pr(T <= t). Censored runs count in the
 denominator of q (they provably ran past every t up to the cap) but are
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -178,15 +181,22 @@ def expected_remaining(sample: RunSample, tau: int) -> float:
     return float(np.mean(beyond - tau))
 
 
-def _conditional_means(sample: RunSample) -> tuple[np.ndarray, ...]:
-    """Sorted epochs, each tau, its first survivor and E[T-tau|T>tau]."""
-    epochs = np.sort(sample.converged_epochs())
+def _conditional_means(sample: RunSample) -> tuple[list, ...]:
+    """Each tau, its survivors' count n, sum S1 of T and sum S2 of T^2 (exact
+    Python ints), and E[T-tau|T>tau] = (S1 - n*tau) / n as a float."""
+    epochs = sample.converged_epochs()
     if epochs.size == 0:
         raise InsufficientDataError("no converged runs")
-    taus = np.concatenate(([0], np.unique(epochs)[:-1]))
-    starts = np.searchsorted(epochs, taus, side="right")
-    n = epochs.size - starts
-    return epochs, taus, starts, (np.cumsum(epochs[::-1])[::-1][starts] - n * taus) / n
+    values, counts = (a.tolist() for a in np.unique(epochs, return_counts=True))
+    values.reverse()
+    counts.reverse()
+    # Suffix sums over the distinct times, largest first, then reversed.
+    n = list(accumulate(counts))[::-1]
+    s1 = list(accumulate(map(mul, counts, values)))[::-1]
+    s2 = list(accumulate(c * v * v for c, v in zip(counts, values)))[::-1]
+    taus = [0, *values[:0:-1]]
+    means = [(s - k * tau) / k for tau, k, s in zip(taus, n, s1)]
+    return taus, n, s1, s2, means
 
 
 def remaining_time_profile(
@@ -196,15 +206,23 @@ def remaining_time_profile(
 
     Rows start at tau=0 (where the conditional mean equals the plain mean)
     and cover every distinct completion time that still has converged runs
-    beyond it. stderr is NaN when fewer than 2 survivors remain.
+    beyond it. stderr is the sample standard deviation (ddof=1) of the
+    survivors over sqrt(n); it is NaN when fewer than 2 survivors remain.
     """
-    epochs, taus, starts, means = _conditional_means(sample)
-    out = []
-    for tau, j, mean in zip(taus.tolist(), starts.tolist(), means.tolist()):
-        n = epochs.size - j
-        se = np.std(epochs[j:] - tau, ddof=1) / math.sqrt(n) if n >= 2 else math.nan
-        out.append((tau, mean, n, float(se)))
-    return out
+    taus, n, s1, s2, means = _conditional_means(sample)
+    return [
+        (tau, mean, k, _stderr(k, s, q) if k >= 2 else math.nan)
+        for tau, k, s, q, mean in zip(taus, n, s1, s2, means)
+    ]
+
+
+def _stderr(n: int, s1: int, s2: int) -> float:
+    """sqrt(var / n) of n survivors with sums s1 of T and s2 of T^2.
+
+    n * sum((T - tau - mean)^2) = n*s2 - s1^2 for any tau, so the variance
+    is one exact integer over n(n-1), divided once with correct rounding.
+    """
+    return math.sqrt((n * s2 - s1 * s1) / (n * (n - 1))) / math.sqrt(n)
 
 
 def restart_profitable(sample: RunSample) -> list[int]:
@@ -215,5 +233,5 @@ def restart_profitable(sample: RunSample) -> list[int]:
     is not filtered here; callers needing significance should compare
     against the stderr column of `remaining_time_profile`.
     """
-    _, taus, _, means = _conditional_means(sample)
-    return taus[1:][means[1:] > means[0]].tolist()
+    taus, _, _, _, means = _conditional_means(sample)
+    return [tau for tau, mean in zip(taus[1:], means[1:]) if mean > means[0]]

@@ -330,6 +330,39 @@ def test_integer_error_beyond_float_range_is_an_error_line(capsys, tmp_path, com
     )
 
 
+def test_tail_sums_exact_past_int64(capsys, tmp_path):
+    # Sums of these epochs overflow int64; 9e17 + 5.5 prints as 9e17 in float64.
+    log = tmp_path / "big.jsonl"
+    rec = '{"seed":%d,"epochs":%d,"converged":true,"final_error":0.0}'
+    records = [rec % (i, 9 * 10**17 + i) for i in range(12)]
+    log.write_text(f'{{"cap":{10**18}}}\n' + "\n".join(records) + "\n", encoding="utf-8")
+    remaining = tmp_path / "rem.tsv"
+    code, out, err = run_cli(
+        capsys, "tail", "--runs-file", str(log), "--remaining-out", str(remaining)
+    )
+    assert code == 0, err
+    stats = {r["statistic"]: r["value"] for r in parse_table(out)}
+    assert stats["restart_profitable"] == "no (no tau)"
+    rows = remaining.read_text().splitlines()
+    assert rows[1] == "0\t900000000000000000.000000\t12\t1.040833"
+    # Survivors 9e17+6..9e17+11 beyond tau = 9e17+5: T - tau is 1..6.
+    assert rows[7] == f"{9 * 10**17 + 5}\t3.500000\t6\t0.763763"
+
+
+@pytest.mark.parametrize("command", ["tail", "optimize"])
+def test_cap_beyond_int64_is_an_error_line(capsys, tmp_path, command):
+    log = tmp_path / "big.jsonl"
+    rec = '{"seed":%d,"epochs":%d,"converged":true,"final_error":0.0}'
+    log.write_text(
+        f'{{"cap":{2**63}}}\n' + rec % (1, 2**63) + "\n" + rec % (2, 5) + "\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, command, "--runs-file", str(log))
+    assert code == 1
+    assert out == ""
+    assert err == "restartkit: error: line 1: 'cap' must be an integer in [1, 2**63 - 1]\n"
+
+
 def separate_pools_sweep(argv):
     """`sweep` stdout composed as the command did before it ran one pool:
     collect_runs for the baseline, then evaluate_strategy_mc per schedule."""
@@ -502,6 +535,11 @@ class TestValidators:
             (COLLECT + ["--runs", "1", "--delta", "abc"], "collect: error: argument --delta: not a number: 'abc'"),
             (TAIL + ["--r-fraction", "0"], "tail: error: argument --r-fraction: must be in (0,1), got 0.0"),
             (TAIL + ["--r-fraction", "1"], "tail: error: argument --r-fraction: must be in (0,1), got 1.0"),
+            # A sample keeps its epochs in int64, so a cap stops at 2**63 - 1.
+            (COLLECT + ["--runs", "1", "--stub-cap", str(2**63)],
+             f"collect: error: argument --stub-cap: must be in [1, 2**63 - 1], got {2**63}"),
+            (COLLECT + ["--runs", "1", "--max-epochs", "0"],
+             "collect: error: argument --max-epochs: must be in [1, 2**63 - 1], got 0"),
         ],
     )
     def test_rejected_value_and_message(self, capsys, argv, message):
@@ -518,6 +556,7 @@ class TestValidators:
             (COLLECT + ["--runs", "1", "--delta", "1e-9"], "delta", 1e-9),
             (TAIL + ["--r-fraction", "1e-9"], "r_fraction", 1e-9),
             (TAIL + ["--r-fraction", "0.999999"], "r_fraction", 0.999999),
+            (COLLECT + ["--runs", "1", "--stub-cap", str(2**63 - 1)], "stub_cap", 2**63 - 1),
         ],
     )
     def test_accepted_boundary(self, argv, attr, value):

@@ -259,3 +259,99 @@ class TestReaderOracle:
     )
     def test_named_cases(self, tmp_path, lines):
         check_same(tmp_path, lines)
+
+
+# ------------------------------------------------- canonical and mixed logs
+
+
+@st.composite
+def canonical_line(draw):
+    """A record line spelled exactly as `save_runs` writes it; now and then
+    one that fails a check: epochs past the cap, converged and diverged,
+    censored off the cap, or (from the small seeds) a repeated seed."""
+    converged = draw(st.booleans())
+    diverged = not converged and draw(st.booleans())
+    epochs = draw(st.integers(1, CAP)) if converged or diverged else CAP
+    fault = draw(st.sampled_from([None] * 12 + ["epochs", "both", "off-cap"]))
+    if fault == "epochs":
+        epochs = draw(st.integers(CAP + 1, 10**18))
+    elif fault == "both":
+        converged = diverged = True
+    elif fault == "off-cap":
+        converged = diverged = False
+        epochs = draw(st.integers(1, CAP - 1))
+    small_seed = draw(st.integers(0, 9)) == 0
+    record = RunRecord(
+        seed=draw(st.integers(0, 3) if small_seed else st.integers(0, 2**64 - 1)),
+        epochs=epochs,
+        converged=converged,
+        final_error=draw(finals),
+        diverged=diverged,
+    )
+    return runner._record_line(record)
+
+
+@st.composite
+def mixed_lines(draw):
+    """Canonical lines with other spellings of valid and broken records,
+    padded and blank lines inserted among them, each line ended by \\n or
+    \\r\\n."""
+    lines = draw(st.lists(canonical_line(), min_size=1, max_size=25))
+    for _ in range(draw(st.integers(0, 4))):
+        other = draw(
+            st.one_of(
+                record_text(),
+                st.sampled_from(["", "  ", "\t"]),
+                canonical_line().map(lambda line: f" {line}\t"),
+            )
+        )
+        # Position len(lines) puts the line, possibly a broken record, after
+        # every canonical line.
+        lines.insert(draw(st.integers(0, len(lines))), other)
+    n = len(lines)
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n, max_size=n))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class TestCanonicalReader:
+    @settings(max_examples=300)
+    @given(body=mixed_lines())
+    @example(body='{"seed":1,"epochs":3,"converged":false,"final_error":1.0}\n')
+    @example(
+        body='{"seed":1,"epochs":2,"converged":true,"final_error":0.5}\r\n'
+        '{"seed":2,"epochs":3,"converged":false,"final_error":NaN,"diverged":true}\n'
+        '{"seed":3, "epochs":2,"converged":true,"final_error":7}\n'
+    )
+    @example(
+        body='{"seed":1,"epochs":2,"converged":true,"final_error":0.5}\n'
+        '{"seed":2,"epochs":2,"converged":true,"final_error":0.5}\n'
+        '{"seed":3,"epochs":2,"converged":true,"final_error":0.5,"diverged":true}\n'
+    )
+    @example(
+        body='{"seed":1,"epochs":2,"converged":true,"final_error":1e400}\n'
+        '{"seed":1,"epochs":3,"converged":false,"final_error":-Infinity}\n'
+    )
+    def test_same_sample_or_same_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("c") / "runs.jsonl"
+        path.write_bytes((HEADER + "\n" + body).encode("utf-8"))
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert outcome(lambda: load_runs(path).records) == outcome(
+            lambda: reference_load_body(lines, CAP)
+        )
+
+    def test_save_runs_output_takes_the_canonical_path(self, tmp_path, monkeypatch):
+        records = [
+            RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1),
+            RunRecord(seed=0, epochs=3, converged=False, final_error=-0.0),
+            RunRecord(seed=9, epochs=2, converged=False, final_error=math.nan, diverged=True),
+        ]
+        path = tmp_path / "runs.jsonl"
+        save_runs(RunSample(records=records, cap=CAP), path)
+
+        def no_strict(lines, cap):
+            raise AssertionError("a canonical log was read line by line")
+
+        monkeypatch.setattr(runner, "_strict_columns", no_strict)
+        assert [record_key(r) for r in load_runs(path).records] == [
+            record_key(r) for r in records
+        ]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -332,3 +333,101 @@ class TestRunLog:
         )
         with pytest.raises(RunLogFormatError, match="line 4: seed 1 repeats line 2"):
             load_runs(path)
+
+    def test_cap_beyond_int64_names_line_1(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        rec = '{"seed":1,"epochs":%d,"converged":true,"final_error":0.0}'
+        path.write_text(f'{{"cap":{2**63}}}\n' + rec % 2**63 + "\n", encoding="utf-8")
+        with pytest.raises(RunLogFormatError, match=r"^line 1: 'cap'.*2\*\*63"):
+            load_runs(path)
+        path.write_text(f'{{"cap":{2**63 - 1}}}\n' + rec % (2**63 - 1) + "\n", encoding="utf-8")
+        assert load_runs(path).converged_epochs().tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "header, record, line",
+        [
+            ('{"cap":10,"n":1%s}', '{"seed":1,"epochs":3,"converged":true,"final_error":0.0}', 1),
+            ('{"cap":10}', '{"seed":1,"epochs":3,"converged":true,"final_error":1%s}', 2),
+        ],
+        ids=["header", "record"],
+    )
+    def test_integer_past_digit_limit_names_line(self, tmp_path, header, record, line):
+        # 5,001 digits: past the int/str conversion limit of Python >= 3.11.
+        digits = "0" * 5000
+        path = tmp_path / "digits.jsonl"
+        text = (header + "\n" + record + "\n").replace("%s", digits)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(RunLogFormatError, match=f"^line {line}: "):
+            load_runs(path)
+
+
+def assert_columns_hold(sample: RunSample, records: list[RunRecord]) -> None:
+    """`sample`'s columns hold `records` field by field, in order."""
+    assert sample.seeds == [r.seed for r in records]
+    assert all(type(s) is int for s in sample.seeds)
+    assert sample.epochs.dtype == np.int64
+    assert sample.epochs.tolist() == [r.epochs for r in records]
+    assert sample.converged.dtype == bool and sample.diverged.dtype == bool
+    assert sample.converged.tolist() == [r.converged for r in records]
+    assert sample.diverged.tolist() == [r.diverged for r in records]
+    assert sample.final_error.dtype == np.float64
+    assert [x.hex() for x in sample.final_error.tolist()] == [
+        float(r.final_error).hex() for r in records
+    ]
+    assert not any(
+        a.flags.writeable
+        for a in (sample.epochs, sample.converged, sample.diverged, sample.final_error)
+    )
+    assert sample.n_runs == len(records)
+    assert sample.n_converged == sum(r.converged for r in records)
+    assert sample.n_censored == sum(not r.converged for r in records)
+    assert sample.converged_epochs().tolist() == [r.epochs for r in records if r.converged]
+
+
+MIXED_RECORDS = [
+    RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1 + 0.2),
+    RunRecord(seed=0, epochs=10, converged=False, final_error=-0.0),
+    RunRecord(seed=5, epochs=2, converged=False, final_error=math.nan, diverged=True),
+    RunRecord(seed=6, epochs=10, converged=False, final_error=math.inf, diverged=True),
+    RunRecord(seed=7, epochs=1, converged=True, final_error=5e-324),
+]
+
+
+class TestColumns:
+    def test_collected(self):
+        sample = collect_runs(FormulaStub(modulus=40, cap_epochs=30), 200, base_seed=9)
+        assert 0 < sample.n_censored < sample.n_runs
+        assert_columns_hold(sample, sample.records)
+
+    def test_hand_built_keeps_its_records(self):
+        sample = RunSample(records=MIXED_RECORDS, cap=10)
+        assert sample.records is MIXED_RECORDS
+        assert_columns_hold(sample, MIXED_RECORDS)
+
+    def test_empty(self):
+        assert_columns_hold(RunSample(records=[], cap=5), [])
+
+    # A seed past 20 digits is not canonical, so the second log is read line by line.
+    @pytest.mark.parametrize("first_seed", [2**64 - 1, 10**30])
+    def test_loaded(self, tmp_path, first_seed):
+        records = [replace(MIXED_RECORDS[0], seed=first_seed), *MIXED_RECORDS[1:]]
+        path = tmp_path / "runs.jsonl"
+        save_runs(RunSample(records=records, cap=10, metadata="m"), path)
+        loaded = load_runs(path)
+        assert_columns_hold(loaded, records)
+        assert_columns_hold(loaded, loaded.records)
+        assert (loaded.cap, loaded.metadata) == (10, "m")
+
+    def test_rejects_cap_beyond_int64(self):
+        with pytest.raises(ValueError, match=r"cap must be in \[1, 2\*\*63 - 1\]"):
+            RunSample(records=[], cap=2**63)
+        top = RunRecord(seed=1, epochs=2**63 - 1, converged=True, final_error=0.0)
+        assert RunSample(records=[top], cap=2**63 - 1).epochs.tolist() == [2**63 - 1]
+
+    def test_first_bad_record_is_named(self):
+        off_cap = RunRecord(seed=1, epochs=4, converged=False, final_error=1.0)
+        huge = RunRecord(seed=2, epochs=2**64, converged=True, final_error=0.0)
+        with pytest.raises(ValueError, match="record 0: censored"):
+            RunSample(records=[off_cap, huge], cap=10)
+        with pytest.raises(ValueError, match=f"record 0: epochs {2**64} exceeds cap 10"):
+            RunSample(records=[huge, off_cap], cap=10)

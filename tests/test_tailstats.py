@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -207,9 +208,38 @@ class TestProfileOracle:
             assert n == len(beyond)
             assert mean == sum(beyond) / n
             if n >= 2:
-                assert stderr == np.std(beyond, ddof=1) / math.sqrt(n)
+                assert stderr == pytest.approx(np.std(beyond, ddof=1) / math.sqrt(n), rel=1e-12)
             else:
                 assert math.isnan(stderr)
+
+    @given(
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=300),
+        st.integers(0, 5),
+    )
+    def test_stderr_matches_numpy_std(self, epochs, censored):
+        # O(support) sums of T and T^2 against np.std of each suffix slice.
+        s = make_sample(epochs, cap=10**6, censored=censored)
+        ordered = np.sort(s.converged_epochs())
+        for tau, _, n, stderr in remaining_time_profile(s):
+            if n < 2:
+                assert math.isnan(stderr)
+                continue
+            expect = float(np.std(ordered[ordered > tau] - tau, ddof=1) / math.sqrt(n))
+            assert stderr == pytest.approx(expect, rel=1e-12, abs=0.0)
+            assert f"{stderr:.6f}" == f"{expect:.6f}"
+
+    @given(st.lists(st.integers(1, 2**62), min_size=1, max_size=40))
+    def test_exact_beyond_int64_sums(self, epochs):
+        # Suffix sums of T (and T^2) here overflow int64; the rows stay exact.
+        s = make_sample(epochs, cap=2**62)
+        for tau, mean, n, stderr in remaining_time_profile(s):
+            beyond = [e - tau for e in epochs if e > tau]
+            assert n == len(beyond)
+            assert mean == sum(beyond) / n
+            if n >= 2:
+                assert stderr == pytest.approx(
+                    statistics.stdev(beyond) / math.sqrt(n), rel=1e-12, abs=0.0
+                )
 
     @given(small_samples())
     def test_profitable_matches_profile(self, s):
