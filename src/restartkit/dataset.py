@@ -7,6 +7,7 @@ line, 21 attribute values followed by an integer class label in {1,2,3}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ class FoldSplit:
 def load_thyroid(path) -> Dataset:
     """Parse an ann-format file into features and one-hot targets.
 
-    Each line must hold 21 numeric attributes plus a class label in
+    Each line must hold 21 finite numeric attributes plus a class label in
     {1, 2, 3}; label c activates target column c - 1. No scaling is
     applied. Blank lines are ignored.
     """
@@ -98,6 +99,8 @@ def load_thyroid(path) -> Dataset:
                     f"{path}: line {lineno}: class label must be in {{1,2,3}}, "
                     f"got {tokens[-1]}"
                 )
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}: line {lineno}: non-finite field")
             features.append(values[:-1])
             labels.append(int(label))
     if not features:

@@ -6,22 +6,36 @@ drawn uniformly at random per seed, the number of epochs needed is a
 random variable: this is the Las Vegas process the rest of the toolkit
 analyzes.
 
-Every epoch runs on one in-place kernel (`_Epoch`): buffers for the
-activations, output - y, the deltas and the four gradients are allocated
-once per run, and the weights are updated in place. `train_until`,
-`training_error`, `backprop_gradients`, `train_epoch` and `forward` all use
-it. The kernel is bit-identical to the plain allocating formulas: each
-elementwise formula keeps its left-to-right grouping, each matmul keeps its
-operand layouts, and the MSE is the same pairwise sum divided by the size.
-Column sums go through einsum, which adds rows in the same order as
-`sum(axis=0)`, except at width 1 (`--hidden 1`, or one output), where the
-reduction is a pairwise sum and stays `np.sum`.
+Every epoch runs on one in-place kernel (`_Epoch`) over a stack of runs.
+Run k's weights, activations, output - y, deltas and gradients are the
+contiguous slice [k] of (runs, rows, width) arrays allocated once, and the
+weights are updated in place. `MlpProcess.attempt_many` trains up to 16
+runs of a block side by side (fewer when their buffers would pass a fixed
+byte budget); a run leaves the stack at the epoch it converges, diverges
+or reaches the cutoff, and the next seed takes its slot. `train_until`,
+`training_error`, `backprop_gradients`, `train_epoch` and `forward` are the
+stack of one.
+
+Each run's record is bit-identical to the plain allocating formulas for
+that seed alone, whatever the stack around it:
+- each elementwise formula keeps its left-to-right grouping, and the runs
+  share no element;
+- each matmul is `np.matmul` over the stack, which makes the same BLAS
+  call per slice, on the same shape and operand layout as one run does,
+  never one wide GEMM across runs;
+- each MSE is one pairwise sum over the run's contiguous slice, divided by
+  its size;
+- column sums go through `einsum("kij->kj")`, which adds each slice's rows
+  in the same order as `sum(axis=0)`, except at width 1 (`--hidden 1`, or
+  one output), where that reduction is a pairwise sum and each slice stays
+  `np.sum`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,27 +115,31 @@ def _params(state: MlpState) -> list[np.ndarray]:
 
 
 def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=0)` written into `out`, bit for bit.
+    """`a[k].sum(axis=0)` written into `out[k]` for every run k, bit for bit.
 
-    For width > 1, einsum adds the rows in the same order as the reduction
-    but without its per-row overhead. At width 1 the reduction is one
-    contiguous pairwise sum, which einsum's accumulation does not match.
+    For width > 1, einsum adds each slice's rows in the same order as the
+    reduction but without its per-row overhead. At width 1 the reduction
+    is one contiguous pairwise sum, which einsum's accumulation does not
+    match, so each slice goes through `np.sum`.
     """
-    if a.shape[1] > 1:
-        return np.einsum("ij->j", a, out=out)
-    return np.sum(a, axis=0, out=out)
+    if a.shape[2] > 1:
+        return np.einsum("kij->kj", a, out=out)
+    for a_k, out_k in zip(a, out):
+        np.sum(a_k, axis=0, out=out_k)
+    return out
 
 
 def _sigmoid_layer(
-    inputs: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
+    inputs: np.ndarray, w_t: np.ndarray, b: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """out = 1 / (1 + exp(-(inputs @ w.T + b))), computed in place.
+    """out = 1 / (1 + exp(-(inputs @ w_t + b))), computed in place.
 
-    exp may overflow to inf for very negative pre-activations; 1/(1+inf) = 0
-    is exactly the right limit, so callers run under
-    np.errstate(over="ignore").
+    `w_t` is the stack of transposed weight matrices and `b` the stack of
+    biases as (runs, 1, width). exp may overflow to inf for very negative
+    pre-activations; 1/(1+inf) = 0 is exactly the right limit, so callers
+    run under np.errstate(over="ignore").
     """
-    np.matmul(inputs, w.T, out=out)
+    np.matmul(inputs, w_t, out=out)
     out += b
     np.negative(out, out=out)
     np.exp(out, out=out)
@@ -130,39 +148,83 @@ def _sigmoid_layer(
 
 
 class _Epoch:
-    """Full-batch epoch on preallocated buffers; the weights update in place.
+    """Full-batch epochs for a stack of runs, on preallocated buffers.
 
-    `params` is [w_hidden, b_hidden, w_out, b_out]; `descend` writes into
-    those arrays. One epoch is `gradients()`, `descend()`, then `error()`,
-    which runs the forward pass at the new weights and caches output - y
-    for the next gradient.
+    `params` is [w_hidden, b_hidden, w_out, b_out], each with a leading
+    stack axis: run k owns slice [k] of them and of every buffer, and
+    `descend` updates the weights in place. The features `x` and targets
+    `y` are shared. One epoch is `gradients()`, `descend()`, then
+    `error()`, which runs the forward pass at the new weights, caches
+    output - y for the next gradient and returns each run's MSE.
+    `restack` drops finished runs and starts new ones in the freed slots.
     """
 
     def __init__(
         self, params: list[np.ndarray], x: np.ndarray, y: np.ndarray | None
     ) -> None:
-        n = x.shape[0]
-        n_hidden, n_out = params[0].shape[0], params[2].shape[0]
-        self.params, self.x, self.y = params, x, y
-        self.hidden = np.empty((n, n_hidden))
-        self.output = np.empty((n, n_out))
-        self.diff = np.empty((n, n_out))
-        self.d_out = np.empty((n, n_out))
-        self.d_hidden = np.empty((n, n_hidden))
-        self.scale = 2.0 / (n * n_out)
-        self.grads = [np.empty(p.shape) for p in params]
-        self.velocity: list[np.ndarray] | None = None
+        capacity, n_hidden = params[0].shape[:2]
+        n, n_out = x.shape[0], params[2].shape[1]
+        self.x, self.y = x, y
+        self.n_cells = n * n_out
+        self.scale = 2.0 / self.n_cells
+        self._params = params
+        self._grads = [np.empty(p.shape) for p in params]
+        self._velocity: list[np.ndarray] | None = None
+        self._hidden = np.empty((capacity, n, n_hidden))
+        self._output = np.empty((capacity, n, n_out))
+        self._diff = np.empty((capacity, n, n_out))
+        self._d_out = np.empty((capacity, n, n_out))
+        self._d_hidden = np.empty((capacity, n, n_hidden))
+        # Runs [fresh:] have taken no step yet, so they have no velocity.
+        self.fresh = 0
+        self._bind(capacity)
+
+    def _bind(self, size: int) -> None:
+        """Point the working views at the first `size` runs."""
+        self.size = size
+        self.params = [p[:size] for p in self._params]
+        self.grads = [g[:size] for g in self._grads]
+        if self._velocity is not None:
+            self.velocity = [v[:size] for v in self._velocity]
+        self.hidden, self.output = self._hidden[:size], self._output[:size]
+        self.diff, self.d_out = self._diff[:size], self._d_out[:size]
+        self.d_hidden = self._d_hidden[:size]
+        w_hidden, b_hidden, w_out, b_out = self.params
+        self.w_hidden_t = w_hidden.transpose(0, 2, 1)
+        self.w_out_t = w_out.transpose(0, 2, 1)
+        self.b_hidden, self.b_out = b_hidden[:, None, :], b_out[:, None, :]
+        self.d_out_t = self.d_out.transpose(0, 2, 1)
+        self.d_hidden_t = self.d_hidden.transpose(0, 2, 1)
+        self.squares = self.d_out.reshape(size, self.n_cells)
+
+    def restack(self, keep: list[int], states: list[MlpState]) -> list[float]:
+        """Keep runs `keep`, in that order, then start one run per state.
+
+        Returns `error()` of the new stack; a kept run's forward pass is
+        recomputed from its unchanged weights, so its buffers and error are
+        the ones it had.
+        """
+        m = len(keep)
+        if m:
+            index = np.array(keep, dtype=np.intp)
+            for full in (*self._params, *(self._velocity or ())):
+                full[:m] = full[index]
+        for k, state in enumerate(states, start=m):
+            for full, p in zip(self._params, _params(state)):
+                full[k] = p
+        self.fresh = m
+        self._bind(m + len(states))
+        return self.error()
 
     def forward(self) -> np.ndarray:
-        w_hidden, b_hidden, w_out, b_out = self.params
-        _sigmoid_layer(self.x, w_hidden, b_hidden, self.hidden)
-        return _sigmoid_layer(self.hidden, w_out, b_out, self.output)
+        _sigmoid_layer(self.x, self.w_hidden_t, self.b_hidden, self.hidden)
+        return _sigmoid_layer(self.hidden, self.w_out_t, self.b_out, self.output)
 
-    def error(self) -> float:
-        """MSE averaged over patterns and output units at the current weights."""
+    def error(self) -> list[float]:
+        """Each run's MSE over patterns and output units at its current weights."""
         np.subtract(self.forward(), self.y, out=self.diff)
-        sq = np.multiply(self.diff, self.diff, out=self.d_out)
-        return float(np.add.reduce(sq, axis=None) / sq.size)
+        np.multiply(self.diff, self.diff, out=self.d_out)
+        return (np.add.reduce(self.squares, axis=1) / self.n_cells).tolist()
 
     def gradients(self) -> list[np.ndarray]:
         """Backprop gradients at the last `error()` pass.
@@ -174,25 +236,33 @@ class _Epoch:
         d_out = np.multiply(self.diff, output, out=self.d_out)
         d_out *= np.subtract(1.0, output, out=output)
         d_out *= self.scale
-        np.matmul(d_out.T, hidden, out=g_w_out)
+        np.matmul(self.d_out_t, hidden, out=g_w_out)
         _column_sums(d_out, g_b_out)
         d_hidden = np.matmul(d_out, self.params[2], out=self.d_hidden)
         d_hidden *= hidden
         d_hidden *= np.subtract(1.0, hidden, out=hidden)
-        np.matmul(d_hidden.T, self.x, out=g_w_hidden)
+        np.matmul(self.d_hidden_t, self.x, out=g_w_hidden)
         _column_sums(d_hidden, g_b_hidden)
         return self.grads
 
     def descend(self, learning_rate: float, momentum: float = 0.0) -> None:
-        """Step the weights along the last gradients (heavy-ball momentum)."""
+        """Step the weights along the last gradients (heavy-ball momentum).
+
+        A run's first step sets its velocity to its gradient.
+        """
         step = self.grads
         if momentum > 0.0:
-            if self.velocity is None:
-                self.velocity = [g.copy() for g in self.grads]
-            else:
-                for v, g in zip(self.velocity, self.grads):
-                    v *= momentum
-                    v += g
+            if self._velocity is None:
+                self._velocity = [np.empty(g.shape) for g in self._grads]
+                self.velocity = [v[: self.size] for v in self._velocity]
+            fresh = self.fresh
+            for v, g in zip(self.velocity, self.grads):
+                if fresh < self.size:
+                    v[fresh:] = g[fresh:]
+                    v, g = v[:fresh], g[:fresh]
+                v *= momentum
+                v += g
+            self.fresh = self.size
             step = self.velocity
         for p, s, g in zip(self.params, step, self.grads):
             p -= np.multiply(s, learning_rate, out=g)
@@ -207,14 +277,18 @@ def forward(state: MlpState, inputs: np.ndarray) -> np.ndarray:
             f"got shape {x.shape}"
         )
     with np.errstate(over="ignore"):
-        return _Epoch(_params(state), x[None, :], None).forward()[0]
+        return _Epoch(_stack_of_one(state), x[None, :], None).forward()[0, 0]
 
 
 def training_error(state: MlpState, data: Dataset) -> float:
     """MSE averaged over patterns and output units."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     with np.errstate(over="ignore"):
-        return _Epoch(_params(state), data.features, data.targets).error()
+        return _Epoch(_stack_of_one(state), data.features, data.targets).error()[0]
+
+
+def _stack_of_one(state: MlpState) -> list[np.ndarray]:
+    return [p[None] for p in _params(state)]
 
 
 def _check_dims(data: Dataset, n_inputs: int, n_outputs: int) -> None:
@@ -236,9 +310,9 @@ def backprop_gradients(
     """Gradients of `training_error` w.r.t. (w_hidden, b_hidden, w_out, b_out)."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     with np.errstate(over="ignore"):
-        epoch = _Epoch(_params(state), data.features, data.targets)
+        epoch = _Epoch(_stack_of_one(state), data.features, data.targets)
         epoch.error()
-        return tuple(epoch.gradients())
+        return tuple(g[0] for g in epoch.gradients())
 
 
 def train_epoch(state: MlpState, data: Dataset, learning_rate: float) -> MlpState:
@@ -246,14 +320,87 @@ def train_epoch(state: MlpState, data: Dataset, learning_rate: float) -> MlpStat
     if learning_rate < 0.0:
         raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
-    params = [np.array(p, dtype=np.float64) for p in _params(state)]
+    params = [np.array(p, dtype=np.float64) for p in _stack_of_one(state)]
     with np.errstate(over="ignore"):
         epoch = _Epoch(params, data.features, data.targets)
         epoch.error()
         if not all(np.isfinite(g).all() for g in epoch.gradients()):
             raise DivergenceError("non-finite gradient in backpropagation step")
         epoch.descend(learning_rate)
-    return MlpState(*params)
+    return MlpState(*(p[0] for p in params))
+
+
+# At most this many runs train side by side, and their stacked buffers
+# stay within this many bytes. Past about 2 MiB a wider stack costs more
+# per run-epoch, not less (ROADMAP, "Where the epochs go").
+_STACK_RUNS = 16
+_STACK_BYTES = 2 << 20
+
+
+def _stack_width(cfg: MlpConfig, n_rows: int) -> int:
+    """Runs per lockstep stack: `_STACK_RUNS`, fewer if their buffers (the
+    activations, output - y, the deltas, and the weights with their
+    gradients and velocities) would pass `_STACK_BYTES`."""
+    n_weights = cfg.n_hidden * (cfg.n_inputs + 1) + cfg.n_outputs * (cfg.n_hidden + 1)
+    run_bytes = 8 * (n_rows * (2 * cfg.n_hidden + 3 * cfg.n_outputs) + 3 * n_weights)
+    return max(1, min(_STACK_RUNS, _STACK_BYTES // run_bytes))
+
+
+def _train_runs(
+    cfg: MlpConfig, data: Dataset, seeds: list[int], cutoff: int
+) -> list[RunRecord]:
+    """One training run per seed, up to `cutoff` epochs each, in lockstep.
+
+    Up to `_stack_width` runs share one `_Epoch` stack. A run leaves it
+    at the epoch it converges, diverges or reaches the cutoff, and the
+    next seed starts in its place. Records come back in seed order.
+    """
+    _check_dims(data, cfg.n_inputs, cfg.n_outputs)
+    lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
+    width = min(len(seeds), _stack_width(cfg, data.n_rows))
+    shapes = [(cfg.n_hidden, cfg.n_inputs), (cfg.n_hidden,)]
+    shapes += [(cfg.n_outputs, cfg.n_hidden), (cfg.n_outputs,)]
+    kernel = _Epoch(
+        [np.empty((width, *shape)) for shape in shapes], data.features, data.targets
+    )
+    records: list[RunRecord | None] = [None] * len(seeds)
+    pending = iter(range(len(seeds)))
+    slots: list[int] = []  # the seed index each stacked run trains
+    started: list[int] = []  # the step at which it started
+    keep: list[int] = []
+    step = 0
+    with np.errstate(over="ignore"):
+        while True:
+            new = list(itertools.islice(pending, width - len(keep)))
+            slots = [slots[k] for k in keep] + new
+            if not slots:
+                return records
+            started = [started[k] for k in keep] + [step] * len(new)
+            errors = kernel.restack(keep, [init_weights(cfg, seeds[i]) for i in new])
+            # Train until some run stops or reaches the cutoff.
+            deadline = min(started) + cutoff
+            while True:
+                kernel.gradients()
+                kernel.descend(lr, beta)
+                last, errors = errors, kernel.error()
+                step += 1
+                if step == deadline or not all(delta < e < math.inf for e in errors):
+                    break
+            keep = []
+            for k, error in enumerate(errors):
+                i, epochs = slots[k], step - started[k]
+                if delta < error < math.inf and epochs < cutoff:
+                    keep.append(k)
+                elif math.isfinite(error):
+                    records[i] = RunRecord(
+                        seed=seeds[i], epochs=epochs, converged=error <= delta,
+                        final_error=error,
+                    )
+                else:
+                    records[i] = RunRecord(
+                        seed=seeds[i], epochs=epochs, converged=False,
+                        final_error=last[k], diverged=True,
+                    )
 
 
 def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
@@ -262,37 +409,10 @@ def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
     Runs full-batch backprop epochs, evaluating the MSE after each one,
     and stops at the first epoch whose error is <= cfg.target_error
     (converged) or at cfg.max_epochs (censored). A numeric failure ends
-    the run early with the record flagged as diverged. Deterministic in
-    (cfg, data, seed).
+    the run early with the record flagged as diverged; its final error is
+    the last finite one. Deterministic in (cfg, data, seed).
     """
-    _check_dims(data, cfg.n_inputs, cfg.n_outputs)
-    lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
-    with np.errstate(over="ignore"):
-        kernel = _Epoch(_params(init_weights(cfg, seed)), data.features, data.targets)
-        last_error = kernel.error()
-        for epoch in range(1, cfg.max_epochs + 1):
-            kernel.gradients()
-            kernel.descend(lr, beta)
-            error = kernel.error()
-            if not math.isfinite(error):
-                return RunRecord(
-                    seed=seed,
-                    epochs=epoch,
-                    converged=False,
-                    final_error=last_error,
-                    diverged=True,
-                )
-            last_error = error
-            if error <= delta:
-                return RunRecord(
-                    seed=seed, epochs=epoch, converged=True, final_error=error
-                )
-    return RunRecord(
-        seed=seed,
-        epochs=cfg.max_epochs,
-        converged=False,
-        final_error=last_error,
-    )
+    return _train_runs(cfg, data, [seed], cfg.max_epochs)[0]
 
 
 @dataclass(frozen=True)
@@ -321,6 +441,10 @@ class MlpProcess(LasVegasProcess):
         )
 
     def attempt(self, seed: int, cutoff: int) -> RunRecord:
+        return self.attempt_many([seed], cutoff)[0]
+
+    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
+        """`attempt` for each seed, trained in lockstep stacks (`_train_runs`)."""
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-        return train_until(replace(self.cfg, max_epochs=cutoff), self.data, seed)
+        return _train_runs(self.cfg, self.data, seeds, cutoff)

@@ -125,10 +125,14 @@ class LasVegasProcess(Protocol):
 
     def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
         """`attempt` for each seed, with a `DivergenceError` recorded as a
-        diverged run rather than raised.
+        diverged run rather than raised; records come back in seed order.
 
-        A process that can attempt a block of seeds at once overrides this;
-        its records must equal this default's.
+        `collect_runs` calls it once per worker, on a contiguous block of
+        seeds. A process that can attempt a block at once overrides it, and
+        its records must equal this default's for any block: the same seed
+        gives the same record wherever it sits, even repeated. The stubs
+        draw a block with one inverse-CDF call; the MLP trains it in
+        lockstep stacks of runs, each run's arithmetic unchanged.
         """
         return [_attempt_one((self, seed, cutoff)) for seed in seeds]
 
@@ -280,15 +284,14 @@ def collect_runs(
     as cutoff. The result is identical for any `n_jobs`: records are keyed
     by index, and attempts share no mutable state.
 
-    Each `attempt_many` call gets a contiguous block of seeds: all of them
-    when the runs are serial, else the chunk `parallel_map` would give one
-    pool task, so each block is one task.
+    Each pool worker makes one `attempt_many` call, on a contiguous block
+    of ceil(n_runs / workers) seeds; serial runs are one block.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     cap = process.cap
     seeds = derive_seed(base_seed, np.arange(n_runs, dtype=np.uint64)).tolist()
-    size = _task_size(n_runs, worker_count(n_jobs, n_runs))
+    size = -(-n_runs // worker_count(n_jobs, n_runs))
     blocks = [(process, seeds[i : i + size], cap) for i in range(0, n_runs, size)]
     records = [r for block in parallel_map(_attempt_block, blocks, n_jobs) for r in block]
     meta = f"process={process.describe()} base_seed={base_seed} n_runs={n_runs}"

@@ -8,6 +8,7 @@ from restartkit import (
     collect_runs,
     evaluate_strategy_mc,
     load_runs,
+    mlp,
 )
 from restartkit.cli import (
     _build_process,
@@ -178,6 +179,51 @@ class TestCollect:
         )
         assert code == 1
         assert err.startswith(f"restartkit: error: {field} must be") and value in err
+        assert not log.exists()
+
+    def test_mlp_log_same_for_any_jobs(self, capsys, tmp_path, monkeypatch):
+        # 37 runs on 2 workers are blocks of 19 and 18 seeds, both wider
+        # than the lockstep stack, so runs leave and join it mid-block.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        argv = ["collect", "--data", DATA_PATH, "--runs", "37", "--max-epochs", "600",
+                "--seed", "5"]
+        process = _build_process(build_parser().parse_args([*argv, "--out", "-"]))
+        assert mlp._stack_width(process.cfg, process.data.n_rows) < 18
+        logs = []
+        for jobs in ("1", "2"):
+            log = tmp_path / f"runs-{jobs}.jsonl"
+            code, out, err = run_cli(capsys, *argv, "--jobs", jobs, "--out", str(log))
+            assert code == 0, err
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+        assert load_runs(tmp_path / "runs-1.jsonl").n_runs == 37
+
+    def test_byte_budget_narrows_stack_for_large_hidden(self):
+        args = ["collect", "--data", DATA_PATH, "--hidden", "200", "--runs", "4", "--out", "-"]
+        process = _build_process(build_parser().parse_args(args))
+        assert mlp._stack_width(process.cfg, process.data.n_rows) == 1
+        seeds = [5, 6, 5, 7]
+        assert process.attempt_many(seeds, 3) == [process.attempt(s, 3) for s in seeds]
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_data_field_fails_cleanly(self, capsys, tmp_path, token):
+        # Before the check, a NaN column was zeroed by scaling and the runs
+        # trained (exit 0); an infinite one made every run diverge.
+        rows = [[f"0.{i}{j}" for j in range(21)] + [str(i % 3 + 1)] for i in range(4)]
+        rows[3][4] = token
+        data = tmp_path / "bad.data"
+        data.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+        log = tmp_path / "x.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "collect",
+            "--data", str(data),
+            "--runs", "2",
+            "--max-epochs", "5",
+            "--out", str(log),
+        )
+        assert code == 1
+        assert err == f"restartkit: error: {data}: line 4: non-finite field\n"
         assert not log.exists()
 
     def test_missing_data_file(self, capsys, tmp_path):

@@ -65,6 +65,16 @@ class TestLoadThyroid:
         with pytest.raises(ParseError, match="line 1"):
             load_thyroid(write_lines(tmp_path, [bad]))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_attribute_names_line(self, tmp_path, token):
+        # float() accepts these; a NaN column would be zeroed by scaling and
+        # an infinite one would make every run diverge at epoch 1.
+        good = ann_line([0.1] * 21, 1)
+        bad = ann_line([0.1] * 20 + [token], 2)
+        path = write_lines(tmp_path, [good, bad])
+        with pytest.raises(ParseError, match=r"line 2: non-finite field$"):
+            load_thyroid(path)
+
     @pytest.mark.parametrize("label", ["0", "4", "2.5"])
     def test_label_out_of_range(self, tmp_path, label):
         with pytest.raises(ParseError, match="label"):

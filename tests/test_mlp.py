@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from restartkit import (
 )
 
 from conftest import tiny_dataset
-from restartkit.mlp import _column_sums, _Epoch
+from restartkit import mlp
+from restartkit.mlp import _column_sums
 
 
 def naive_forward(state: MlpState, x):
@@ -465,6 +467,73 @@ class TestMlpProcess:
             process.attempt(0, 0)
 
 
+class TestAttemptMany:
+    """A block trained in lockstep gives, for every seed, the allocating
+    reference's record for that seed alone, bit for bit."""
+
+    @staticmethod
+    def config(n_hidden, n_outputs, momentum, cutoff):
+        # momentum None is the diverging config of TestBitIdentity.
+        cfg = MlpConfig(
+            n_inputs=4, n_hidden=n_hidden, n_outputs=n_outputs, learning_rate=5.0,
+            momentum=momentum or 0.0, target_error=0.09, max_epochs=cutoff,
+        )
+        if momentum is None:
+            cfg = replace(cfg, learning_rate=1e308, momentum=0.99, target_error=1e-9)
+        return cfg
+
+    # On tiny_dataset(6, 4, outputs 2..5) seeds 0-7 converge anywhere from
+    # epoch 4 to past 150, are censored or (diverging config) diverge from
+    # epoch 44 on, so stacks drop runs at many different epochs.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_hidden=st.integers(1, 5),
+        n_outputs=st.integers(1, 5),
+        momentum=st.sampled_from([0.0, 0.5, 0.9, None]),
+        stack_runs=st.sampled_from([1, 2, 3, 16]),
+        seeds=st.lists(st.integers(0, 7), max_size=12),
+        cutoff=st.integers(1, 150),
+        data_seed=st.integers(0, 3),
+    )
+    @example(n_hidden=1, n_outputs=2, momentum=None, stack_runs=3,
+             seeds=[0, 1, 6, 0, 7, 6], cutoff=150, data_seed=0)
+    @example(n_hidden=3, n_outputs=5, momentum=0.9, stack_runs=2,
+             seeds=[3, 0, 6, 1, 3, 2, 4], cutoff=140, data_seed=0)
+    @example(n_hidden=5, n_outputs=1, momentum=0.5, stack_runs=16,
+             seeds=list(range(8)) * 2 + [2], cutoff=7, data_seed=0)
+    def test_matches_one_seed_reference(
+        self, n_hidden, n_outputs, momentum, stack_runs, seeds, cutoff, data_seed
+    ):
+        cfg = self.config(n_hidden, n_outputs, momentum, cutoff)
+        d = tiny_dataset(6, 4, n_outputs, seed=data_seed)
+        process = MlpProcess(cfg, d)
+        with mock.patch.object(mlp, "_STACK_RUNS", stack_runs), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            got = process.attempt_many(seeds, cutoff)
+            want = [alloc_train_until(cfg, d, s) for s in seeds]
+        assert list(map(record_bits, got)) == list(map(record_bits, want))
+
+    def test_examples_reach_every_outcome(self):
+        # The first example above mixes diverged and censored runs of
+        # different lengths, and repeated seeds, in a stack narrower than
+        # its block.
+        cfg = self.config(1, 2, None, 150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            recs = MlpProcess(cfg, tiny_dataset(6, 4, 2)).attempt_many([0, 1, 6, 0, 7, 6], 150)
+        assert [(r.epochs, r.converged, r.diverged) for r in recs] == [
+            (59, False, True), (150, False, False), (113, False, True),
+            (59, False, True), (150, False, False), (113, False, True),
+        ]
+
+    def test_empty_block_and_cutoff_check(self):
+        process = MlpProcess(self.config(3, 2, 0.0, 10), tiny_dataset(6, 4))
+        assert process.attempt_many([], 5) == []
+        for call in (lambda: process.attempt(0, 0), lambda: process.attempt_many([0, 1], 0)):
+            with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
+                call()
+
+
 class TestBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -526,9 +595,11 @@ class TestColumnSums:
     def test_bit_equal_to_axis_zero_sum(self, width):
         rng = np.random.default_rng(width)
         for rows in (1, 2, 3, 4, 7, 8, 9, 16, 17, 31, 100, 1000, 4000):
-            a = rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(
-                -6, 6, size=(rows, width)
-            )
-            out = np.empty(width)
-            assert _column_sums(a, out) is out
-            assert same_bits(out, a.sum(axis=0)), (rows, width)
+            for runs in (1, 3):
+                a = rng.standard_normal((runs, rows, width)) * 10.0 ** rng.uniform(
+                    -6, 6, size=(runs, rows, width)
+                )
+                out = np.empty((runs, width))
+                assert _column_sums(a, out) is out
+                for k in range(runs):
+                    assert same_bits(out[k], a[k].sum(axis=0)), (rows, width, k)
