@@ -77,68 +77,3 @@ from .tailstats import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllTrialsFailedError",
-    "Constant",
-    "Dataset",
-    "DegenerateTailError",
-    "DiscretePareto",
-    "DivergenceError",
-    "Ecdf",
-    "FixedSchedule",
-    "FoldSplit",
-    "Geometric",
-    "InsufficientDataError",
-    "LasVegasProcess",
-    "LubySchedule",
-    "McResult",
-    "MlpConfig",
-    "MlpProcess",
-    "MlpState",
-    "ParseError",
-    "RestartSchedule",
-    "RunLogFormatError",
-    "RunRecord",
-    "RunSample",
-    "StrategyOutcome",
-    "SummaryStats",
-    "SyntheticLaw",
-    "SyntheticProcess",
-    "TwoPoint",
-    "WalshSchedule",
-    "backprop_gradients",
-    "cdf_at",
-    "collect_runs",
-    "derive_seed",
-    "empirical_cdf",
-    "evaluate_strategy_mc",
-    "exact_ecdf",
-    "expected_remaining",
-    "expected_time_curve",
-    "fixed_cutoff_expected_time",
-    "forward",
-    "hill_estimator",
-    "hill_from_values",
-    "init_weights",
-    "kfold_split",
-    "load_runs",
-    "load_thyroid",
-    "loglog_tail_slope",
-    "luby_term",
-    "optimal_cutoff",
-    "parse_law",
-    "parse_schedule",
-    "remaining_time_profile",
-    "restart_profitable",
-    "run_with_strategy",
-    "save_runs",
-    "save_thyroid",
-    "scale_min_max",
-    "summary_stats",
-    "survival",
-    "survival_table",
-    "train_epoch",
-    "train_until",
-    "training_error",
-]

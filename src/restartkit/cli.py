@@ -267,11 +267,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     schedules = _sweep_schedules(args)
     # Every schedule reuses the same base seed: common random numbers make
     # the schedule comparison sharper than independent seeding would.
-    baseline_sample, trials = strategies.run_trials(
-        process, schedules, args.trials, args.seed, budget, args.jobs, baseline=True
-    )
-    baseline = _summary_or_none(baseline_sample)
-    failure_rate = f"{baseline_sample.n_censored / baseline_sample.n_runs:.4f}"
+    # The trials go first: they reject `--trials 1` before any training.
+    trials = strategies.run_trials(process, schedules, args.trials, args.seed, budget, args.jobs)
+    # The no-restart baseline is the sample `collect --runs T --seed S` logs.
+    sample = runner.collect_runs(process, args.trials, args.seed, args.jobs)
+    baseline = _summary_or_none(sample)
+    failure_rate = f"{sample.n_censored / sample.n_runs:.4f}"
     print("schedule\tmean_epochs\tstderr\tfailure_rate\treduction")
     if baseline is None:
         print(f"none\tn/a\tn/a\t{failure_rate}\t-")

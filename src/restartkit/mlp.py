@@ -137,7 +137,8 @@ def _sigmoid_layer(
     `w_t` is the stack of transposed weight matrices and `b` the stack of
     biases as (runs, 1, width). exp may overflow to inf for very negative
     pre-activations; 1/(1+inf) = 0 is exactly the right limit, so callers
-    run under np.errstate(over="ignore").
+    run under np.errstate(over="ignore"). They ignore "invalid" too: a
+    diverging run's inf weights make NaNs, which its error then reports.
     """
     np.matmul(inputs, w_t, out=out)
     out += b
@@ -276,14 +277,14 @@ def forward(state: MlpState, inputs: np.ndarray) -> np.ndarray:
             f"input must be a vector of length {state.w_hidden.shape[1]}, "
             f"got shape {x.shape}"
         )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return _Epoch(_stack_of_one(state), x[None, :], None).forward()[0, 0]
 
 
 def training_error(state: MlpState, data: Dataset) -> float:
     """MSE averaged over patterns and output units."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return _Epoch(_stack_of_one(state), data.features, data.targets).error()[0]
 
 
@@ -309,7 +310,7 @@ def backprop_gradients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of `training_error` w.r.t. (w_hidden, b_hidden, w_out, b_out)."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         epoch = _Epoch(_stack_of_one(state), data.features, data.targets)
         epoch.error()
         return tuple(g[0] for g in epoch.gradients())
@@ -321,7 +322,7 @@ def train_epoch(state: MlpState, data: Dataset, learning_rate: float) -> MlpStat
         raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     params = [np.array(p, dtype=np.float64) for p in _stack_of_one(state)]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         epoch = _Epoch(params, data.features, data.targets)
         epoch.error()
         if not all(np.isfinite(g).all() for g in epoch.gradients()):
@@ -369,7 +370,7 @@ def _train_runs(
     started: list[int] = []  # the step at which it started
     keep: list[int] = []
     step = 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         while True:
             new = list(itertools.islice(pending, width - len(keep)))
             slots = [slots[k] for k in keep] + new

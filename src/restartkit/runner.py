@@ -134,7 +134,14 @@ class LasVegasProcess(Protocol):
         draw a block with one inverse-CDF call; the MLP trains it in
         lockstep stacks of runs, each run's arithmetic unchanged.
         """
-        return [_attempt_one((self, seed, cutoff)) for seed in seeds]
+        records = []
+        for seed in seeds:
+            try:
+                records.append(self.attempt(seed, cutoff))
+            except DivergenceError:
+                # Numeric failures are recorded, never abort the batch.
+                records.append(RunRecord(seed, cutoff, False, float("nan"), diverged=True))
+        return records
 
 
 # Largest censoring cap: a sample keeps its epochs in an int64 column.
@@ -149,6 +156,8 @@ class RunSample:
     `epochs` (int64), `converged` and `diverged` (bool) and `final_error`
     (float64); the arrays are read-only. `records` builds the `RunRecord`s
     on first read, except that a sample built from records keeps that list.
+    The runs obey the checks `load_runs` makes (see `_valid_columns`), so
+    every sample's `save_runs` log loads back.
     """
 
     def __init__(self, records: list[RunRecord], cap: int, metadata: str = "") -> None:
@@ -167,7 +176,7 @@ class RunSample:
             cap,
             metadata,
         )
-        if np.any(~(self.converged | self.diverged) & (self.epochs != cap)):
+        if not _valid_columns(self.seeds, self.epochs, self.converged, self.diverged, cap):
             _raise_first_bad(records, cap)
         self._records = records
 
@@ -231,14 +240,31 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
+def _valid_columns(seeds, epochs, converged, diverged, cap: int) -> bool:
+    """Whether the columns obey what `load_runs` asks of a log's records:
+    epochs <= cap, censored runs carry epochs == cap, no run is both
+    converged and diverged, and no seed repeats."""
+    return not (
+        np.any(epochs > cap)
+        or np.any((converged & diverged) | (~(converged | diverged) & (epochs != cap)))
+        or len(set(seeds)) != len(seeds)
+    )
+
+
 def _raise_first_bad(records: list[RunRecord], cap: int) -> None:
+    first: dict[int, int] = {}
     for i, r in enumerate(records):
         if r.epochs > cap:
             raise ValueError(f"record {i}: epochs {r.epochs} exceeds cap {cap}")
+        if r.converged and r.diverged:
+            raise ValueError(f"record {i}: run is both converged and diverged")
         if not r.converged and not r.diverged and r.epochs != cap:
             raise ValueError(
                 f"record {i}: censored run must carry epochs == cap, got {r.epochs} != {cap}"
             )
+        if r.seed in first:
+            raise ValueError(f"record {i}: seed {r.seed} repeats record {first[r.seed]}")
+        first[r.seed] = i
 
 
 @dataclass(frozen=True)
@@ -250,21 +276,6 @@ class SummaryStats:
     ratio: float
     n_converged: int
     n_censored: int
-
-
-def _attempt_one(args: tuple[LasVegasProcess, int, int]) -> RunRecord:
-    process, seed, cutoff = args
-    try:
-        return process.attempt(seed, cutoff)
-    except DivergenceError:
-        # Numeric failures are recorded, never abort the batch.
-        return RunRecord(
-            seed=seed,
-            epochs=cutoff,
-            converged=False,
-            final_error=float("nan"),
-            diverged=True,
-        )
 
 
 def _attempt_block(args: tuple[LasVegasProcess, list[int], int]) -> list[RunRecord]:
@@ -415,11 +426,7 @@ def _canonical_columns(lines: list[str], cap: int) -> tuple | None:
     epochs = np.array(list(map(int, epochs)), dtype=np.int64)
     converged = np.fromiter(map(len, converged), np.int64, len(rows)) == 4  # "true"
     diverged = np.fromiter(map(bool, diverged), bool, len(rows))
-    if (
-        epochs.max() > cap
-        or np.any((converged & diverged) | (~(converged | diverged) & (epochs != cap)))
-        or len(set(seeds)) != len(seeds)
-    ):
+    if not _valid_columns(seeds, epochs, converged, diverged, cap):
         return None
     return seeds, epochs, converged, list(map(float, final_error)), diverged
 

@@ -24,14 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AllTrialsFailedError
-from .runner import (
-    LasVegasProcess,
-    RunRecord,
-    RunSample,
-    _attempt_one,
-    derive_seed,
-    parallel_map,
-)
+from .runner import LasVegasProcess, derive_seed, parallel_map
 from .tailstats import Ecdf
 
 
@@ -274,13 +267,12 @@ class McResult:
 
 
 def _trial(
-    args: tuple[LasVegasProcess, list[RestartSchedule], int, int, bool],
-) -> tuple[RunRecord | None, list[tuple[bool, int]]]:
-    """Baseline run j (if asked) and trial j of every schedule, for trial seed `seed`."""
-    process, schedules, seed, budget, baseline = args
-    record = _attempt_one((process, seed, process.cap)) if baseline else None
+    args: tuple[LasVegasProcess, list[RestartSchedule], int, int],
+) -> list[tuple[bool, int]]:
+    """Trial j of every schedule, for trial seed `seed`."""
+    process, schedules, seed, budget = args
     outcomes = run_schedules(process, schedules, seed, budget)
-    return record, [(o.succeeded, o.total_epochs) for o in outcomes]
+    return [(o.succeeded, o.total_epochs) for o in outcomes]
 
 
 def run_trials(
@@ -290,28 +282,19 @@ def run_trials(
     base_seed: int,
     budget: int,
     n_jobs: int = 1,
-    baseline: bool = False,
-) -> tuple[RunSample | None, list[tuple[tuple[bool, int], ...]]]:
+) -> list[tuple[tuple[bool, int], ...]]:
     """Monte Carlo trials of several schedules, one pool task per trial index.
 
     Trial j of every schedule runs `run_schedules` under base seed
-    derive_seed(base_seed, j), as does baseline run j (with `baseline`),
-    which is one plain attempt on that seed at the process cap, as in
-    `collect_runs`. Returns the baseline sample (None without `baseline`)
-    and, per schedule, the (succeeded, total_epochs) of every trial. The
-    result is invariant under `n_jobs`.
+    derive_seed(base_seed, j). Returns, per schedule, the
+    (succeeded, total_epochs) of every trial. The result is invariant
+    under `n_jobs`.
     """
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     seeds = derive_seed(base_seed, np.arange(n_trials, dtype=np.uint64)).tolist()
-    jobs = [(process, schedules, seed, budget, baseline) for seed in seeds]
-    results = parallel_map(_trial, jobs, n_jobs)
-    sample = (
-        RunSample(records=[record for record, _ in results], cap=process.cap)
-        if baseline
-        else None
-    )
-    return sample, list(zip(*(outcomes for _, outcomes in results)))
+    jobs = [(process, schedules, seed, budget) for seed in seeds]
+    return list(zip(*parallel_map(_trial, jobs, n_jobs)))
 
 
 def mc_result(
@@ -357,5 +340,5 @@ def evaluate_strategy_mc(
     succeeded trials; the failure rate counts budget exhaustions. The
     result is invariant under `n_jobs`.
     """
-    _, (outcomes,) = run_trials(process, [schedule], n_trials, base_seed, budget, n_jobs)
+    (outcomes,) = run_trials(process, [schedule], n_trials, base_seed, budget, n_jobs)
     return mc_result(outcomes, schedule, budget)

@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -197,6 +199,22 @@ class TestCollect:
             logs.append(log.read_bytes())
         assert logs[0] == logs[1]
         assert load_runs(tmp_path / "runs-1.jsonl").n_runs == 37
+
+    def test_diverging_runs_write_nothing_to_stderr(self, tmp_path, thyroid_like_file):
+        # Momentum near 1 drives the weights to inf, and inf - inf makes the
+        # error NaN: a diverged record, with no numpy warning on the way.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        log = tmp_path / "x.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "restartkit.cli", "collect", "--data", str(thyroid_like_file),
+             "--lr", "1e308", "--momentum", "0.99", "--max-epochs", "300", "--runs", "2",
+             "--jobs", "1", "--out", str(log)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert load_runs(log).diverged.all()
 
     def test_byte_budget_narrows_stack_for_large_hidden(self):
         args = ["collect", "--data", DATA_PATH, "--hidden", "200", "--runs", "4", "--out", "-"]
@@ -410,8 +428,9 @@ def test_cap_beyond_int64_is_an_error_line(capsys, tmp_path, command):
 
 
 def separate_pools_sweep(argv):
-    """`sweep` stdout composed as the command did before it ran one pool:
-    collect_runs for the baseline, then evaluate_strategy_mc per schedule."""
+    """`sweep` stdout composed from serial parts: the baseline is the sample
+    `collect --runs T --seed S` logs, and each schedule runs its own
+    evaluate_strategy_mc, where the command walks all schedules in one pool."""
     args = build_parser().parse_args(argv)
     process = _build_process(args)
     budget = args.budget if args.budget is not None else 20 * process.cap

@@ -96,6 +96,7 @@ def alloc_gradients(state, x, y, hidden, output):
     return g_w_hidden, g_b_hidden, g_w_out, g_b_out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def alloc_train_until(cfg, data, seed):
     x, y = data.features, data.targets
     lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
@@ -440,24 +441,22 @@ class TestMlpProcess:
         cfg = self.DIVERGING if diverging else replace(self.CONVERGING, momentum=momentum)
         d = tiny_dataset(n_rows=6, n_features=4)
         process = MlpProcess(cfg=cfg, data=d)
-        with np.errstate(over="ignore", invalid="ignore"):
-            longest = process.attempt(seed, max(cutoffs))
-            for cutoff in cutoffs:
-                rec = process.attempt(seed, cutoff)
-                fresh = alloc_train_until(replace(cfg, max_epochs=cutoff), d, seed)
-                assert record_bits(rec) == record_bits(fresh)
-                if longest.epochs <= cutoff:
-                    assert record_bits(rec) == record_bits(longest)
-                else:
-                    assert (rec.epochs, rec.converged, rec.diverged) == (cutoff, False, False)
+        longest = process.attempt(seed, max(cutoffs))
+        for cutoff in cutoffs:
+            rec = process.attempt(seed, cutoff)
+            fresh = alloc_train_until(replace(cfg, max_epochs=cutoff), d, seed)
+            assert record_bits(rec) == record_bits(fresh)
+            if longest.epochs <= cutoff:
+                assert record_bits(rec) == record_bits(longest)
+            else:
+                assert (rec.epochs, rec.converged, rec.diverged) == (cutoff, False, False)
 
     def test_reaches_terminal_epochs(self):
         # The configs above do stop early, so the examples cover cutoffs
         # past convergence and past divergence.
         d = tiny_dataset(n_rows=6, n_features=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            converged = MlpProcess(self.CONVERGING, d).attempt(0, 5000)
-            diverged = MlpProcess(self.DIVERGING, d).attempt(0, 300)
+        converged = MlpProcess(self.CONVERGING, d).attempt(0, 5000)
+        diverged = MlpProcess(self.DIVERGING, d).attempt(0, 300)
         assert converged.converged and converged.epochs == 39
         assert diverged.diverged and diverged.epochs == 123
 
@@ -507,11 +506,9 @@ class TestAttemptMany:
         cfg = self.config(n_hidden, n_outputs, momentum, cutoff)
         d = tiny_dataset(6, 4, n_outputs, seed=data_seed)
         process = MlpProcess(cfg, d)
-        with mock.patch.object(mlp, "_STACK_RUNS", stack_runs), np.errstate(
-            over="ignore", invalid="ignore"
-        ):
+        with mock.patch.object(mlp, "_STACK_RUNS", stack_runs):
             got = process.attempt_many(seeds, cutoff)
-            want = [alloc_train_until(cfg, d, s) for s in seeds]
+        want = [alloc_train_until(cfg, d, s) for s in seeds]
         assert list(map(record_bits, got)) == list(map(record_bits, want))
 
     def test_examples_reach_every_outcome(self):
@@ -519,8 +516,7 @@ class TestAttemptMany:
         # different lengths, and repeated seeds, in a stack narrower than
         # its block.
         cfg = self.config(1, 2, None, 150)
-        with np.errstate(over="ignore", invalid="ignore"):
-            recs = MlpProcess(cfg, tiny_dataset(6, 4, 2)).attempt_many([0, 1, 6, 0, 7, 6], 150)
+        recs = MlpProcess(cfg, tiny_dataset(6, 4, 2)).attempt_many([0, 1, 6, 0, 7, 6], 150)
         assert [(r.epochs, r.converged, r.diverged) for r in recs] == [
             (59, False, True), (150, False, False), (113, False, True),
             (59, False, True), (150, False, False), (113, False, True),
@@ -584,10 +580,9 @@ class TestBitIdentity:
             momentum=0.99, target_error=1e-9, max_epochs=300,
         )
         d = tiny_dataset(n_rows=6, n_features=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = train_until(cfg, d, seed=0)
-            assert rec.diverged and rec.epochs < cfg.max_epochs
-            assert record_bits(rec) == record_bits(alloc_train_until(cfg, d, 0))
+        rec = train_until(cfg, d, seed=0)
+        assert rec.diverged and rec.epochs < cfg.max_epochs
+        assert record_bits(rec) == record_bits(alloc_train_until(cfg, d, 0))
 
 
 class TestColumnSums:

@@ -154,7 +154,10 @@ class TestWriterOracle:
         assert runner._record_line(record) == reference_record_line(record)
 
     @settings(max_examples=25)
-    @given(st.lists(records(), min_size=1, max_size=20), st.text(max_size=20))
+    @given(
+        st.lists(records(), min_size=1, max_size=20, unique_by=lambda r: r.seed),
+        st.text(max_size=20),
+    )
     def test_file_bytes_equal(self, tmp_path_factory, recs, metadata):
         cap = max(r.epochs for r in recs)
         recs = [r if r.converged or r.diverged else replace(r, epochs=cap) for r in recs]

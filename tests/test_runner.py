@@ -431,3 +431,36 @@ class TestColumns:
             RunSample(records=[off_cap, huge], cap=10)
         with pytest.raises(ValueError, match=f"record 0: epochs {2**64} exceeds cap 10"):
             RunSample(records=[huge, off_cap], cap=10)
+        both = RunRecord(seed=3, epochs=2, converged=True, final_error=0.0, diverged=True)
+        with pytest.raises(ValueError, match="record 5: run is both converged and diverged"):
+            RunSample(records=[*MIXED_RECORDS, both], cap=10)
+        with pytest.raises(ValueError, match="record 5: seed 0 repeats record 1"):
+            RunSample(records=[*MIXED_RECORDS, replace(MIXED_RECORDS[1], seed=0)], cap=10)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 5), st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example([(1, 2, True, True)])
+    @example([(1, 4, False, False), (1, 4, False, False)])
+    def test_accepts_what_load_runs_accepts(self, tmp_path_factory, rows):
+        # A sample exists exactly when the log `save_runs` would write for
+        # its records loads back.
+        records = [RunRecord(s, e, c, 0.5, diverged=d) for s, e, c, d in rows]
+        path = tmp_path_factory.mktemp("log") / "runs.jsonl"
+        lines = ['{"cap":4,"metadata":""}', *map(runner._record_line, records)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            loaded = load_runs(path)
+        except RunLogFormatError:
+            loaded = None
+        try:
+            sample = RunSample(records=records, cap=4)
+        except ValueError:
+            sample = None
+        assert (sample is None) == (loaded is None)
+        if sample is not None:
+            assert loaded.records == sample.records

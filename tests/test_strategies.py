@@ -363,26 +363,25 @@ class LoggingProcess:
 
 
 class TestRunTrials:
-    def test_baseline_and_outcomes_per_trial(self):
+    def test_schedule_attempts_only_and_outcomes_per_trial(self):
         proc = LoggingProcess()
         schedules = [FixedSchedule(1), WalshSchedule(2.0), LubySchedule(3)]
-        sample, per_schedule = run_trials(proc, schedules, 4, 7, 100, baseline=True)
+        per_schedule = run_trials(proc, schedules, 4, 7, 100)
         trial_seeds = [derive_seed(7, j) for j in range(4)]
-        assert [r.seed for r in sample.records] == trial_seeds and sample.cap == 50
-        # One task per trial, run in order: baseline run j at the cap, then
-        # only attempt seeds derived from trial seed j.
-        starts = [proc.log.index((s, 50)) for s in trial_seeds]
-        assert starts == sorted(starts) and starts[0] == 0
-        for trial_seed, a, b in zip(trial_seeds, starts, starts[1:] + [len(proc.log)]):
-            seeds = {seed for seed, _ in proc.log[a + 1:b]}
-            assert seeds <= {derive_seed(trial_seed, i) for i in range(1, 101)}
+        # No plain attempt at the cap: one task per trial, run in order, and
+        # task j attempts only seeds derived from trial seed j.
+        owner = {derive_seed(s, i): j for j, s in enumerate(trial_seeds) for i in range(1, 101)}
+        assert all(seed in owner for seed, _ in proc.log)
+        owners = [owner[seed] for seed, _ in proc.log]
+        assert owners == sorted(owners) and set(owners) == {0, 1, 2, 3}
+        assert all(cutoff < proc.cap for _, cutoff in proc.log)
         for schedule, outcomes in zip(schedules, per_schedule):
             fresh = [run_with_strategy(LoggingProcess(), schedule, s, 100) for s in trial_seeds]
             assert list(outcomes) == [(o.succeeded, o.total_epochs) for o in fresh]
 
-    def test_no_baseline(self):
-        sample, (outcomes,) = run_trials(ParityStub(50), [FixedSchedule(1)], 3, 0, 10)
-        assert sample is None and len(outcomes) == 3
+    def test_one_schedule(self):
+        (outcomes,) = run_trials(ParityStub(50), [FixedSchedule(1)], 3, 0, 10)
+        assert len(outcomes) == 3
 
 
 class PrefixFake:
