@@ -267,10 +267,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     schedules = _sweep_schedules(args)
     # Every schedule reuses the same base seed: common random numbers make
     # the schedule comparison sharper than independent seeding would.
-    # The trials go first: they reject `--trials 1` before any training.
-    trials = strategies.run_trials(process, schedules, args.trials, args.seed, budget, args.jobs)
-    # The no-restart baseline is the sample `collect --runs T --seed S` logs.
-    sample = runner.collect_runs(process, args.trials, args.seed, args.jobs)
+    # The trial tasks come first: they reject `--trials 1` before any training.
+    trial_tasks, outcomes_of = strategies.trial_tasks(
+        process, schedules, args.trials, args.seed, budget, args.jobs
+    )
+    # The baseline is the sample `collect --runs T --seed S` logs. Its blocks
+    # hold the longest runs, so they lead the one pool's queue.
+    run_tasks, sample_of = runner.collect_tasks(process, args.trials, args.seed, args.jobs)
+    done = runner.parallel_map(run_tasks + trial_tasks, args.jobs)
+    sample, trials = sample_of(done[: len(run_tasks)]), outcomes_of(done[len(run_tasks) :])
     baseline = _summary_or_none(sample)
     failure_rate = f"{sample.n_censored / sample.n_runs:.4f}"
     print("schedule\tmean_epochs\tstderr\tfailure_rate\treduction")

@@ -13,6 +13,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -57,23 +58,20 @@ def worker_count(n_jobs: int, n_items: int) -> int:
     return max(1, min(n_jobs, n_items, cpus))
 
 
-def parallel_map(fn, items: list, n_jobs: int) -> list:
-    """[fn(x) for x in items], in order, on a process pool when that helps.
+def parallel_map(tasks: list, n_jobs: int) -> list:
+    """[task() for task in tasks], in order, on one process pool when that helps.
 
-    Runs serially when one worker suffices (see `worker_count`). `fn` and
-    the items must pickle.
+    Each task is one pool task, taken in list order by whichever worker
+    frees up first, so callers sharing a pool queue their longest tasks
+    first. Runs serially when one worker suffices (see `worker_count`). The
+    tasks must pickle, e.g. a `functools.partial` of a bound method.
     """
-    workers = worker_count(n_jobs, len(items))
+    workers = worker_count(n_jobs, len(tasks))
     if workers == 1:
-        return [fn(x) for x in items]
+        return [task() for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=_task_size(len(items), workers)))
-
-
-def _task_size(n_items: int, workers: int) -> int:
-    """Items per pool task: an eighth of each worker's share, or every item
-    when one worker runs them all."""
-    return n_items if workers == 1 else max(1, n_items // (workers * 8))
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -278,9 +276,19 @@ class SummaryStats:
     n_censored: int
 
 
-def _attempt_block(args: tuple[LasVegasProcess, list[int], int]) -> list[RunRecord]:
-    process, seeds, cutoff = args
-    return process.attempt_many(seeds, cutoff)
+def collect_tasks(process: LasVegasProcess, n_runs: int, base_seed: int, n_jobs: int = 1):
+    """`collect_runs` as the pool tasks it queues, one `attempt_many` call per
+    contiguous block of ceil(n_runs / workers) seeds (one block when serial),
+    and the function that builds its sample from their results, in order."""
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    cap = process.cap
+    seeds = derive_seed(base_seed, np.arange(n_runs, dtype=np.uint64)).tolist()
+    size = -(-n_runs // worker_count(n_jobs, n_runs))
+    blocks = [seeds[i : i + size] for i in range(0, n_runs, size)]
+    meta = f"process={process.describe()} base_seed={base_seed} n_runs={n_runs}"
+    tasks = [partial(process.attempt_many, block, cap) for block in blocks]
+    return tasks, lambda results: RunSample([r for rs in results for r in rs], cap, meta)
 
 
 def collect_runs(
@@ -295,18 +303,11 @@ def collect_runs(
     as cutoff. The result is identical for any `n_jobs`: records are keyed
     by index, and attempts share no mutable state.
 
-    Each pool worker makes one `attempt_many` call, on a contiguous block
-    of ceil(n_runs / workers) seeds; serial runs are one block.
+    The pool gets one task per worker (see `collect_tasks`; `sweep` queues
+    the same tasks ahead of its restart trials, in one pool).
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    cap = process.cap
-    seeds = derive_seed(base_seed, np.arange(n_runs, dtype=np.uint64)).tolist()
-    size = -(-n_runs // worker_count(n_jobs, n_runs))
-    blocks = [(process, seeds[i : i + size], cap) for i in range(0, n_runs, size)]
-    records = [r for block in parallel_map(_attempt_block, blocks, n_jobs) for r in block]
-    meta = f"process={process.describe()} base_seed={base_seed} n_runs={n_runs}"
-    return RunSample(records=records, cap=cap, metadata=meta)
+    tasks, sample = collect_tasks(process, n_runs, base_seed, n_jobs)
+    return sample(parallel_map(tasks, n_jobs))
 
 
 def summary_stats(sample: RunSample) -> SummaryStats:

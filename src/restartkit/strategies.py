@@ -20,11 +20,12 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .errors import AllTrialsFailedError
-from .runner import LasVegasProcess, derive_seed, parallel_map
+from .runner import LasVegasProcess, derive_seed, parallel_map, worker_count
 from .tailstats import Ecdf
 
 
@@ -266,13 +267,30 @@ class McResult:
     n_succeeded: int
 
 
-def _trial(
-    args: tuple[LasVegasProcess, list[RestartSchedule], int, int],
-) -> list[tuple[bool, int]]:
-    """Trial j of every schedule, for trial seed `seed`."""
-    process, schedules, seed, budget = args
-    outcomes = run_schedules(process, schedules, seed, budget)
-    return [(o.succeeded, o.total_epochs) for o in outcomes]
+def _trials(process, schedules, seeds: list[int], budget: int) -> list[list[tuple[bool, int]]]:
+    """Per trial seed, the (succeeded, total_epochs) of every schedule."""
+    runs = (run_schedules(process, schedules, seed, budget) for seed in seeds)
+    return [[(o.succeeded, o.total_epochs) for o in outcomes] for outcomes in runs]
+
+
+def trial_tasks(
+    process: LasVegasProcess,
+    schedules: list[RestartSchedule],
+    n_trials: int,
+    base_seed: int,
+    budget: int,
+    n_jobs: int = 1,
+):
+    """`run_trials` as the pool tasks it queues, each a contiguous block of
+    an eighth of a worker's share of the trial indices, and the function that
+    builds its per-schedule outcomes from their results, in order."""
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be >= 2, got {n_trials}")
+    seeds = derive_seed(base_seed, np.arange(n_trials, dtype=np.uint64)).tolist()
+    size = max(1, n_trials // (8 * worker_count(n_jobs, n_trials)))
+    blocks = [seeds[i : i + size] for i in range(0, n_trials, size)]
+    tasks = [partial(_trials, process, schedules, block, budget) for block in blocks]
+    return tasks, lambda results: list(zip(*(trial for rs in results for trial in rs)))
 
 
 def run_trials(
@@ -283,18 +301,16 @@ def run_trials(
     budget: int,
     n_jobs: int = 1,
 ) -> list[tuple[tuple[bool, int], ...]]:
-    """Monte Carlo trials of several schedules, one pool task per trial index.
+    """Monte Carlo trials of several schedules, on one pool.
 
     Trial j of every schedule runs `run_schedules` under base seed
     derive_seed(base_seed, j). Returns, per schedule, the
     (succeeded, total_epochs) of every trial. The result is invariant
-    under `n_jobs`.
+    under `n_jobs`. The pool tasks are blocks of trial indices (see
+    `trial_tasks`; `sweep` queues the same tasks behind its baseline).
     """
-    if n_trials < 2:
-        raise ValueError(f"n_trials must be >= 2, got {n_trials}")
-    seeds = derive_seed(base_seed, np.arange(n_trials, dtype=np.uint64)).tolist()
-    jobs = [(process, schedules, seed, budget) for seed in seeds]
-    return list(zip(*parallel_map(_trial, jobs, n_jobs)))
+    tasks, outcomes = trial_tasks(process, schedules, n_trials, base_seed, budget, n_jobs)
+    return outcomes(parallel_map(tasks, n_jobs))
 
 
 def mc_result(

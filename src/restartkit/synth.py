@@ -16,19 +16,25 @@ from .tailstats import Ecdf
 
 
 def _uniforms(seeds):
-    """One deterministic uniform in [0, 1) per seed (Python int or uint64 array)."""
+    """One deterministic uniform in [0, 1] per seed (Python int or uint64 array)."""
     return mix64(seeds) / 2.0**64
+
+
+def _ceil_times(x: np.ndarray) -> np.ndarray:
+    """ceil(x) as uint64. A time past int64 (u can round to 1.0, making it
+    infinite) comes out as 2**63: beyond every cap, so it is censored."""
+    return np.ceil(np.minimum(x, 2.0**63)).astype(np.uint64)
 
 
 class SyntheticLaw:
     """A distribution over positive-integer completion times."""
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        """Inverse CDF: the completion time for each uniform in `u` (int64 array)."""
+        """Inverse CDF: the completion time for each uniform in `u` (integer array)."""
         raise NotImplementedError
 
     def sample_many(self, seeds) -> np.ndarray:
-        """Inverse-CDF draw for each seed (int64 array)."""
+        """Inverse-CDF draw for each seed (an integer array, as `quantile`)."""
         return self.quantile(_uniforms(np.asarray(seeds, dtype=np.uint64)))
 
     def cdf(self, t: int) -> float:
@@ -98,8 +104,9 @@ class Geometric(SyntheticLaw):
             raise ValueError(f"p must be in (0,1), got {self.p}")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        t = np.ceil(np.log1p(-u) / np.log1p(-self.p)).astype(np.int64)
-        return np.maximum(t, 1)
+        with np.errstate(divide="ignore", over="ignore"):  # u == 1 gives inf
+            t = np.log1p(-u) / np.log1p(-self.p)
+        return np.maximum(_ceil_times(t), 1)
 
     def cdf(self, t: int) -> float:
         if t < 1:
@@ -128,8 +135,9 @@ class DiscretePareto(SyntheticLaw):
             raise ValueError(f"x_min must be >= 1, got {self.x_min}")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        x = self.x_min * (1.0 - u) ** (-1.0 / self.alpha)
-        return np.ceil(x).astype(np.int64)
+        with np.errstate(divide="ignore", over="ignore"):  # u == 1 gives inf
+            x = self.x_min * (1.0 - u) ** (-1.0 / self.alpha)
+        return _ceil_times(x)
 
     def cdf(self, t: int) -> float:
         if t < self.x_min:

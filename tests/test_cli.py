@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +12,8 @@ from restartkit import (
     evaluate_strategy_mc,
     load_runs,
     mlp,
+    runner,
+    strategies,
 )
 from restartkit.cli import (
     _build_process,
@@ -470,8 +473,11 @@ class TestSweep:
              "--luby-unit", "40", "--fixed", "90", "--trials", "60", "--seed", "5"],
             ["--data", DATA_PATH, "--max-epochs", "1500", "--gammas", "2,4",
              "--luby-unit", "200", "--fixed", "600", "--trials", "3", "--seed", "11"],
+            # 4 of the 7 baseline runs are censored; on 2 workers its blocks are 4 and 3 runs.
+            ["--stub", "discrete-pareto:0.5:50", "--stub-cap", "500", "--gammas", "2,3",
+             "--luby-unit", "40", "--fixed", "90", "--trials", "7", "--seed", "5"],
         ],
-        ids=["stub", "mlp"],
+        ids=["stub", "mlp", "stub-censored"],
     )
     def test_equals_separate_pools(self, capsys, source):
         expected = separate_pools_sweep(["sweep", *source])
@@ -480,13 +486,77 @@ class TestSweep:
             assert code == 0, err
             assert out == expected, jobs
 
-    def test_one_trial_is_an_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--stub", "constant:5", "--gammas", "2", "--trials", "1"
-        )
-        assert code == 1
-        assert err == "restartkit: error: n_trials must be >= 2, got 1\n"
-        assert out == ""
+    def test_one_trial_is_an_error(self, capsys, monkeypatch):
+        def train(*args):
+            raise AssertionError("sweep trained before rejecting --trials 1")
+
+        monkeypatch.setattr(mlp, "_train_runs", train)
+        for source in (["--stub", "constant:5"], ["--data", DATA_PATH]):
+            code, out, err = run_cli(capsys, "sweep", *source, "--gammas", "2", "--trials", "1")
+            assert code == 1
+            assert err == "restartkit: error: n_trials must be >= 2, got 1\n"
+            assert out == ""
+
+    SWEEP = ["sweep", "--stub", "geometric:0.01", "--stub-cap", "300", "--gammas", "2,4",
+             "--fixed", "50", "--seed", "3", "--jobs", "2"]
+
+    @staticmethod
+    def queued(monkeypatch, pool_class):
+        """The tasks queued on each pool started, in order; two CPUs, whatever the machine."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        queues = []
+
+        class Recording(pool_class):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                queues.append([])
+
+            def submit(self, fn, *args):
+                queues[-1].append(fn)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+        return queues
+
+    def test_one_pool_baseline_first(self, capsys, monkeypatch):
+        # Threads stand in for the pool so the pools are counted here.
+        queues = self.queued(monkeypatch, ThreadPoolExecutor)
+        code, out, err = run_cli(capsys, *self.SWEEP, "--trials", "40")
+        assert code == 0, err
+        assert len(queues) == 1
+        args = build_parser().parse_args([*self.SWEEP, "--trials", "40"])
+        process, schedules = _build_process(args), _sweep_schedules(args)
+        baseline, _ = runner.collect_tasks(process, 40, 3, 2)
+        trials, _ = strategies.trial_tasks(process, schedules, 40, 3, 20 * 300, 2)
+        assert [(t.func.__name__, t.args) for t in queues[0]] == [
+            (t.func.__name__, t.args) for t in baseline + trials
+        ]
+        assert [t.func.__name__ for t in queues[0][:2]] == ["attempt_many"] * 2
+
+    def test_each_baseline_block_is_its_own_pool_task(self, capsys, monkeypatch):
+        class Inline:
+            """Runs each task in this thread as it is queued: no process starts."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        queues = self.queued(monkeypatch, Inline)
+        code, out, err = run_cli(capsys, *self.SWEEP, "--trials", "200")
+        assert code == 0, err
+        # Each pool task's seeds: the baseline's runs, then blocks of trials.
+        sizes = [(t.func.__name__, len(t.args[-2])) for t in queues[0]]
+        assert sizes == [("attempt_many", 100)] * 2 + [("_trials", 12)] * 16 + [("_trials", 8)]
 
     def test_single_success_stderr_is_na(self, capsys):
         code, out, err = run_cli(

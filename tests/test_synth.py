@@ -14,6 +14,7 @@ from restartkit import (
     TwoPoint,
     collect_runs,
     exact_ecdf,
+    load_runs,
     parse_law,
     runner,
 )
@@ -199,6 +200,60 @@ class TestAttemptMany:
 
     def test_empty_block(self):
         assert SyntheticProcess(Geometric(0.5)).attempt_many([], 3) == []
+
+
+def unmix64(z: int) -> int:
+    """The seed that `mix64` maps to `z`: each step of the finalizer undone."""
+
+    def unshift(z, k):  # inverse of z ^ (z >> k)
+        x = z
+        for _ in range(64 // k):
+            x = z ^ (x >> k)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) % 2**64
+
+
+# Its uniform mix64(seed) / 2**64 rounds to exactly 1.0, so the inverse CDF is infinite.
+UNIT_SEED = unmix64(2**64 - 1)
+
+
+class TestDrawsPastInt64:
+    @pytest.mark.parametrize(
+        "law", [Geometric(0.5), DiscretePareto(0.1), DiscretePareto(1.5, 3)], ids=str
+    )
+    def test_censored_at_the_largest_cutoff(self, law):
+        assert mix64(np.array([UNIT_SEED], dtype=np.uint64))[0] / 2.0**64 == 1.0
+        proc = SyntheticProcess(law, cap_epochs=runner.MAX_CAP)
+        block = [UNIT_SEED, *range(1000)]
+        records = proc.attempt_many(block, runner.MAX_CAP)
+        assert records[0] == RunRecord(UNIT_SEED, runner.MAX_CAP, False, 1.0)
+        assert records == [proc.attempt(seed, runner.MAX_CAP) for seed in block]
+
+    def test_pareto_draw_is_exact_or_censored(self):
+        # (1 - u)^-10 passes 2**63 for about 1.3% of the uniforms.
+        law = DiscretePareto(0.1)
+        records = SyntheticProcess(law).attempt_many(list(range(1000)), runner.MAX_CAP)
+        for r in records:
+            x = ((1.0 - np.array([mix64(r.seed) / 2.0**64])) ** -10.0)[0]
+            if x < 2.0**63:
+                assert r.converged and r.epochs == math.ceil(x)
+            else:
+                assert not r.converged and r.epochs == runner.MAX_CAP
+        assert 5 <= sum(not r.converged for r in records) <= 25
+
+    def test_cli_collect(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        argv = ["collect", "--stub", "discrete-pareto:0.1", "--runs", "1000", "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.err == ""
+        sample = load_runs(out)
+        assert sample.n_runs == 1000 and 0 < sample.n_censored < 1000
+        assert set(sample.epochs[~sample.converged].tolist()) == {1_000_000}
 
 
 def count_quantile_calls(monkeypatch, law_class) -> list[int]:
