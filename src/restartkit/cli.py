@@ -150,6 +150,11 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
     return mlp.MlpProcess(cfg=cfg, data=data, note=note)
 
 
+def _budget(args: argparse.Namespace, process: runner.LasVegasProcess) -> int:
+    """`--budget`, by default 20 cutoffs at the process cap (at most `MAX_CAP`)."""
+    return args.budget if args.budget is not None else min(20 * process.cap, runner.MAX_CAP)
+
+
 def _write_table(path: str, header: list[str], rows: list[tuple]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
@@ -263,7 +268,7 @@ def _sweep_schedules(args: argparse.Namespace) -> list[strategies.RestartSchedul
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     process = _build_process(args)
-    budget = args.budget if args.budget is not None else 20 * process.cap
+    budget = _budget(args, process)
     schedules = _sweep_schedules(args)
     # Every schedule reuses the same base seed: common random numbers make
     # the schedule comparison sharper than independent seeding would.
@@ -309,7 +314,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_restart_run(args: argparse.Namespace) -> int:
     process = _build_process(args)
     schedule = strategies.parse_schedule(args.schedule)
-    budget = args.budget if args.budget is not None else 20 * process.cap
+    budget = _budget(args, process)
     outcome = strategies.run_with_strategy(process, schedule, args.seed, budget)
     print("attempt\tcutoff\tepochs_used")
     for i, (cutoff, used) in enumerate(outcome.per_attempt, start=1):
@@ -364,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_cap, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("restart-run", help="trace one strategy execution")
     _add_process_flags(p)
     p.add_argument("--schedule", required=True, help="fixed:t | walsh:gamma | luby:unit")
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_cap, default=None)
     p.set_defaults(func=cmd_restart_run)
 
     return parser

@@ -441,11 +441,8 @@ class MlpProcess(LasVegasProcess):
             f"rows={self.data.n_rows}{extra})"
         )
 
-    def attempt(self, seed: int, cutoff: int) -> RunRecord:
-        return self.attempt_many([seed], cutoff)[0]
-
     def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
-        """`attempt` for each seed, trained in lockstep stacks (`_train_runs`)."""
+        """One record per seed, trained in lockstep stacks (`_train_runs`)."""
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
         return _train_runs(self.cfg, self.data, seeds, cutoff)

@@ -14,11 +14,11 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
-from .errors import DivergenceError, InsufficientDataError, RunLogFormatError
+from .errors import InsufficientDataError, RunLogFormatError
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,7 +80,8 @@ class RunRecord:
 
     `epochs` is the observed running time T when `converged`, otherwise the
     cutoff the run was censored at. `diverged` flags runs aborted by a
-    numeric failure; for those, `final_error` is the last finite objective.
+    numeric failure; for those, `epochs` is the epoch the run diverged at,
+    not the cutoff, and `final_error` is the last finite objective.
     """
 
     seed: int
@@ -96,16 +97,17 @@ class RunRecord:
             raise ValueError(f"seed must be unsigned, got {self.seed}")
 
 
-@runtime_checkable
 class LasVegasProcess(Protocol):
     """Behavioral contract for a restartable randomized process.
 
-    `attempt(seed, cutoff)` runs at most `cutoff` epochs and is a pure
-    function of its arguments. `cap` is the default censoring cutoff for
-    plain (no-restart) runs.
-
-    Processes that subclass the protocol inherit `attempt_many`, which
-    `collect_runs` calls once per block of seeds.
+    `attempt_many(seeds, cutoff)` runs each seed for at most `cutoff`
+    epochs, a cutoff in [1, `MAX_CAP`], and returns one record per seed in
+    seed order. It is a pure function of its arguments: the same seed gives
+    the same record wherever it sits in the block, even repeated. A
+    numeric failure is a diverged record, never an exception. `cap` is the
+    default censoring cutoff for plain (no-restart) runs; `collect_runs`
+    calls `attempt_many` once per block of seeds, and processes that
+    subclass the protocol inherit `attempt`, a block of one.
 
     Attempts obey the prefix contract: a seed's trajectory does not depend
     on the cutoff. If an attempt converges or diverges at epoch e, any
@@ -119,27 +121,10 @@ class LasVegasProcess(Protocol):
 
     def describe(self) -> str: ...
 
-    def attempt(self, seed: int, cutoff: int) -> RunRecord: ...
+    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]: ...
 
-    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
-        """`attempt` for each seed, with a `DivergenceError` recorded as a
-        diverged run rather than raised; records come back in seed order.
-
-        `collect_runs` calls it once per worker, on a contiguous block of
-        seeds. A process that can attempt a block at once overrides it, and
-        its records must equal this default's for any block: the same seed
-        gives the same record wherever it sits, even repeated. The stubs
-        draw a block with one inverse-CDF call; the MLP trains it in
-        lockstep stacks of runs, each run's arithmetic unchanged.
-        """
-        records = []
-        for seed in seeds:
-            try:
-                records.append(self.attempt(seed, cutoff))
-            except DivergenceError:
-                # Numeric failures are recorded, never abort the batch.
-                records.append(RunRecord(seed, cutoff, False, float("nan"), diverged=True))
-        return records
+    def attempt(self, seed: int, cutoff: int) -> RunRecord:
+        return self.attempt_many([seed], cutoff)[0]
 
 
 # Largest censoring cap: a sample keeps its epochs in an int64 column.
@@ -436,21 +421,13 @@ def _strict_columns(lines: list[str], cap: int) -> tuple:
     """The record columns, decoding each line with `json` and checking it."""
     parsed = []
     seed_lines: dict[int, int] = {}
-    scan = json.JSONDecoder().scan_once
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        # The C scanner that `json.loads` calls, minus its wrapper; a line
-        # it does not consume whole takes the `json.loads` path, errors too.
         try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError):
-            end = -1
-        if end != len(line):
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or int's digit limit
-                raise RunLogFormatError(f"line {lineno}: invalid record: {exc}") from exc
+            obj = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or int's digit limit
+            raise RunLogFormatError(f"line {lineno}: invalid record: {exc}") from exc
         if not isinstance(obj, dict):
             raise RunLogFormatError(f"line {lineno}: record must be an object")
         row = _parse_record(obj, lineno, cap)

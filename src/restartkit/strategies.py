@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import AllTrialsFailedError
-from .runner import LasVegasProcess, derive_seed, parallel_map, worker_count
+from .runner import MAX_CAP, LasVegasProcess, derive_seed, parallel_map, worker_count
 from .tailstats import Ecdf
 
 
@@ -226,8 +226,8 @@ def run_schedules(
     spent min(epochs, t_i). So every attempt seed runs once, however many
     schedules try it, and each outcome equals its schedule run alone.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    if not 1 <= budget <= MAX_CAP:
+        raise ValueError(f"budget must be in [1, 2**63 - 1], got {budget}")
     walks = [schedule.cutoffs() for schedule in schedules]
     traces: list[list[tuple[int, int]]] = [[] for _ in schedules]
     spent = [0] * len(schedules)

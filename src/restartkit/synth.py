@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runner import LasVegasProcess, RunRecord, mix64
+from .runner import MAX_CAP, LasVegasProcess, RunRecord, mix64
 from .tailstats import Ecdf
 
 
@@ -194,13 +194,13 @@ class SyntheticProcess(LasVegasProcess):
     def describe(self) -> str:
         return f"stub({self.law.describe()},cap={self.cap_epochs})"
 
-    def attempt(self, seed: int, cutoff: int) -> RunRecord:
-        return self.attempt_many([seed], cutoff)[0]
-
     def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
-        """`attempt` for each seed, from one `quantile` call for the block."""
+        """One record per seed, from one `quantile` call for the block."""
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        # Draws past int64 saturate at 2**63, which must stay above the cutoff.
+        if cutoff > MAX_CAP:
+            raise ValueError(f"cutoff must be <= 2**63 - 1, got {cutoff}")
         return [
             RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
             if t <= cutoff

@@ -22,11 +22,17 @@ class FormulaStub(LasVegasProcess):
     def describe(self) -> str:
         return f"formula-stub(mod={self.modulus})"
 
-    def attempt(self, seed: int, cutoff: int) -> RunRecord:
-        t = (seed % self.modulus) + 1
-        if t <= cutoff:
-            return RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
-        return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
+        records = []
+        for seed in seeds:
+            t = (seed % self.modulus) + 1
+            if t <= cutoff:
+                records.append(RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0))
+            else:
+                records.append(
+                    RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                )
+        return records
 
 
 @dataclass(frozen=True)

@@ -659,6 +659,8 @@ class TestValidators:
     # Parsing fails or stops before any file is opened, so "x" is never touched.
     COLLECT = ["collect", "--stub", "constant:3", "--out", "x"]
     TAIL = ["tail", "--runs-file", "x"]
+    SWEEP = ["sweep", "--stub", "constant:3"]
+    RESTART = ["restart-run", "--stub", "constant:3", "--schedule", "fixed:5"]
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -675,6 +677,11 @@ class TestValidators:
              f"collect: error: argument --stub-cap: must be in [1, 2**63 - 1], got {2**63}"),
             (COLLECT + ["--runs", "1", "--max-epochs", "0"],
              "collect: error: argument --max-epochs: must be in [1, 2**63 - 1], got 0"),
+            # Schedule cutoffs stay within the budget, so within 2**63 - 1 too.
+            (SWEEP + ["--budget", str(2**63)],
+             f"sweep: error: argument --budget: must be in [1, 2**63 - 1], got {2**63}"),
+            (RESTART + ["--budget", str(2**63)],
+             f"restart-run: error: argument --budget: must be in [1, 2**63 - 1], got {2**63}"),
         ],
     )
     def test_rejected_value_and_message(self, capsys, argv, message):
@@ -692,6 +699,7 @@ class TestValidators:
             (TAIL + ["--r-fraction", "1e-9"], "r_fraction", 1e-9),
             (TAIL + ["--r-fraction", "0.999999"], "r_fraction", 0.999999),
             (COLLECT + ["--runs", "1", "--stub-cap", str(2**63 - 1)], "stub_cap", 2**63 - 1),
+            (RESTART + ["--budget", str(2**63 - 1)], "budget", 2**63 - 1),
         ],
     )
     def test_accepted_boundary(self, argv, attr, value):
@@ -726,6 +734,19 @@ class TestRestartRun:
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 5 + 1
         assert lines[-1] == "# budget-exhausted: attempts=5 total_epochs=10"
+
+    def test_default_budget_at_the_largest_cap(self, capsys):
+        # 20 cutoffs at the cap would pass 2**63 - 1; the default budget
+        # stops there, so the second cutoff, 10**19, is never attempted.
+        code, out, err = run_cli(
+            capsys,
+            "restart-run",
+            "--stub", "constant:3",
+            "--stub-cap", str(2**63 - 1),
+            "--schedule", "walsh:1e19",
+        )
+        assert code == 0, err
+        assert out.splitlines()[1:] == ["1\t1\t1", "# budget-exhausted: attempts=1 total_epochs=1"]
 
     def test_infinite_gamma_fails_cleanly(self, capsys):
         code, out, err = run_cli(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from restartkit import (
     Dataset,
+    DivergenceError,
     InsufficientDataError,
     MlpConfig,
     MlpProcess,
@@ -306,6 +307,16 @@ class TestTrainEpoch:
             numeric = finite_difference_gradients(state, d)
             for a, n in zip(analytic, numeric):
                 assert np.max(np.abs(a - n)) <= 1e-6
+
+    def test_non_finite_gradient_raises(self):
+        # inf * 0 on a zero input column makes every gradient NaN.
+        cfg = MlpConfig(n_inputs=3, n_hidden=2, n_outputs=2)
+        state = init_weights(cfg, 11)
+        state.w_hidden[:, 0] = np.inf
+        d = tiny_dataset(n_rows=4, n_features=3, n_outputs=2, seed=2)
+        d.features[:, 0] = 0.0
+        with pytest.raises(DivergenceError, match="non-finite gradient"):
+            train_epoch(state, d, learning_rate=1e-3)
 
     def test_descent_property_small_lr(self):
         cfg = MlpConfig(n_inputs=3, n_hidden=2, n_outputs=2)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from restartkit import runner
 from restartkit import (
-    DivergenceError,
     InsufficientDataError,
     LasVegasProcess,
     RunLogFormatError,
@@ -22,6 +21,7 @@ from restartkit import (
     save_runs,
     summary_stats,
 )
+from restartkit.strategies import FixedSchedule, run_schedules
 
 from conftest import FormulaStub, make_sample
 
@@ -131,26 +131,22 @@ class TestCollectRuns:
         with pytest.raises(ValueError):
             collect_runs(FormulaStub(), 0, base_seed=1)
 
-    def test_divergence_recorded_not_raised(self):
-        class ExplodingStub(LasVegasProcess):
+    def test_attempt_error_propagates_from_collect_and_schedules(self):
+        # A process reports divergence in its records; anything it raises
+        # reaches the caller unchanged, whichever entry point attempted it.
+        class Exploding(LasVegasProcess):
             cap = 10
 
             def describe(self):
                 return "exploding"
 
-            def attempt(self, seed, cutoff):
-                if seed % 2 == 0:
-                    raise DivergenceError("boom")
-                return RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
+            def attempt_many(self, seeds, cutoff):
+                raise ArithmeticError(f"boom at cutoff {cutoff}")
 
-        sample = collect_runs(ExplodingStub(), 20, base_seed=0)
-        assert sample.n_runs == 20
-        diverged = [r for r in sample.records if r.diverged]
-        assert diverged, "some derived seeds should be even"
-        for rec in diverged:
-            assert not rec.converged
-            assert rec.epochs == 10
-            assert math.isnan(rec.final_error)
+        with pytest.raises(ArithmeticError, match="boom at cutoff 10"):
+            collect_runs(Exploding(), 20, base_seed=0)
+        with pytest.raises(ArithmeticError, match="boom at cutoff 5"):
+            run_schedules(Exploding(), [FixedSchedule(5)], 0, budget=100)
 
 
 class TestSummaryStats:

@@ -28,7 +28,7 @@ from restartkit import (
     parse_schedule,
     run_with_strategy,
 )
-from restartkit.runner import RunRecord, mix64
+from restartkit.runner import MAX_CAP, RunRecord, mix64
 from restartkit.strategies import StrategyOutcome, run_schedules, run_trials
 
 from conftest import ParityStub, make_sample
@@ -292,6 +292,12 @@ class TestRunWithStrategy:
         assert outcome.attempts == 1
         assert outcome.total_epochs == 3
         assert outcome.per_attempt == [(5, 3)]
+
+    def test_rejects_budget_past_the_largest_cap(self):
+        # Every cutoff fits the budget, so this keeps cutoffs within 2**63 - 1.
+        with pytest.raises(ValueError, match=r"budget must be in \[1, 2\*\*63 - 1\]"):
+            run_with_strategy(StubAtThree(), FixedSchedule(5), 1, budget=MAX_CAP + 1)
+        assert run_with_strategy(StubAtThree(), FixedSchedule(5), 1, MAX_CAP).succeeded
 
     def test_budget_exhaustion(self):
         outcome = run_with_strategy(StubAtThree(), FixedSchedule(2), 1, budget=10)

@@ -244,6 +244,16 @@ class TestDrawsPastInt64:
                 assert not r.converged and r.epochs == runner.MAX_CAP
         assert 5 <= sum(not r.converged for r in records) <= 25
 
+    def test_rejects_a_cutoff_past_the_largest_cap(self):
+        # Seed 191 draws about 1.43e20; a cutoff past 2**63 would report it
+        # converged at the saturated 2**63.
+        proc = SyntheticProcess(parse_law("discrete-pareto:0.1"))
+        with pytest.raises(ValueError, match=rf"cutoff must be <= 2\*\*63 - 1, got {2**70}$"):
+            proc.attempt(191, 2**70)
+        with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
+            proc.attempt(191, 0)
+        assert proc.attempt(191, runner.MAX_CAP) == RunRecord(191, runner.MAX_CAP, False, 1.0)
+
     def test_cli_collect(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
         argv = ["collect", "--stub", "discrete-pareto:0.1", "--runs", "1000", "--out", str(out)]
