@@ -23,7 +23,6 @@ from .mlp import (
     forward,
     init_weights,
     train_epoch,
-    train_until,
     training_error,
 )
 from .runner import (
@@ -50,7 +49,7 @@ from .strategies import (
     luby_term,
     optimal_cutoff,
     parse_schedule,
-    run_with_strategy,
+    run_schedules,
 )
 from .synth import (
     Constant,

@@ -315,7 +315,7 @@ def cmd_restart_run(args: argparse.Namespace) -> int:
     process = _build_process(args)
     schedule = strategies.parse_schedule(args.schedule)
     budget = _budget(args, process)
-    outcome = strategies.run_with_strategy(process, schedule, args.seed, budget)
+    (outcome,) = strategies.run_schedules(process, [schedule], args.seed, budget)
     print("attempt\tcutoff\tepochs_used")
     for i, (cutoff, used) in enumerate(outcome.per_attempt, start=1):
         print(f"{i}\t{cutoff}\t{used}")

@@ -12,9 +12,9 @@ contiguous slice [k] of (runs, rows, width) arrays allocated once, and the
 weights are updated in place. `MlpProcess.attempt_many` trains up to 16
 runs of a block side by side (fewer when their buffers would pass a fixed
 byte budget); a run leaves the stack at the epoch it converges, diverges
-or reaches the cutoff, and the next seed takes its slot. `train_until`,
-`training_error`, `backprop_gradients`, `train_epoch` and `forward` are the
-stack of one.
+or reaches the cutoff, and the next seed takes its slot. `MlpProcess.attempt`
+(a block of one seed), `training_error`, `backprop_gradients`, `train_epoch`
+and `forward` are the stack of one.
 
 Each run's record is bit-identical to the plain allocating formulas for
 that seed alone, whatever the stack around it:
@@ -41,7 +41,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DivergenceError, InsufficientDataError
-from .runner import LasVegasProcess, RunRecord
+from .runner import MAX_CAP, LasVegasProcess, RunRecord, check_cutoff
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class MlpConfig:
             raise ValueError(f"init_half_width must be in [0,inf), got {self.init_half_width}")
         if not 0.0 < self.target_error < math.inf:
             raise ValueError(f"target_error must be in (0,inf), got {self.target_error}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if not 1 <= self.max_epochs <= MAX_CAP:
+            raise ValueError(f"max_epochs must be in [1, 2**63 - 1], got {self.max_epochs}")
 
 
 @dataclass(frozen=True)
@@ -404,18 +404,6 @@ def _train_runs(
                     )
 
 
-def train_until(cfg: MlpConfig, data: Dataset, seed: int) -> RunRecord:
-    """Train from a seeded random initialization until the error target.
-
-    Runs full-batch backprop epochs, evaluating the MSE after each one,
-    and stops at the first epoch whose error is <= cfg.target_error
-    (converged) or at cfg.max_epochs (censored). A numeric failure ends
-    the run early with the record flagged as diverged; its final error is
-    the last finite one. Deterministic in (cfg, data, seed).
-    """
-    return _train_runs(cfg, data, [seed], cfg.max_epochs)[0]
-
-
 @dataclass(frozen=True)
 class MlpProcess(LasVegasProcess):
     """LasVegasProcess adapter: one attempt = one seeded training run.
@@ -443,6 +431,5 @@ class MlpProcess(LasVegasProcess):
 
     def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
         """One record per seed, trained in lockstep stacks (`_train_runs`)."""
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        check_cutoff(cutoff)
         return _train_runs(self.cfg, self.data, seeds, cutoff)

@@ -131,6 +131,14 @@ class LasVegasProcess(Protocol):
 MAX_CAP = 2**63 - 1
 
 
+def check_cutoff(cutoff: int) -> None:
+    """Reject a cutoff outside [1, `MAX_CAP`], the range `attempt_many` takes."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    if cutoff > MAX_CAP:
+        raise ValueError(f"cutoff must be <= 2**63 - 1, got {cutoff}")
+
+
 class RunSample:
     """An ordered collection of runs sharing one censoring cap.
 

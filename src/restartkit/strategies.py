@@ -195,32 +195,18 @@ class StrategyOutcome:
     per_attempt: list[tuple[int, int]]
 
 
-def run_with_strategy(
-    process: LasVegasProcess,
-    schedule: RestartSchedule,
-    base_seed: int,
-    budget: int,
-) -> StrategyOutcome:
-    """Execute the restart schedule against the process until success.
-
-    Attempt i runs under seed derive_seed(base_seed, i) and cutoff t_i.
-    A converged attempt ends the execution; a censored one costs its full
-    cutoff. The execution stops unsuccessfully before any attempt whose
-    cutoff would push the accumulated epochs past `budget`.
-    """
-    return run_schedules(process, [schedule], base_seed, budget)[0]
-
-
 def run_schedules(
     process: LasVegasProcess,
     schedules: Sequence[RestartSchedule],
     base_seed: int,
     budget: int,
 ) -> list[StrategyOutcome]:
-    """`run_with_strategy` for every schedule, walked in lockstep over attempts.
+    """Execute each restart schedule against the process until success.
 
-    The schedules still running at attempt i share one attempt of the
-    process, at seed derive_seed(base_seed, i) and the largest of their
+    Attempt i runs under seed derive_seed(base_seed, i) and cutoff t_i. A
+    schedule stops unsuccessfully before any attempt whose cutoff would
+    push its epochs past `budget`, in [1, `MAX_CAP`]. The schedules still
+    running at attempt i share one attempt, at the largest of their
     cutoffs. By the prefix contract of `LasVegasProcess`, a schedule with
     cutoff t_i succeeded iff that attempt converged within t_i, and it
     spent min(epochs, t_i). So every attempt seed runs once, however many
@@ -242,6 +228,8 @@ def run_schedules(
                 cutoffs[k] = t_i
         if not cutoffs:
             break
+        # One `attempt` call per seed, not an `attempt_many` block: perfbench's
+        # traced run counts MC attempts by wrapping `attempt` (ROADMAP item 4).
         record = process.attempt(derive_seed(base_seed, i), max(cutoffs.values()))
         for k, t_i in cutoffs.items():
             used = min(record.epochs, t_i)
@@ -281,9 +269,13 @@ def trial_tasks(
     budget: int,
     n_jobs: int = 1,
 ):
-    """`run_trials` as the pool tasks it queues, each a contiguous block of
-    an eighth of a worker's share of the trial indices, and the function that
-    builds its per-schedule outcomes from their results, in order."""
+    """Monte Carlo trials of several schedules, as tasks for `parallel_map`.
+
+    Trial j runs `run_schedules` under base seed derive_seed(base_seed, j).
+    A task is a block of an eighth of a worker's share of the trials. Also
+    returns the function that builds each schedule's (succeeded,
+    total_epochs) per trial from the task results, the same for any `n_jobs`.
+    """
     if n_trials < 2:
         raise ValueError(f"n_trials must be >= 2, got {n_trials}")
     seeds = derive_seed(base_seed, np.arange(n_trials, dtype=np.uint64)).tolist()
@@ -291,26 +283,6 @@ def trial_tasks(
     blocks = [seeds[i : i + size] for i in range(0, n_trials, size)]
     tasks = [partial(_trials, process, schedules, block, budget) for block in blocks]
     return tasks, lambda results: list(zip(*(trial for rs in results for trial in rs)))
-
-
-def run_trials(
-    process: LasVegasProcess,
-    schedules: list[RestartSchedule],
-    n_trials: int,
-    base_seed: int,
-    budget: int,
-    n_jobs: int = 1,
-) -> list[tuple[tuple[bool, int], ...]]:
-    """Monte Carlo trials of several schedules, on one pool.
-
-    Trial j of every schedule runs `run_schedules` under base seed
-    derive_seed(base_seed, j). Returns, per schedule, the
-    (succeeded, total_epochs) of every trial. The result is invariant
-    under `n_jobs`. The pool tasks are blocks of trial indices (see
-    `trial_tasks`; `sweep` queues the same tasks behind its baseline).
-    """
-    tasks, outcomes = trial_tasks(process, schedules, n_trials, base_seed, budget, n_jobs)
-    return outcomes(parallel_map(tasks, n_jobs))
 
 
 def mc_result(
@@ -351,10 +323,11 @@ def evaluate_strategy_mc(
 ) -> McResult:
     """Estimate the schedule's expected total epochs over seeded trials.
 
-    Trial j runs `run_with_strategy` under base seed
+    Trial j runs `run_schedules` for the schedule alone under base seed
     derive_seed(base_seed, j). Mean and standard error are taken over
     succeeded trials; the failure rate counts budget exhaustions. The
     result is invariant under `n_jobs`.
     """
-    (outcomes,) = run_trials(process, [schedule], n_trials, base_seed, budget, n_jobs)
+    tasks, outcomes_of = trial_tasks(process, [schedule], n_trials, base_seed, budget, n_jobs)
+    (outcomes,) = outcomes_of(parallel_map(tasks, n_jobs))
     return mc_result(outcomes, schedule, budget)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runner import MAX_CAP, LasVegasProcess, RunRecord, mix64
+from .runner import LasVegasProcess, RunRecord, check_cutoff, mix64
 from .tailstats import Ecdf
 
 
@@ -196,11 +196,8 @@ class SyntheticProcess(LasVegasProcess):
 
     def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
         """One record per seed, from one `quantile` call for the block."""
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
         # Draws past int64 saturate at 2**63, which must stay above the cutoff.
-        if cutoff > MAX_CAP:
-            raise ValueError(f"cutoff must be <= 2**63 - 1, got {cutoff}")
+        check_cutoff(cutoff)
         return [
             RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
             if t <= cutoff

@@ -36,7 +36,7 @@ class FormulaStub(LasVegasProcess):
 
 
 @dataclass(frozen=True)
-class ParityStub:
+class ParityStub(LasVegasProcess):
     """Converges at epoch 1 iff the seed is even, otherwise censors."""
 
     cap_epochs: int = 1000
@@ -48,10 +48,13 @@ class ParityStub:
     def describe(self) -> str:
         return "parity-stub"
 
-    def attempt(self, seed: int, cutoff: int) -> RunRecord:
-        if seed % 2 == 0:
-            return RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
-        return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
+        return [
+            RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
+            if seed % 2 == 0
+            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+            for seed in seeds
+        ]
 
 
 def make_sample(epochs, cap=10_000, censored=0) -> RunSample:

@@ -19,7 +19,6 @@ from restartkit import (
     forward,
     init_weights,
     train_epoch,
-    train_until,
     training_error,
 )
 
@@ -154,6 +153,7 @@ class TestConfig:
             {"max_epochs": 0},
             {"init_half_width": -1.0},
             {"momentum": 1.0},
+            {"max_epochs": 2**63},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -332,6 +332,8 @@ class TestTrainEpoch:
 
 
 class TestTrainUntil:
+    """One training run at the config's cap: `MlpProcess.attempt(seed, cfg.max_epochs)`."""
+
     def test_threshold_above_initial_error_converges_at_one(self):
         cfg = MlpConfig(
             n_inputs=4,
@@ -342,7 +344,7 @@ class TestTrainUntil:
             max_epochs=100,
             learning_rate=0.1,
         )
-        rec = train_until(cfg, tiny_dataset(n_rows=5, n_features=4), seed=0)
+        rec = MlpProcess(cfg, tiny_dataset(n_rows=5, n_features=4)).attempt(0, cfg.max_epochs)
         assert rec.converged and rec.epochs == 1
         assert rec.final_error <= 0.3
 
@@ -350,7 +352,7 @@ class TestTrainUntil:
         cfg = MlpConfig(
             n_inputs=4, n_hidden=3, n_outputs=2, target_error=1e-9, max_epochs=1
         )
-        rec = train_until(cfg, tiny_dataset(n_rows=5, n_features=4), seed=0)
+        rec = MlpProcess(cfg, tiny_dataset(n_rows=5, n_features=4)).attempt(0, cfg.max_epochs)
         assert not rec.converged and rec.epochs == 1 and not rec.diverged
 
     def test_deterministic(self):
@@ -359,7 +361,8 @@ class TestTrainUntil:
             learning_rate=2.0,
         )
         d = tiny_dataset(n_rows=8, n_features=4)
-        assert train_until(cfg, d, seed=3) == train_until(cfg, d, seed=3)
+        process = MlpProcess(cfg, d)
+        assert process.attempt(3, cfg.max_epochs) == process.attempt(3, cfg.max_epochs)
 
     def test_matches_repeated_train_epoch(self):
         cfg = MlpConfig(
@@ -367,7 +370,7 @@ class TestTrainUntil:
             learning_rate=5.0,
         )
         d = tiny_dataset(n_rows=6, n_features=4)
-        rec = train_until(cfg, d, seed=12)
+        rec = MlpProcess(cfg, d).attempt(12, cfg.max_epochs)
         state = init_weights(cfg, 12)
         errors = []
         for _ in range(rec.epochs):
@@ -385,10 +388,10 @@ class TestTrainUntil:
             n_inputs=4, n_hidden=3, n_outputs=2, target_error=1e-9, max_epochs=50,
             learning_rate=1.0,
         )
-        plain = train_until(base, d, seed=4)
+        plain = MlpProcess(base, d).attempt(4, base.max_epochs)
         from dataclasses import replace
 
-        speedy = train_until(replace(base, momentum=0.9), d, seed=4)
+        speedy = MlpProcess(replace(base, momentum=0.9), d).attempt(4, base.max_epochs)
         assert plain.final_error != speedy.final_error
 
     def test_seed_changes_trajectory(self):
@@ -396,8 +399,8 @@ class TestTrainUntil:
             n_inputs=4, n_hidden=3, n_outputs=2, target_error=1e-9, max_epochs=20
         )
         d = tiny_dataset(n_rows=6, n_features=4)
-        a = train_until(cfg, d, seed=1)
-        b = train_until(cfg, d, seed=2)
+        a = MlpProcess(cfg, d).attempt(1, cfg.max_epochs)
+        b = MlpProcess(cfg, d).attempt(2, cfg.max_epochs)
         assert a.final_error != b.final_error
 
 
@@ -471,10 +474,20 @@ class TestMlpProcess:
         assert converged.converged and converged.epochs == 39
         assert diverged.diverged and diverged.epochs == 123
 
-    def test_rejects_cutoff_below_one(self):
-        process = MlpProcess(self.CONVERGING, tiny_dataset())
-        with pytest.raises(ValueError, match="cutoff must be >= 1"):
-            process.attempt(0, 0)
+    @pytest.mark.parametrize(
+        "cutoff, message",
+        [
+            (0, "cutoff must be >= 1, got 0"),
+            (2**63, r"cutoff must be <= 2\*\*63 - 1, got 9223372036854775808"),
+        ],
+        ids=["zero", "past_max_cap"],
+    )
+    def test_rejects_cutoff_out_of_range(self, cutoff, message):
+        # The target lies above the initial error, so an attempt that got
+        # past the check would stop at epoch 1 instead of training.
+        process = MlpProcess(replace(self.CONVERGING, target_error=10.0), tiny_dataset())
+        with pytest.raises(ValueError, match=message):
+            process.attempt(0, cutoff)
 
 
 class TestAttemptMany:
@@ -564,7 +577,7 @@ class TestBitIdentity:
             target_error=target_error, max_epochs=60,
         )
         d = tiny_dataset(n_rows, n_inputs, n_outputs, seed=data_seed)
-        assert record_bits(train_until(cfg, d, seed)) == record_bits(
+        assert record_bits(MlpProcess(cfg, d).attempt(seed, cfg.max_epochs)) == record_bits(
             alloc_train_until(cfg, d, seed)
         )
         state = init_weights(cfg, seed)
@@ -591,7 +604,7 @@ class TestBitIdentity:
             momentum=0.99, target_error=1e-9, max_epochs=300,
         )
         d = tiny_dataset(n_rows=6, n_features=4)
-        rec = train_until(cfg, d, seed=0)
+        rec = MlpProcess(cfg, d).attempt(0, cfg.max_epochs)
         assert rec.diverged and rec.epochs < cfg.max_epochs
         assert record_bits(rec) == record_bits(alloc_train_until(cfg, d, 0))
 

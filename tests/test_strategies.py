@@ -26,10 +26,10 @@ from restartkit import (
     luby_term,
     optimal_cutoff,
     parse_schedule,
-    run_with_strategy,
+    run_schedules,
 )
-from restartkit.runner import MAX_CAP, RunRecord, mix64
-from restartkit.strategies import StrategyOutcome, run_schedules, run_trials
+from restartkit.runner import MAX_CAP, LasVegasProcess, RunRecord, mix64, parallel_map
+from restartkit.strategies import StrategyOutcome, trial_tasks
 
 from conftest import ParityStub, make_sample
 
@@ -269,7 +269,7 @@ class TestExpectedTimeEngine:
         assert optimal_cutoff(e) == next((t, v) for t, v in curve if v == best)
 
 
-class StubAtThree:
+class StubAtThree(LasVegasProcess):
     """Converges at epoch 3 for every seed."""
 
     cap = 100
@@ -277,17 +277,20 @@ class StubAtThree:
     def describe(self):
         return "stub-at-3"
 
-    def attempt(self, seed, cutoff):
-        from restartkit import RunRecord
-
-        if cutoff >= 3:
-            return RunRecord(seed=seed, epochs=3, converged=True, final_error=0.0)
-        return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+    def attempt_many(self, seeds, cutoff):
+        return [
+            RunRecord(seed=seed, epochs=3, converged=True, final_error=0.0)
+            if cutoff >= 3
+            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+            for seed in seeds
+        ]
 
 
 class TestRunWithStrategy:
+    """One schedule executed alone, through `run_schedules`."""
+
     def test_first_attempt_succeeds(self):
-        outcome = run_with_strategy(StubAtThree(), FixedSchedule(5), 1, budget=100)
+        (outcome,) = run_schedules(StubAtThree(), [FixedSchedule(5)], 1, budget=100)
         assert outcome.succeeded
         assert outcome.attempts == 1
         assert outcome.total_epochs == 3
@@ -296,18 +299,18 @@ class TestRunWithStrategy:
     def test_rejects_budget_past_the_largest_cap(self):
         # Every cutoff fits the budget, so this keeps cutoffs within 2**63 - 1.
         with pytest.raises(ValueError, match=r"budget must be in \[1, 2\*\*63 - 1\]"):
-            run_with_strategy(StubAtThree(), FixedSchedule(5), 1, budget=MAX_CAP + 1)
-        assert run_with_strategy(StubAtThree(), FixedSchedule(5), 1, MAX_CAP).succeeded
+            run_schedules(StubAtThree(), [FixedSchedule(5)], 1, budget=MAX_CAP + 1)
+        assert run_schedules(StubAtThree(), [FixedSchedule(5)], 1, MAX_CAP)[0].succeeded
 
     def test_budget_exhaustion(self):
-        outcome = run_with_strategy(StubAtThree(), FixedSchedule(2), 1, budget=10)
+        (outcome,) = run_schedules(StubAtThree(), [FixedSchedule(2)], 1, budget=10)
         assert not outcome.succeeded
         assert outcome.attempts == 5
         assert outcome.total_epochs == 10
         assert outcome.per_attempt == [(2, 2)] * 5
 
     def test_budget_smaller_than_first_cutoff(self):
-        outcome = run_with_strategy(StubAtThree(), FixedSchedule(50), 1, budget=10)
+        (outcome,) = run_schedules(StubAtThree(), [FixedSchedule(50)], 1, budget=10)
         assert not outcome.succeeded
         assert outcome.attempts == 0
         assert outcome.total_epochs == 0
@@ -316,7 +319,7 @@ class TestRunWithStrategy:
         # Replays the documented seeding discipline by hand.
         stub = ParityStub()
         base = 421
-        outcome = run_with_strategy(stub, FixedSchedule(1), base, budget=50)
+        (outcome,) = run_schedules(stub, [FixedSchedule(1)], base, budget=50)
         expected_attempts = 0
         total = 0
         for i in range(1, 51):
@@ -331,27 +334,27 @@ class TestRunWithStrategy:
     def test_total_equals_per_attempt_sum(self):
         proc = SyntheticProcess(TWO_POINT, cap_epochs=100)
         for base in range(10):
-            outcome = run_with_strategy(proc, WalshSchedule(2.0), base, budget=500)
+            (outcome,) = run_schedules(proc, [WalshSchedule(2.0)], base, budget=500)
             assert outcome.total_epochs == sum(u for _, u in outcome.per_attempt)
 
     def test_trace_follows_schedule_cutoffs(self):
         # Every attempt below 1000 epochs is cut off; gamma 1.01 needs 696.
         proc = SyntheticProcess(Constant(1000), cap_epochs=1000)
         s = WalshSchedule(1.01)
-        outcome = run_with_strategy(proc, s, 5, budget=10**6)
+        (outcome,) = run_schedules(proc, [s], 5, budget=10**6)
         assert outcome.succeeded and outcome.attempts == 696
         cutoffs = [t for t, _ in outcome.per_attempt]
         assert cutoffs == [s.cutoff(i) for i in range(1, 697)]
 
     def test_deterministic(self):
         proc = SyntheticProcess(Geometric(0.05), cap_epochs=1000)
-        a = run_with_strategy(proc, LubySchedule(4), 77, budget=10_000)
-        b = run_with_strategy(proc, LubySchedule(4), 77, budget=10_000)
+        (a,) = run_schedules(proc, [LubySchedule(4)], 77, budget=10_000)
+        (b,) = run_schedules(proc, [LubySchedule(4)], 77, budget=10_000)
         assert a == b
 
 
-class LoggingProcess:
-    """Converges at epoch 2 iff the seed is even; logs every attempt."""
+class LoggingProcess(LasVegasProcess):
+    """Converges at epoch 2 iff the seed is even; logs every attempted seed."""
 
     cap = 50
 
@@ -361,18 +364,24 @@ class LoggingProcess:
     def describe(self):
         return "logging"
 
-    def attempt(self, seed, cutoff):
-        self.log.append((seed, cutoff))
-        if seed % 2 == 0 and cutoff >= 2:
-            return RunRecord(seed=seed, epochs=2, converged=True, final_error=0.0)
-        return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+    def attempt_many(self, seeds, cutoff):
+        self.log += [(seed, cutoff) for seed in seeds]
+        return [
+            RunRecord(seed=seed, epochs=2, converged=True, final_error=0.0)
+            if seed % 2 == 0 and cutoff >= 2
+            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+            for seed in seeds
+        ]
 
 
 class TestRunTrials:
+    """Monte Carlo trials: the `trial_tasks` blocks run through `parallel_map`."""
+
     def test_schedule_attempts_only_and_outcomes_per_trial(self):
         proc = LoggingProcess()
         schedules = [FixedSchedule(1), WalshSchedule(2.0), LubySchedule(3)]
-        per_schedule = run_trials(proc, schedules, 4, 7, 100)
+        tasks, outcomes_of = trial_tasks(proc, schedules, 4, 7, 100)
+        per_schedule = outcomes_of(parallel_map(tasks, 1))
         trial_seeds = [derive_seed(7, j) for j in range(4)]
         # No plain attempt at the cap: one task per trial, run in order, and
         # task j attempts only seeds derived from trial seed j.
@@ -382,16 +391,17 @@ class TestRunTrials:
         assert owners == sorted(owners) and set(owners) == {0, 1, 2, 3}
         assert all(cutoff < proc.cap for _, cutoff in proc.log)
         for schedule, outcomes in zip(schedules, per_schedule):
-            fresh = [run_with_strategy(LoggingProcess(), schedule, s, 100) for s in trial_seeds]
+            fresh = [run_schedules(LoggingProcess(), [schedule], s, 100)[0] for s in trial_seeds]
             assert list(outcomes) == [(o.succeeded, o.total_epochs) for o in fresh]
 
     def test_one_schedule(self):
-        (outcomes,) = run_trials(ParityStub(50), [FixedSchedule(1)], 3, 0, 10)
+        tasks, outcomes_of = trial_tasks(ParityStub(50), [FixedSchedule(1)], 3, 0, 10)
+        (outcomes,) = outcomes_of(parallel_map(tasks, 1))
         assert len(outcomes) == 3
 
 
-class PrefixFake:
-    """Obeys the prefix contract; logs every attempt.
+class PrefixFake(LasVegasProcess):
+    """Obeys the prefix contract; logs every attempted seed.
 
     Seed s converges, diverges, or never stops (by mix64(s ^ salt) mod 3),
     at epoch d in [1, max_d]; an attempt whose cutoff is below d is
@@ -406,15 +416,24 @@ class PrefixFake:
     def describe(self):
         return "prefix-fake"
 
-    def attempt(self, seed, cutoff):
-        self.log.append((seed, cutoff))
-        z = mix64(seed ^ self.salt)
-        kind, d = z % 3, 1 + (z >> 2) % self.max_d
-        if kind == 2 or d > cutoff:
-            return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-        return RunRecord(
-            seed=seed, epochs=d, converged=kind == 0, final_error=0.0, diverged=kind == 1
-        )
+    def attempt_many(self, seeds, cutoff):
+        records = []
+        for seed in seeds:
+            self.log.append((seed, cutoff))
+            z = mix64(seed ^ self.salt)
+            kind, d = z % 3, 1 + (z >> 2) % self.max_d
+            if kind == 2 or d > cutoff:
+                records.append(
+                    RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                )
+            else:
+                records.append(
+                    RunRecord(
+                        seed=seed, epochs=d, converged=kind == 0, final_error=0.0,
+                        diverged=kind == 1,
+                    )
+                )
+        return records
 
 
 def sequential_run(process, schedule, base_seed, budget):
@@ -477,15 +496,18 @@ class TestRunSchedules:
         ]
 
     def test_diverged_attempt_costs_its_epochs(self):
-        class DivergesAtThree:
+        class DivergesAtThree(LasVegasProcess):
             cap = 100
 
-            def attempt(self, seed, cutoff):
-                if cutoff < 3:
-                    return RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-                return RunRecord(
-                    seed=seed, epochs=3, converged=False, final_error=1.0, diverged=True
-                )
+            def attempt_many(self, seeds, cutoff):
+                return [
+                    RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                    if cutoff < 3
+                    else RunRecord(
+                        seed=seed, epochs=3, converged=False, final_error=1.0, diverged=True
+                    )
+                    for seed in seeds
+                ]
 
         long, short = run_schedules(DivergesAtThree(), [FixedSchedule(5), FixedSchedule(2)], 0, 12)
         # The budget check charges the full cutoff: 9 + 5 > 12 stops it.
@@ -525,22 +547,19 @@ class TestEvaluateStrategyMc:
             evaluate_strategy_mc(StubAtThree(), FixedSchedule(5), 1, 0, budget=100)
 
     def test_failure_rate_counts_budget_exhaustion(self):
-        class Mixed:
+        class Mixed(LasVegasProcess):
             cap = 100
 
             def describe(self):
                 return "mixed"
 
-            def attempt(self, seed, cutoff):
-                from restartkit import RunRecord
-
-                if seed % 2 == 0:
-                    return RunRecord(
-                        seed=seed, epochs=1, converged=True, final_error=0.0
-                    )
-                return RunRecord(
-                    seed=seed, epochs=cutoff, converged=False, final_error=1.0
-                )
+            def attempt_many(self, seeds, cutoff):
+                return [
+                    RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
+                    if seed % 2 == 0
+                    else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                    for seed in seeds
+                ]
 
         res = evaluate_strategy_mc(Mixed(), FixedSchedule(1), 500, 3, budget=1)
         assert 0.0 < res.failure_rate < 1.0
