@@ -27,6 +27,7 @@ from .mlp import (
 )
 from .runner import (
     LasVegasProcess,
+    RunBlock,
     RunRecord,
     RunSample,
     SummaryStats,

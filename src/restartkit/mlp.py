@@ -41,7 +41,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DivergenceError, InsufficientDataError
-from .runner import MAX_CAP, LasVegasProcess, RunRecord, check_cutoff
+from .runner import MAX_CAP, LasVegasProcess, RunBlock, check_cutoff
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,18 @@ def _sigmoid_layer(
     """out = 1 / (1 + exp(-(inputs @ w_t + b))), computed in place.
 
     `w_t` is the stack of transposed weight matrices and `b` the stack of
-    biases as (runs, 1, width). exp may overflow to inf for very negative
+    biases as (runs, width, 1). exp may overflow to inf for very negative
     pre-activations; 1/(1+inf) = 0 is exactly the right limit, so callers
     run under np.errstate(over="ignore"). They ignore "invalid" too: a
     diverging run's inf weights make NaNs, which its error then reports.
     """
     np.matmul(inputs, w_t, out=out)
-    out += b
-    np.negative(out, out=out)
+    # -(z + b) as (-b) - z in one pass: round-to-nearest is sign-symmetric,
+    # so the two differ only in the sign of a zero or a NaN, which exp maps
+    # alike. On the (runs, width, rows) view, C order makes rows the inner
+    # loop, not the few units of the layer.
+    z_t = out.transpose(0, 2, 1)
+    np.subtract(np.negative(b), z_t, out=z_t, order="C")
     np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
@@ -193,7 +197,7 @@ class _Epoch:
         w_hidden, b_hidden, w_out, b_out = self.params
         self.w_hidden_t = w_hidden.transpose(0, 2, 1)
         self.w_out_t = w_out.transpose(0, 2, 1)
-        self.b_hidden, self.b_out = b_hidden[:, None, :], b_out[:, None, :]
+        self.b_hidden, self.b_out = b_hidden[:, :, None], b_out[:, :, None]
         self.d_out_t = self.d_out.transpose(0, 2, 1)
         self.d_hidden_t = self.d_hidden.transpose(0, 2, 1)
         self.squares = self.d_out.reshape(size, self.n_cells)
@@ -347,25 +351,26 @@ def _stack_width(cfg: MlpConfig, n_rows: int) -> int:
     return max(1, min(_STACK_RUNS, _STACK_BYTES // run_bytes))
 
 
-def _train_runs(
-    cfg: MlpConfig, data: Dataset, seeds: list[int], cutoff: int
-) -> list[RunRecord]:
+def _train_runs(cfg: MlpConfig, data: Dataset, seeds: list[int], cutoff: int) -> RunBlock:
     """One training run per seed, up to `cutoff` epochs each, in lockstep.
 
     Up to `_stack_width` runs share one `_Epoch` stack. A run leaves it
     at the epoch it converges, diverges or reaches the cutoff, and the
-    next seed starts in its place. Records come back in seed order.
+    next seed starts in its place. Row i of the block is seeds[i]'s run.
     """
     _check_dims(data, cfg.n_inputs, cfg.n_outputs)
     lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
-    width = min(len(seeds), _stack_width(cfg, data.n_rows))
+    n = len(seeds)
+    width = min(n, _stack_width(cfg, data.n_rows))
     shapes = [(cfg.n_hidden, cfg.n_inputs), (cfg.n_hidden,)]
     shapes += [(cfg.n_outputs, cfg.n_hidden), (cfg.n_outputs,)]
     kernel = _Epoch(
         [np.empty((width, *shape)) for shape in shapes], data.features, data.targets
     )
-    records: list[RunRecord | None] = [None] * len(seeds)
-    pending = iter(range(len(seeds)))
+    block = RunBlock(
+        np.empty(n, dtype=np.int64), np.zeros(n, dtype=bool), np.empty(n), np.zeros(n, dtype=bool)
+    )
+    pending = iter(range(n))
     slots: list[int] = []  # the seed index each stacked run trains
     started: list[int] = []  # the step at which it started
     keep: list[int] = []
@@ -375,7 +380,7 @@ def _train_runs(
             new = list(itertools.islice(pending, width - len(keep)))
             slots = [slots[k] for k in keep] + new
             if not slots:
-                return records
+                return block
             started = [started[k] for k in keep] + [step] * len(new)
             errors = kernel.restack(keep, [init_weights(cfg, seeds[i]) for i in new])
             # Train until some run stops or reaches the cutoff.
@@ -392,16 +397,14 @@ def _train_runs(
                 i, epochs = slots[k], step - started[k]
                 if delta < error < math.inf and epochs < cutoff:
                     keep.append(k)
-                elif math.isfinite(error):
-                    records[i] = RunRecord(
-                        seed=seeds[i], epochs=epochs, converged=error <= delta,
-                        final_error=error,
-                    )
+                    continue
+                block.epochs[i] = epochs
+                if math.isfinite(error):
+                    block.converged[i] = error <= delta
+                    block.final_error[i] = error
                 else:
-                    records[i] = RunRecord(
-                        seed=seeds[i], epochs=epochs, converged=False,
-                        final_error=last[k], diverged=True,
-                    )
+                    block.final_error[i] = last[k]
+                    block.diverged[i] = True
 
 
 @dataclass(frozen=True)
@@ -429,7 +432,7 @@ class MlpProcess(LasVegasProcess):
             f"rows={self.data.n_rows}{extra})"
         )
 
-    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
-        """One record per seed, trained in lockstep stacks (`_train_runs`)."""
+    def attempt_many(self, seeds: list[int], cutoff: int) -> RunBlock:
+        """One row per seed, trained in lockstep stacks (`_train_runs`)."""
         check_cutoff(cutoff)
         return _train_runs(self.cfg, self.data, seeds, cutoff)

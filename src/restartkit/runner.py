@@ -14,7 +14,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -97,17 +97,31 @@ class RunRecord:
             raise ValueError(f"seed must be unsigned, got {self.seed}")
 
 
+class RunBlock(NamedTuple):
+    """What `attempt_many` returns: one run per seed, in seed order, as
+    columns. `records(seeds)` reads them back as `RunRecord`s."""
+
+    epochs: np.ndarray  # int64
+    converged: np.ndarray  # bool
+    final_error: np.ndarray  # float64
+    diverged: np.ndarray  # bool
+
+    def records(self, seeds: list[int]) -> list[RunRecord]:
+        return list(map(RunRecord, seeds, *(column.tolist() for column in self)))
+
+
 class LasVegasProcess(Protocol):
     """Behavioral contract for a restartable randomized process.
 
     `attempt_many(seeds, cutoff)` runs each seed for at most `cutoff`
-    epochs, a cutoff in [1, `MAX_CAP`], and returns one record per seed in
-    seed order. It is a pure function of its arguments: the same seed gives
-    the same record wherever it sits in the block, even repeated. A
-    numeric failure is a diverged record, never an exception. `cap` is the
-    default censoring cutoff for plain (no-restart) runs; `collect_runs`
-    calls `attempt_many` once per block of seeds, and processes that
-    subclass the protocol inherit `attempt`, a block of one.
+    epochs, a cutoff in [1, `MAX_CAP`], and returns a `RunBlock` whose
+    row i is the run of seeds[i]. It is a pure function of its arguments:
+    the same seed gives the same row wherever it sits in the block, even
+    repeated. A numeric failure is a diverged row, never an exception.
+    `cap` is the default censoring cutoff for plain (no-restart) runs;
+    `collect_runs` calls `attempt_many` once per block of seeds and joins
+    the blocks' columns into its sample. Processes that subclass the
+    protocol inherit `attempt`, row 0 of a block of one, as a `RunRecord`.
 
     Attempts obey the prefix contract: a seed's trajectory does not depend
     on the cutoff. If an attempt converges or diverges at epoch e, any
@@ -121,10 +135,10 @@ class LasVegasProcess(Protocol):
 
     def describe(self) -> str: ...
 
-    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]: ...
+    def attempt_many(self, seeds: list[int], cutoff: int) -> RunBlock: ...
 
     def attempt(self, seed: int, cutoff: int) -> RunRecord:
-        return self.attempt_many([seed], cutoff)[0]
+        return self.attempt_many([seed], cutoff).records([seed])[0]
 
 
 # Largest censoring cap: a sample keeps its epochs in an int64 column.
@@ -167,13 +181,13 @@ class RunSample:
             cap,
             metadata,
         )
-        if not _valid_columns(self.seeds, self.epochs, self.converged, self.diverged, cap):
-            _raise_first_bad(records, cap)
         self._records = records
+        self._check()
 
     @classmethod
     def _from_columns(cls, seeds, epochs, converged, final_error, diverged, cap, metadata):
-        """A sample over columns that already passed `load_runs`'s checks."""
+        """A sample over the columns, unchecked: call `_check` unless they
+        already passed `load_runs`'s checks."""
         sample = cls.__new__(cls)
         sample._set_columns(seeds, epochs, converged, final_error, diverged, cap, metadata)
         sample._records = None
@@ -189,19 +203,16 @@ class RunSample:
         self.metadata = metadata
         self.n_converged = int(np.count_nonzero(self.converged))
 
+    def _check(self) -> None:
+        """Raise a ValueError naming the first run that `load_runs` would refuse."""
+        if not _valid_columns(self.seeds, self.epochs, self.converged, self.diverged, self.cap):
+            _raise_first_bad(self.records, self.cap)
+
     @property
     def records(self) -> list[RunRecord]:
         if self._records is None:
-            self._records = list(
-                map(
-                    RunRecord,
-                    self.seeds,
-                    self.epochs.tolist(),
-                    self.converged.tolist(),
-                    self.final_error.tolist(),
-                    self.diverged.tolist(),
-                )
-            )
+            block = RunBlock(self.epochs, self.converged, self.final_error, self.diverged)
+            self._records = block.records(self.seeds)
         return self._records
 
     def __eq__(self, other) -> bool:
@@ -233,10 +244,10 @@ def _frozen(values, dtype) -> np.ndarray:
 
 def _valid_columns(seeds, epochs, converged, diverged, cap: int) -> bool:
     """Whether the columns obey what `load_runs` asks of a log's records:
-    epochs <= cap, censored runs carry epochs == cap, no run is both
+    epochs in [1, cap], censored runs carry epochs == cap, no run is both
     converged and diverged, and no seed repeats."""
     return not (
-        np.any(epochs > cap)
+        np.any((epochs < 1) | (epochs > cap))
         or np.any((converged & diverged) | (~(converged | diverged) & (epochs != cap)))
         or len(set(seeds)) != len(seeds)
     )
@@ -272,7 +283,7 @@ class SummaryStats:
 def collect_tasks(process: LasVegasProcess, n_runs: int, base_seed: int, n_jobs: int = 1):
     """`collect_runs` as the pool tasks it queues, one `attempt_many` call per
     contiguous block of ceil(n_runs / workers) seeds (one block when serial),
-    and the function that builds its sample from their results, in order."""
+    and the function that joins their blocks, in order, into its sample."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     cap = process.cap
@@ -281,7 +292,14 @@ def collect_tasks(process: LasVegasProcess, n_runs: int, base_seed: int, n_jobs:
     blocks = [seeds[i : i + size] for i in range(0, n_runs, size)]
     meta = f"process={process.describe()} base_seed={base_seed} n_runs={n_runs}"
     tasks = [partial(process.attempt_many, block, cap) for block in blocks]
-    return tasks, lambda results: RunSample([r for rs in results for r in rs], cap, meta)
+
+    def sample(blocks: list[RunBlock]) -> RunSample:
+        columns = map(np.concatenate, zip(*blocks))
+        joined = RunSample._from_columns(seeds, *columns, cap=cap, metadata=meta)
+        joined._check()
+        return joined
+
+    return tasks, sample
 
 
 def collect_runs(
@@ -325,21 +343,28 @@ def summary_stats(sample: RunSample) -> SummaryStats:
     )
 
 
-def _json_number(x) -> str:
-    """`x` spelled as `json.dumps` spells it, without its per-call cost:
-    `float.__repr__` for a finite float, `NaN` or `[-]Infinity` otherwise."""
-    if isinstance(x, float) and x - x == 0.0:
-        return float.__repr__(x)
-    return json.dumps(x)
+# Record-line pieces as `json.dumps` spells them: booleans, the optional
+# diverged flag, and the non-finite errors that `float.__repr__` spells otherwise.
+_JSON_BOOL = ("false", "true")
+_RECORD_END = ("}", ',"diverged":true}')
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _record_line(r: RunRecord) -> str:
-    converged = "true" if r.converged else "false"
-    end = ',"diverged":true}' if r.diverged else "}"
-    return (
-        f'{{"seed":{r.seed},"epochs":{r.epochs},"converged":{converged},'
-        f'"final_error":{_json_number(r.final_error)}{end}'
+def _record_lines(sample: RunSample) -> list[str]:
+    """Each run's log line, as `json.dumps` with compact separators spells
+    its record, the error in `float.__repr__` form or as `NaN`/`[-]Infinity`."""
+    rows = zip(
+        sample.seeds,
+        sample.epochs.tolist(),
+        sample.converged.tolist(),
+        map(float.__repr__, sample.final_error.tolist()),
+        sample.diverged.tolist(),
     )
+    return [
+        f'{{"seed":{seed},"epochs":{epochs},"converged":{_JSON_BOOL[converged]},'
+        f'"final_error":{_JSON_NON_FINITE.get(error, error)}{_RECORD_END[diverged]}'
+        for seed, epochs, converged, error, diverged in rows
+    ]
 
 
 def save_runs(sample: RunSample, path) -> None:
@@ -351,7 +376,7 @@ def save_runs(sample: RunSample, path) -> None:
     header = json.dumps(
         {"cap": sample.cap, "metadata": sample.metadata}, separators=(",", ":")
     )
-    text = "\n".join([header, *map(_record_line, sample.records), ""])
+    text = "\n".join([header, *_record_lines(sample), ""])
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -406,14 +431,20 @@ _CANONICAL_RECORD = re.compile(
 )
 
 
-def _canonical_columns(lines: list[str], cap: int) -> tuple | None:
-    """The record columns, when every line is canonical and passes every check.
+def _canonical_columns(text: str, header_end: int, cap: int) -> tuple | None:
+    """The record columns, when the header line ends at `header_end` with a
+    newline and every line after it is canonical and passes every check.
 
-    One regex pass extracts the fields; `float` parses each error as `json`
-    does. Anything else returns None.
+    One regex pass over those lines, in place, extracts the fields; `float`
+    parses each error as `json` does. Anything else returns None.
     """
-    rows = _CANONICAL_RECORD.findall("\n".join(lines))
-    if not rows or len(rows) != len(lines):
+    if not text.startswith("\n", header_end):
+        return None
+    start = header_end + 1
+    rows = _CANONICAL_RECORD.findall(text, start)
+    # At most one match per line, so a match per line is every line.
+    n_lines = text.count("\n", start) + (not text.endswith("\n"))
+    if not rows or len(rows) != n_lines:
         return None
     seeds, epochs, converged, final_error, diverged = zip(*rows)
     seeds = list(map(int, seeds))
@@ -449,6 +480,12 @@ def _strict_columns(lines: list[str], cap: int) -> tuple:
     return list(seeds), epochs, converged, final_error, diverged
 
 
+# The first line as `str.splitlines` ends it. A canonical record line
+# holds none of these characters, so when the header ends at a "\n" and
+# every "\n"-line of the body is canonical, these are splitlines' lines.
+_FIRST_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def load_runs(path) -> RunSample:
     """Read a run log written by `save_runs` (lossless round trip).
 
@@ -458,11 +495,12 @@ def load_runs(path) -> RunSample:
     same message and line, exactly as that decoder and `_parse_record` decide.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise InsufficientDataError(f"run log {path} is empty")
+    first = _FIRST_LINE.match(text).group()
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
     except ValueError as exc:  # JSONDecodeError, or int's digit limit
         raise RunLogFormatError(f"line 1: invalid header: {exc}") from exc
     if not isinstance(header, dict) or "cap" not in header:
@@ -470,7 +508,9 @@ def load_runs(path) -> RunSample:
     cap = header["cap"]
     if type(cap) is not int or not 1 <= cap <= MAX_CAP:
         raise RunLogFormatError("line 1: 'cap' must be an integer in [1, 2**63 - 1]")
-    columns = _canonical_columns(lines[1:], cap) or _strict_columns(lines[1:], cap)
+    columns = _canonical_columns(text, len(first), cap) or _strict_columns(
+        text.splitlines()[1:], cap
+    )
     if not columns[0]:
         raise InsufficientDataError(f"run log {path} has no records")
     metadata = str(header.get("metadata", ""))

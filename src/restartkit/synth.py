@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runner import LasVegasProcess, RunRecord, check_cutoff, mix64
+from .runner import LasVegasProcess, RunBlock, check_cutoff, mix64
 from .tailstats import Ecdf
 
 
@@ -194,16 +194,20 @@ class SyntheticProcess(LasVegasProcess):
     def describe(self) -> str:
         return f"stub({self.law.describe()},cap={self.cap_epochs})"
 
-    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
-        """One record per seed, from one `quantile` call for the block."""
+    def attempt_many(self, seeds: list[int], cutoff: int) -> RunBlock:
+        """One row per seed, from one `quantile` call for the block: the
+        draw if it fits within the cutoff (error 0.0), else the cutoff
+        (censored, error 1.0)."""
         # Draws past int64 saturate at 2**63, which must stay above the cutoff.
         check_cutoff(cutoff)
-        return [
-            RunRecord(seed=seed, epochs=t, converged=True, final_error=0.0)
-            if t <= cutoff
-            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-            for seed, t in zip(seeds, self.law.sample_many(seeds).tolist())
-        ]
+        times = self.law.sample_many(seeds)
+        converged = times <= cutoff
+        return RunBlock(
+            epochs=np.where(converged, times, cutoff).astype(np.int64),
+            converged=converged,
+            final_error=np.where(converged, 0.0, 1.0),
+            diverged=np.zeros(len(converged), dtype=bool),
+        )
 
 
 def parse_law(spec: str) -> SyntheticLaw:

@@ -1,11 +1,35 @@
 """Shared stubs and builders for the test suite."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from restartkit import Dataset, LasVegasProcess, RunRecord, RunSample
+from restartkit import Dataset, LasVegasProcess, RunBlock, RunRecord, RunSample
+
+
+def reference_record_line(r: RunRecord) -> str:
+    """A run-log record line as `json.dumps` writes it, the writer's oracle."""
+    obj: dict = {
+        "seed": r.seed,
+        "epochs": r.epochs,
+        "converged": r.converged,
+        "final_error": r.final_error,
+    }
+    if r.diverged:
+        obj["diverged"] = True
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def block_of(records: list[RunRecord]) -> RunBlock:
+    """The `attempt_many` result whose row i is records[i]."""
+    return RunBlock(
+        np.array([r.epochs for r in records], dtype=np.int64),
+        np.array([r.converged for r in records], dtype=bool),
+        np.array([r.final_error for r in records], dtype=np.float64),
+        np.array([r.diverged for r in records], dtype=bool),
+    )
 
 
 @dataclass(frozen=True)
@@ -22,7 +46,7 @@ class FormulaStub(LasVegasProcess):
     def describe(self) -> str:
         return f"formula-stub(mod={self.modulus})"
 
-    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
+    def attempt_many(self, seeds: list[int], cutoff: int) -> RunBlock:
         records = []
         for seed in seeds:
             t = (seed % self.modulus) + 1
@@ -32,7 +56,7 @@ class FormulaStub(LasVegasProcess):
                 records.append(
                     RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
                 )
-        return records
+        return block_of(records)
 
 
 @dataclass(frozen=True)
@@ -48,13 +72,15 @@ class ParityStub(LasVegasProcess):
     def describe(self) -> str:
         return "parity-stub"
 
-    def attempt_many(self, seeds: list[int], cutoff: int) -> list[RunRecord]:
-        return [
-            RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
-            if seed % 2 == 0
-            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-            for seed in seeds
-        ]
+    def attempt_many(self, seeds: list[int], cutoff: int) -> RunBlock:
+        return block_of(
+            [
+                RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
+                if seed % 2 == 0
+                else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                for seed in seeds
+            ]
+        )
 
 
 def make_sample(epochs, cap=10_000, censored=0) -> RunSample:

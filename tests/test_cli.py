@@ -224,7 +224,8 @@ class TestCollect:
         process = _build_process(build_parser().parse_args(args))
         assert mlp._stack_width(process.cfg, process.data.n_rows) == 1
         seeds = [5, 6, 5, 7]
-        assert process.attempt_many(seeds, 3) == [process.attempt(s, 3) for s in seeds]
+        block = process.attempt_many(seeds, 3)
+        assert block.records(seeds) == [process.attempt(s, 3) for s in seeds]
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_data_field_fails_cleanly(self, capsys, tmp_path, token):

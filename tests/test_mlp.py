@@ -531,7 +531,7 @@ class TestAttemptMany:
         d = tiny_dataset(6, 4, n_outputs, seed=data_seed)
         process = MlpProcess(cfg, d)
         with mock.patch.object(mlp, "_STACK_RUNS", stack_runs):
-            got = process.attempt_many(seeds, cutoff)
+            got = process.attempt_many(seeds, cutoff).records(seeds)
         want = [alloc_train_until(cfg, d, s) for s in seeds]
         assert list(map(record_bits, got)) == list(map(record_bits, want))
 
@@ -540,7 +540,8 @@ class TestAttemptMany:
         # different lengths, and repeated seeds, in a stack narrower than
         # its block.
         cfg = self.config(1, 2, None, 150)
-        recs = MlpProcess(cfg, tiny_dataset(6, 4, 2)).attempt_many([0, 1, 6, 0, 7, 6], 150)
+        seeds = [0, 1, 6, 0, 7, 6]
+        recs = MlpProcess(cfg, tiny_dataset(6, 4, 2)).attempt_many(seeds, 150).records(seeds)
         assert [(r.epochs, r.converged, r.diverged) for r in recs] == [
             (59, False, True), (150, False, False), (113, False, True),
             (59, False, True), (150, False, False), (113, False, True),
@@ -548,7 +549,7 @@ class TestAttemptMany:
 
     def test_empty_block_and_cutoff_check(self):
         process = MlpProcess(self.config(3, 2, 0.0, 10), tiny_dataset(6, 4))
-        assert process.attempt_many([], 5) == []
+        assert [len(column) for column in process.attempt_many([], 5)] == [0] * 4
         for call in (lambda: process.attempt(0, 0), lambda: process.attempt_many([0, 1], 0)):
             with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
                 call()
@@ -607,6 +608,31 @@ class TestBitIdentity:
         rec = MlpProcess(cfg, d).attempt(0, cfg.max_epochs)
         assert rec.diverged and rec.epochs < cfg.max_epochs
         assert record_bits(rec) == record_bits(alloc_train_until(cfg, d, 0))
+
+
+# Pre-activations and biases at the edges of exp's range and of float64.
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324,
+           37.0, -37.0, 709.8, -745.2, 0.1, -0.1, 1.0, -1.0]
+
+
+class TestSigmoidLayer:
+    def test_special_values_match_allocating_formula(self):
+        # Row r, unit j of run k sees z = SPECIAL[r] and a bias from SPECIAL,
+        # so every (z, b) pair occurs; run 1 takes the biases reversed. The
+        # kernel computes -(z + b) as (-b) - z.
+        n = len(SPECIAL)
+        x = np.array(SPECIAL)[:, None]
+        w = np.ones((2, n, 1))
+        b = np.array([SPECIAL, SPECIAL[::-1]])
+        out = np.empty((2, n, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = mlp._sigmoid_layer(x, w.transpose(0, 2, 1), b[:, :, None], out)
+            for k in range(2):
+                want = alloc_sigmoid(x @ w[k].T + b[k])
+                # A NaN may carry the other sign; every other output is exact.
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got[k]), nan)
+                assert same_bits(got[k][~nan], want[~nan])
 
 
 class TestColumnSums:

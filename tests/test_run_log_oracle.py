@@ -21,23 +21,13 @@ from restartkit import (
     save_runs,
 )
 
+from conftest import reference_record_line
+
 CAP = 3
 HEADER = '{"cap":3,"metadata":"oracle"}'
 
 
 # ----------------------------------------------------------- reference copies
-
-
-def reference_record_line(r: RunRecord) -> str:
-    obj: dict = {
-        "seed": r.seed,
-        "epochs": r.epochs,
-        "converged": r.converged,
-        "final_error": r.final_error,
-    }
-    if r.diverged:
-        obj["diverged"] = True
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def reference_parse_record(obj: dict, lineno: int, cap: int) -> RunRecord:
@@ -146,12 +136,18 @@ class TestWriterOracle:
     @example(RunRecord(seed=4, epochs=2, converged=False, final_error=math.inf, diverged=True))
     @example(RunRecord(seed=5, epochs=2, converged=False, final_error=-math.inf))
     def test_line_bytes_equal(self, record):
-        assert runner._record_line(record) == reference_record_line(record)
+        sample = RunSample(records=[record], cap=record.epochs)
+        assert runner._record_lines(sample) == [reference_record_line(record)]
 
     @pytest.mark.parametrize("err", [np.float64(0.1), 0, 7, np.float64("nan")])
     def test_non_plain_float_errors_equal(self, err):
+        # The writer reads the sample's float64 column, so an int error is
+        # spelled as the float it is stored as.
         record = RunRecord(seed=1, epochs=2, converged=True, final_error=err)
-        assert runner._record_line(record) == reference_record_line(record)
+        sample = RunSample(records=[record], cap=2)
+        assert runner._record_lines(sample) == [
+            reference_record_line(replace(record, final_error=float(err)))
+        ]
 
     @settings(max_examples=25)
     @given(
@@ -291,7 +287,7 @@ def canonical_line(draw):
         final_error=draw(finals),
         diverged=diverged,
     )
-    return runner._record_line(record)
+    return reference_record_line(record)
 
 
 @st.composite
@@ -358,3 +354,97 @@ class TestCanonicalReader:
         assert [record_key(r) for r in load_runs(path).records] == [
             record_key(r) for r in records
         ]
+
+
+# ------------------------------------------------------ re-spelled whole logs
+
+
+def reference_load(path):
+    """The whole `json.loads`-based reader: `splitlines`, the header, then
+    `reference_load_body`. Returns (cap, metadata, records)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise InsufficientDataError("empty")
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise RunLogFormatError(f"line 1: invalid header: {exc}") from exc
+    if not isinstance(header, dict) or "cap" not in header:
+        raise RunLogFormatError("line 1: header must carry 'cap'")
+    cap = header["cap"]
+    if type(cap) is not int or not 1 <= cap <= 2**63 - 1:
+        raise RunLogFormatError("line 1: 'cap' must be an integer in [1, 2**63 - 1]")
+    return cap, str(header.get("metadata", "")), reference_load_body(lines[1:], cap)
+
+
+def log_outcome(load):
+    try:
+        cap, metadata, records = load()
+    except RunLogFormatError as exc:
+        return f"RunLogFormatError: {exc}"
+    return cap, metadata, [record_key(r) for r in records]
+
+
+def loaded_parts(path):
+    sample = load_runs(path)
+    return sample.cap, sample.metadata, sample.records
+
+
+RESPELLED_RECORDS = [
+    RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1),
+    RunRecord(seed=0, epochs=5, converged=False, final_error=-0.0),
+    RunRecord(seed=9, epochs=2, converged=False, final_error=math.nan, diverged=True),
+    RunRecord(seed=4, epochs=1, converged=True, final_error=5e-324),
+]
+METADATA = "process=stub(thyroïde ✓) n_runs=4"
+
+
+def non_ascii_header(text: str) -> str:
+    header = {"cap": 5, "metadata": METADATA}
+    return json.dumps(header, ensure_ascii=False, separators=(",", ":")) + text[text.index("\n") :]
+
+
+def inside_line(char: str, where: str):
+    """Put `char` inside the header's metadata or inside the second record line."""
+    if where == "header":
+        return lambda text: non_ascii_header(text).replace("✓", char, 1)
+    return lambda text: text.replace('"epochs":5,', f'"epochs":5,{char}', 1)
+
+
+class TestRespelledLogs:
+    """A `save_runs` log re-spelled so that the one-pass reader may not take
+    it: the reader gives the sample or the error (message and line) that the
+    whole `json.loads` reader gives."""
+
+    @pytest.mark.parametrize(
+        "respell, loads",
+        [
+            (lambda text: text.replace("\n", "\r\n"), True),
+            (inside_line("\u2028", "record"), False),
+            (inside_line("\u2028", "header"), False),
+            (inside_line("\x85", "record"), False),
+            (inside_line("\x85", "header"), False),
+            # A line break that `splitlines` takes and "\n" does not.
+            (lambda text: text.replace("\n", "\x85", 2).replace("\x85", "\n", 1), True),
+            (lambda text: text + "\n", True),
+            (lambda text: text + "  \n\t", True),
+            (non_ascii_header, True),
+        ],
+        ids=[
+            "crlf", "u2028-in-record", "u2028-in-header", "x85-in-record",
+            "x85-in-header", "x85-line-end", "blank-last-line", "blank-tail",
+            "non-ascii-metadata",
+        ],
+    )
+    def test_same_as_whole_json_reader(self, tmp_path, respell, loads):
+        path = tmp_path / "runs.jsonl"
+        save_runs(RunSample(records=RESPELLED_RECORDS, cap=5, metadata=METADATA), path)
+        plain = log_outcome(lambda: loaded_parts(path))
+        text = respell(path.read_text(encoding="utf-8"))
+        path.write_bytes(text.encode("utf-8"))
+        got = log_outcome(lambda: loaded_parts(path))
+        assert got == log_outcome(lambda: reference_load(path))
+        assert (got == plain) == loads
+        if not loads:
+            assert got.startswith("RunLogFormatError: line ")

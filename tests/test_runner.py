@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -5,16 +6,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartkit import runner
 from restartkit import (
+    Constant,
+    DiscretePareto,
+    Geometric,
     InsufficientDataError,
     LasVegasProcess,
+    MlpConfig,
+    MlpProcess,
     RunLogFormatError,
     RunRecord,
     RunSample,
+    SyntheticProcess,
+    TwoPoint,
     collect_runs,
     derive_seed,
     load_runs,
@@ -23,7 +31,7 @@ from restartkit import (
 )
 from restartkit.strategies import FixedSchedule, run_schedules
 
-from conftest import FormulaStub, make_sample
+from conftest import FormulaStub, make_sample, reference_record_line, tiny_dataset
 
 
 def reference_mix(base: int, index: int) -> int:
@@ -149,6 +157,113 @@ class TestCollectRuns:
             run_schedules(Exploding(), [FixedSchedule(5)], 0, budget=100)
 
 
+# Each stub law, and an MLP that converges, is censored or (momentum None)
+# diverges within a few dozen epochs.
+@st.composite
+def processes(draw):
+    kind = draw(st.sampled_from(["constant", "two-point", "geometric", "pareto", "mlp"]))
+    if kind == "mlp":
+        momentum = draw(st.sampled_from([0.0, 0.9, None]))
+        cfg = MlpConfig(
+            n_inputs=4, n_hidden=2, n_outputs=2, learning_rate=5.0, momentum=momentum or 0.0,
+            target_error=0.09, max_epochs=draw(st.integers(1, 60)),
+        )
+        if momentum is None:
+            cfg = replace(cfg, learning_rate=1e308, momentum=0.99, target_error=1e-9)
+        return MlpProcess(cfg, tiny_dataset(6, 4, 2, seed=draw(st.integers(0, 3))))
+    if kind == "constant":
+        law = Constant(draw(st.integers(1, 80)))
+    elif kind == "two-point":
+        a = draw(st.integers(1, 50))
+        law = TwoPoint(draw(st.floats(0.05, 0.95)), a, a + draw(st.integers(1, 50)))
+    elif kind == "geometric":
+        law = Geometric(draw(st.floats(0.01, 0.9)))
+    else:
+        law = DiscretePareto(draw(st.floats(0.1, 3.0)), draw(st.integers(1, 10)))
+    return SyntheticProcess(law, cap_epochs=draw(st.integers(1, 60) | st.just(runner.MAX_CAP)))
+
+
+def record_bits(r: RunRecord) -> tuple:
+    return (r.seed, r.epochs, r.converged, r.final_error.hex(), r.diverged)
+
+
+class TestBlocks:
+    """`collect_runs` joins `attempt_many` blocks into columns; the sample
+    and its log are those of one `attempt` per seed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        process=processes(),
+        n_runs=st.integers(1, 40),
+        base=st.integers(0, 2**64 - 1),
+        jobs=st.sampled_from([1, 2]),
+    )
+    # In two pool blocks each: a draw past int64 (base 16 holds one) censored
+    # at the largest cap, and MLP runs that diverge.
+    @example(
+        process=SyntheticProcess(DiscretePareto(0.1), cap_epochs=runner.MAX_CAP),
+        n_runs=40, base=16, jobs=2,
+    )
+    @example(
+        process=MlpProcess(
+            MlpConfig(n_inputs=4, n_hidden=2, n_outputs=2, learning_rate=1e308, momentum=0.99,
+                      target_error=1e-9, max_epochs=60),
+            tiny_dataset(6, 4, 2),
+        ),
+        n_runs=9, base=0, jobs=2,
+    )
+    def test_equals_one_attempt_per_seed(self, tmp_path_factory, process, n_runs, base, jobs):
+        sample = collect_runs(process, n_runs, base, n_jobs=jobs)
+        records = [process.attempt(derive_seed(base, i), process.cap) for i in range(n_runs)]
+        want = RunSample(records, process.cap, sample.metadata)
+        assert list(map(record_bits, sample.records)) == list(map(record_bits, want.records))
+        assert sample == want
+        path = tmp_path_factory.mktemp("log") / "runs.jsonl"
+        save_runs(sample, path)
+        header = json.dumps({"cap": sample.cap, "metadata": sample.metadata}, separators=(",", ":"))
+        lines = [header, *map(reference_record_line, records), ""]
+        assert path.read_bytes() == "\n".join(lines).encode("utf-8")
+
+    def test_stub_collect_save_and_load_build_no_record(self, tmp_path, monkeypatch):
+        built = []
+        check = RunRecord.__post_init__
+
+        def counted(record):
+            built.append(record)
+            check(record)
+
+        monkeypatch.setattr(RunRecord, "__post_init__", counted)
+        process = SyntheticProcess(DiscretePareto(0.5, 50), cap_epochs=100_000)
+        sample = collect_runs(process, 2000, base_seed=7)
+        save_runs(sample, tmp_path / "runs.jsonl")
+        loaded = load_runs(tmp_path / "runs.jsonl")
+        assert built == []
+        assert 0 < loaded.n_censored < loaded.n_converged == sample.n_converged
+        # The counter sees the records that are built: `attempt` makes one.
+        process.attempt(sample.seeds[0], process.cap)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0, True, 0.0, False), "epochs must be >= 1, got 0"),
+            ((11, True, 0.0, False), "record 3: epochs 11 exceeds cap 10"),
+            ((4, False, 1.0, False), "record 3: censored run must carry epochs == cap"),
+            ((4, True, 0.0, True), "record 3: run is both converged and diverged"),
+        ],
+    )
+    def test_bad_block_names_its_record(self, row, message):
+        class OneBadRow(FormulaStub):
+            def attempt_many(self, seeds, cutoff):
+                block = super().attempt_many(seeds, cutoff)
+                for column, value in zip(block, row):
+                    column[3] = value
+                return block
+
+        with pytest.raises(ValueError, match=message):
+            collect_runs(OneBadRow(cap_epochs=10), 8, base_seed=1)
+
+
 class TestSummaryStats:
     def test_constant_sample(self):
         stats = summary_stats(make_sample([4, 4, 4]))
@@ -212,18 +327,30 @@ class TestRunLog:
         path = tmp_path / "runs.jsonl"
         save_runs(make_sample([2, 4]), path)
         before = path.read_bytes()
-        record_line = runner._record_line
-        calls = []
+        written = []
 
-        def fail_third(r):
-            calls.append(r)
-            if len(calls) == 3:
-                raise RuntimeError("disk gone")
-            return record_line(r)
+        class DiskFull:
+            """A file whose write stores half the text, then runs out of space."""
 
-        monkeypatch.setattr(runner, "_record_line", fail_third)
-        with pytest.raises(RuntimeError, match="disk gone"):
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                written.append(os.path.getsize(self.fh.name))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(runner, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
             save_runs(make_sample([1, 5, 9, 12]), path)
+        assert written and written[0] > 0
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl"]
 
@@ -447,7 +574,7 @@ class TestColumns:
         # its records loads back.
         records = [RunRecord(s, e, c, 0.5, diverged=d) for s, e, c, d in rows]
         path = tmp_path_factory.mktemp("log") / "runs.jsonl"
-        lines = ['{"cap":4,"metadata":""}', *map(runner._record_line, records)]
+        lines = ['{"cap":4,"metadata":""}', *map(reference_record_line, records)]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
             loaded = load_runs(path)

@@ -31,7 +31,7 @@ from restartkit import (
 from restartkit.runner import MAX_CAP, LasVegasProcess, RunRecord, mix64, parallel_map
 from restartkit.strategies import StrategyOutcome, trial_tasks
 
-from conftest import ParityStub, make_sample
+from conftest import ParityStub, block_of, make_sample
 
 TWO_POINT = TwoPoint(0.5, 1, 10)
 
@@ -278,12 +278,14 @@ class StubAtThree(LasVegasProcess):
         return "stub-at-3"
 
     def attempt_many(self, seeds, cutoff):
-        return [
-            RunRecord(seed=seed, epochs=3, converged=True, final_error=0.0)
-            if cutoff >= 3
-            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-            for seed in seeds
-        ]
+        return block_of(
+            [
+                RunRecord(seed=seed, epochs=3, converged=True, final_error=0.0)
+                if cutoff >= 3
+                else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                for seed in seeds
+            ]
+        )
 
 
 class TestRunWithStrategy:
@@ -366,12 +368,14 @@ class LoggingProcess(LasVegasProcess):
 
     def attempt_many(self, seeds, cutoff):
         self.log += [(seed, cutoff) for seed in seeds]
-        return [
-            RunRecord(seed=seed, epochs=2, converged=True, final_error=0.0)
-            if seed % 2 == 0 and cutoff >= 2
-            else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-            for seed in seeds
-        ]
+        return block_of(
+            [
+                RunRecord(seed=seed, epochs=2, converged=True, final_error=0.0)
+                if seed % 2 == 0 and cutoff >= 2
+                else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                for seed in seeds
+            ]
+        )
 
 
 class TestRunTrials:
@@ -433,7 +437,7 @@ class PrefixFake(LasVegasProcess):
                         diverged=kind == 1,
                     )
                 )
-        return records
+        return block_of(records)
 
 
 def sequential_run(process, schedule, base_seed, budget):
@@ -500,14 +504,16 @@ class TestRunSchedules:
             cap = 100
 
             def attempt_many(self, seeds, cutoff):
-                return [
-                    RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-                    if cutoff < 3
-                    else RunRecord(
-                        seed=seed, epochs=3, converged=False, final_error=1.0, diverged=True
-                    )
-                    for seed in seeds
-                ]
+                return block_of(
+                    [
+                        RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                        if cutoff < 3
+                        else RunRecord(
+                            seed=seed, epochs=3, converged=False, final_error=1.0, diverged=True
+                        )
+                        for seed in seeds
+                    ]
+                )
 
         long, short = run_schedules(DivergesAtThree(), [FixedSchedule(5), FixedSchedule(2)], 0, 12)
         # The budget check charges the full cutoff: 9 + 5 > 12 stops it.
@@ -554,12 +560,14 @@ class TestEvaluateStrategyMc:
                 return "mixed"
 
             def attempt_many(self, seeds, cutoff):
-                return [
-                    RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
-                    if seed % 2 == 0
-                    else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
-                    for seed in seeds
-                ]
+                return block_of(
+                    [
+                        RunRecord(seed=seed, epochs=1, converged=True, final_error=0.0)
+                        if seed % 2 == 0
+                        else RunRecord(seed=seed, epochs=cutoff, converged=False, final_error=1.0)
+                        for seed in seeds
+                    ]
+                )
 
         res = evaluate_strategy_mc(Mixed(), FixedSchedule(1), 500, 3, budget=1)
         assert 0.0 < res.failure_rate < 1.0

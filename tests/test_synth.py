@@ -190,7 +190,7 @@ class TestAttemptMany:
         draws = law.sample_many(block)
         # Cutoffs below every draw, between draws, and above every draw.
         for cutoff in (1, int(np.median(draws)), int(draws.max())):
-            batch = proc.attempt_many(block, cutoff)
+            batch = proc.attempt_many(block, cutoff).records(block)
             assert batch == [proc.attempt(s, cutoff) for s in block]
             assert batch == [one_seed_attempt(law, s, cutoff) for s in block]
 
@@ -199,7 +199,8 @@ class TestAttemptMany:
             SyntheticProcess(Geometric(0.5)).attempt_many([1, 2], 0)
 
     def test_empty_block(self):
-        assert SyntheticProcess(Geometric(0.5)).attempt_many([], 3) == []
+        block = SyntheticProcess(Geometric(0.5)).attempt_many([], 3)
+        assert [len(column) for column in block] == [0] * 4
 
 
 def unmix64(z: int) -> int:
@@ -228,14 +229,15 @@ class TestDrawsPastInt64:
         assert mix64(np.array([UNIT_SEED], dtype=np.uint64))[0] / 2.0**64 == 1.0
         proc = SyntheticProcess(law, cap_epochs=runner.MAX_CAP)
         block = [UNIT_SEED, *range(1000)]
-        records = proc.attempt_many(block, runner.MAX_CAP)
+        records = proc.attempt_many(block, runner.MAX_CAP).records(block)
         assert records[0] == RunRecord(UNIT_SEED, runner.MAX_CAP, False, 1.0)
         assert records == [proc.attempt(seed, runner.MAX_CAP) for seed in block]
 
     def test_pareto_draw_is_exact_or_censored(self):
         # (1 - u)^-10 passes 2**63 for about 1.3% of the uniforms.
         law = DiscretePareto(0.1)
-        records = SyntheticProcess(law).attempt_many(list(range(1000)), runner.MAX_CAP)
+        block = list(range(1000))
+        records = SyntheticProcess(law).attempt_many(block, runner.MAX_CAP).records(block)
         for r in records:
             x = ((1.0 - np.array([mix64(r.seed) / 2.0**64])) ** -10.0)[0]
             if x < 2.0**63:
