@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,11 @@ class MlpConfig:
             raise ValueError(f"learning_rate must be in (0,inf), got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if not 0.0 <= self.init_half_width < math.inf:
-            raise ValueError(f"init_half_width must be in [0,inf), got {self.init_half_width}")
+        top = sys.float_info.max / 2  # `rng.uniform(-w, w)` needs 2 * w finite
+        if not 0.0 <= self.init_half_width <= top:
+            raise ValueError(
+                f"init_half_width must be in [0, {top!r}], got {self.init_half_width}"
+            )
         if not 0.0 < self.target_error < math.inf:
             raise ValueError(f"target_error must be in (0,inf), got {self.target_error}")
         if not 1 <= self.max_epochs <= MAX_CAP:

@@ -159,66 +159,61 @@ class RunSample:
     The runs are held as columns, one entry per run in record order:
     `seeds` (a list of Python ints, so any non-negative seed round-trips),
     `epochs` (int64), `converged` and `diverged` (bool) and `final_error`
-    (float64); the arrays are read-only. `records` builds the `RunRecord`s
-    on first read, except that a sample built from records keeps that list.
-    The runs obey the checks `load_runs` makes (see `_valid_columns`), so
-    every sample's `save_runs` log loads back.
+    (float64); the arrays are read-only. `records` builds `RunRecord`s from
+    the columns on each read; a sample never holds its caller's list.
+    Records here, `collect_runs`' blocks and `load_runs`' columns all go
+    through one initialiser, which checks the runs as `load_runs` checks a
+    log's records (see `_first_bad`), so every sample's `save_runs` log
+    loads back and no sample exists unchecked.
     """
 
     def __init__(self, records: list[RunRecord], cap: int, metadata: str = "") -> None:
-        if not 1 <= cap <= MAX_CAP:
-            raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
-        epochs = [r.epochs for r in records]
-        # Checked first: past the cap an epochs value may not fit int64.
-        if max(epochs, default=1) > cap:
-            _raise_first_bad(records, cap)
-        self._set_columns(
+        self._init(
             [r.seed for r in records],
-            epochs,
+            np.array([r.epochs for r in records], dtype=object),  # past int64 too
             [r.converged for r in records],
             [r.final_error for r in records],
             [r.diverged for r in records],
             cap,
             metadata,
         )
-        self._records = records
-        self._check()
 
     @classmethod
     def _from_columns(cls, seeds, epochs, converged, final_error, diverged, cap, metadata):
-        """A sample over the columns, unchecked: call `_check` unless they
-        already passed `load_runs`'s checks."""
+        """The sample over the columns; `epochs` is an int64 array."""
         sample = cls.__new__(cls)
-        sample._set_columns(seeds, epochs, converged, final_error, diverged, cap, metadata)
-        sample._records = None
+        sample._init(seeds, epochs, converged, final_error, diverged, cap, metadata)
         return sample
 
-    def _set_columns(self, seeds, epochs, converged, final_error, diverged, cap, metadata):
-        self.seeds = seeds
+    def _init(self, seeds, epochs, converged, final_error, diverged, cap, metadata) -> None:
+        if not 1 <= cap <= MAX_CAP:
+            raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
+        converged, diverged = _frozen(converged, bool), _frozen(diverged, bool)
+        if (problem := _first_bad(seeds, epochs, converged, diverged, cap)) is not None:
+            raise ValueError(problem)
+        self.seeds = list(seeds)
         self.epochs = _frozen(epochs, np.int64)
-        self.converged = _frozen(converged, bool)
-        self.diverged = _frozen(diverged, bool)
+        self.converged = converged
+        self.diverged = diverged
         self.final_error = _frozen(final_error, np.float64)
         self.cap = cap
         self.metadata = metadata
-        self.n_converged = int(np.count_nonzero(self.converged))
+        self.n_converged = int(np.count_nonzero(converged))
 
-    def _check(self) -> None:
-        """Raise a ValueError naming the first run that `load_runs` would refuse."""
-        if not _valid_columns(self.seeds, self.epochs, self.converged, self.diverged, self.cap):
-            _raise_first_bad(self.records, self.cap)
+    def _block(self) -> RunBlock:
+        return RunBlock(self.epochs, self.converged, self.final_error, self.diverged)
 
     @property
     def records(self) -> list[RunRecord]:
-        if self._records is None:
-            block = RunBlock(self.epochs, self.converged, self.final_error, self.diverged)
-            self._records = block.records(self.seeds)
-        return self._records
+        return self._block().records(self.seeds)
 
     def __eq__(self, other) -> bool:
+        """Same cap, metadata and columns, with NaN errors equal."""
         if not isinstance(other, RunSample):
             return NotImplemented
-        return (self.records, self.cap, self.metadata) == (other.records, other.cap, other.metadata)
+        if (self.cap, self.metadata, self.seeds) != (other.cap, other.metadata, other.seeds):
+            return False
+        return all(map(partial(np.array_equal, equal_nan=True), self._block(), other._block()))
 
     def __repr__(self) -> str:
         return f"RunSample(records={self.records!r}, cap={self.cap!r}, metadata={self.metadata!r})"
@@ -242,31 +237,29 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
-def _valid_columns(seeds, epochs, converged, diverged, cap: int) -> bool:
-    """Whether the columns obey what `load_runs` asks of a log's records:
-    epochs in [1, cap], censored runs carry epochs == cap, no run is both
-    converged and diverged, and no seed repeats."""
-    return not (
-        np.any((epochs < 1) | (epochs > cap))
-        or np.any((converged & diverged) | (~(converged | diverged) & (epochs != cap)))
-        or len(set(seeds)) != len(seeds)
-    )
-
-
-def _raise_first_bad(records: list[RunRecord], cap: int) -> None:
-    first: dict[int, int] = {}
-    for i, r in enumerate(records):
-        if r.epochs > cap:
-            raise ValueError(f"record {i}: epochs {r.epochs} exceeds cap {cap}")
-        if r.converged and r.diverged:
-            raise ValueError(f"record {i}: run is both converged and diverged")
-        if not r.converged and not r.diverged and r.epochs != cap:
-            raise ValueError(
-                f"record {i}: censored run must carry epochs == cap, got {r.epochs} != {cap}"
-            )
-        if r.seed in first:
-            raise ValueError(f"record {i}: seed {r.seed} repeats record {first[r.seed]}")
-        first[r.seed] = i
+def _first_bad(seeds, epochs: np.ndarray, converged, diverged, cap: int) -> str | None:
+    """The message for the first run `load_runs` would refuse, or None: one
+    with epochs outside [1, cap], both converged and diverged, censored off
+    the cap, or repeating an earlier seed, checked in that order. `epochs`
+    is int64, or object when a value may not fit int64."""
+    off_cap = ~(converged | diverged) & (epochs != cap)
+    bad = np.flatnonzero((epochs < 1) | (epochs > cap) | (converged & diverged) | off_cap)
+    end = int(bad[0]) if bad.size else len(seeds)
+    if len(set(seeds)) < len(seeds):
+        first: dict[int, int] = {}
+        for i, seed in enumerate(seeds[:end]):
+            if first.setdefault(seed, i) != i:
+                return f"record {i}: seed {seed} repeats record {first[seed]}"
+    if end == len(seeds):
+        return None
+    e = int(epochs[end])
+    if e < 1:
+        return f"record {end}: epochs must be >= 1, got {e}"
+    if e > cap:
+        return f"record {end}: epochs {e} exceeds cap {cap}"
+    if converged[end] and diverged[end]:
+        return f"record {end}: run is both converged and diverged"
+    return f"record {end}: censored run must carry epochs == cap, got {e} != {cap}"
 
 
 @dataclass(frozen=True)
@@ -294,10 +287,7 @@ def collect_tasks(process: LasVegasProcess, n_runs: int, base_seed: int, n_jobs:
     tasks = [partial(process.attempt_many, block, cap) for block in blocks]
 
     def sample(blocks: list[RunBlock]) -> RunSample:
-        columns = map(np.concatenate, zip(*blocks))
-        joined = RunSample._from_columns(seeds, *columns, cap=cap, metadata=meta)
-        joined._check()
-        return joined
+        return RunSample._from_columns(seeds, *map(np.concatenate, zip(*blocks)), cap, meta)
 
     return tasks, sample
 
@@ -431,9 +421,9 @@ _CANONICAL_RECORD = re.compile(
 )
 
 
-def _canonical_columns(text: str, header_end: int, cap: int) -> tuple | None:
+def _canonical_columns(text: str, header_end: int) -> tuple | None:
     """The record columns, when the header line ends at `header_end` with a
-    newline and every line after it is canonical and passes every check.
+    newline and every line after it is canonical.
 
     One regex pass over those lines, in place, extracts the fields; `float`
     parses each error as `json` does. Anything else returns None.
@@ -451,8 +441,6 @@ def _canonical_columns(text: str, header_end: int, cap: int) -> tuple | None:
     epochs = np.array(list(map(int, epochs)), dtype=np.int64)
     converged = np.fromiter(map(len, converged), np.int64, len(rows)) == 4  # "true"
     diverged = np.fromiter(map(bool, diverged), bool, len(rows))
-    if not _valid_columns(seeds, epochs, converged, diverged, cap):
-        return None
     return seeds, epochs, converged, list(map(float, final_error)), diverged
 
 
@@ -477,7 +465,7 @@ def _strict_columns(lines: list[str], cap: int) -> tuple:
         seed_lines[row[0]] = lineno
         parsed.append(row)
     seeds, epochs, converged, final_error, diverged = zip(*parsed) if parsed else ((),) * 5
-    return list(seeds), epochs, converged, final_error, diverged
+    return seeds, np.array(epochs, dtype=np.int64), converged, final_error, diverged
 
 
 # The first line as `str.splitlines` ends it. A canonical record line
@@ -489,10 +477,11 @@ _FIRST_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 def load_runs(path) -> RunSample:
     """Read a run log written by `save_runs` (lossless round trip).
 
-    A log whose records are all spelled as `save_runs` spells them and pass
-    every check is read in one regex pass into columns. Any other log goes
-    line by line through `json`, so it is accepted or rejected, with the
-    same message and line, exactly as that decoder and `_parse_record` decide.
+    A log whose records are all spelled as `save_runs` spells them is read
+    in one regex pass into columns, which the sample's initialiser checks
+    once. Any other log, and one whose runs that check refuses, goes line
+    by line through `json`, so it is accepted or rejected, with the same
+    message and line, exactly as that decoder and `_parse_record` decide.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -508,10 +497,14 @@ def load_runs(path) -> RunSample:
     cap = header["cap"]
     if type(cap) is not int or not 1 <= cap <= MAX_CAP:
         raise RunLogFormatError("line 1: 'cap' must be an integer in [1, 2**63 - 1]")
-    columns = _canonical_columns(text, len(first), cap) or _strict_columns(
-        text.splitlines()[1:], cap
-    )
+    metadata = str(header.get("metadata", ""))
+    columns = _canonical_columns(text, len(first))
+    if columns is not None:
+        try:
+            return RunSample._from_columns(*columns, cap, metadata)
+        except ValueError:
+            pass  # the strict reader names the line
+    columns = _strict_columns(text.splitlines()[1:], cap)
     if not columns[0]:
         raise InsufficientDataError(f"run log {path} has no records")
-    metadata = str(header.get("metadata", ""))
-    return RunSample._from_columns(*columns, cap=cap, metadata=metadata)
+    return RunSample._from_columns(*columns, cap, metadata)

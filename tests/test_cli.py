@@ -164,6 +164,7 @@ class TestCollect:
         [
             ("--init", "nan", "init_half_width"),
             ("--init", "inf", "init_half_width"),
+            ("--init", "1e+308", "init_half_width"),
             ("--momentum", "nan", "momentum"),
             ("--lr", "inf", "learning_rate"),
             ("--delta", "inf", "target_error"),

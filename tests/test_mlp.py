@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -159,6 +160,19 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MlpConfig(**kwargs)
+
+    def test_rejects_init_range_past_float(self):
+        # `rng.uniform(-w, w)` raises OverflowError once 2 * w is infinite.
+        top = sys.float_info.max / 2
+        cfg = MlpConfig(n_inputs=2, n_hidden=1, n_outputs=1, init_half_width=top)
+        assert np.all(np.abs(init_weights(cfg, 3).w_hidden) <= top)
+        with pytest.raises(
+            ValueError,
+            match=r"^init_half_width must be in \[0, 8\.988465674311579e\+307\], got 1e\+308$",
+        ):
+            MlpConfig(init_half_width=1e308)
+        with pytest.raises(ValueError, match="init_half_width"):
+            MlpConfig(init_half_width=math.nextafter(top, math.inf))
 
     @pytest.mark.parametrize(
         "field", ["learning_rate", "momentum", "init_half_width", "target_error"]

@@ -3,6 +3,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -260,8 +261,9 @@ class TestBlocks:
                     column[3] = value
                 return block
 
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             collect_runs(OneBadRow(cap_epochs=10), 8, base_seed=1)
+        assert str(raised.value).startswith("record 3: ")
 
 
 class TestSummaryStats:
@@ -507,6 +509,34 @@ def assert_columns_hold(sample: RunSample, records: list[RunRecord]) -> None:
     assert sample.converged_epochs().tolist() == [r.epochs for r in records if r.converged]
 
 
+def reference_first_bad(rows: list[tuple], cap: int) -> str | None:
+    """The first refusal among (seed, epochs, converged, diverged) rows, one
+    record at a time: `RunRecord`'s epochs check, then `RunSample`'s."""
+    first: dict[int, int] = {}
+    for i, (seed, epochs, converged, diverged) in enumerate(rows):
+        if epochs < 1:
+            return f"record {i}: epochs must be >= 1, got {epochs}"
+        if epochs > cap:
+            return f"record {i}: epochs {epochs} exceeds cap {cap}"
+        if converged and diverged:
+            return f"record {i}: run is both converged and diverged"
+        if not converged and not diverged and epochs != cap:
+            return f"record {i}: censored run must carry epochs == cap, got {epochs} != {cap}"
+        if seed in first:
+            return f"record {i}: seed {seed} repeats record {first[seed]}"
+        first[seed] = i
+    return None
+
+
+def sample_problem(build) -> str | None:
+    """The ValueError message of `build()`, or None when it builds a sample."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 MIXED_RECORDS = [
     RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1 + 0.2),
     RunRecord(seed=0, epochs=10, converged=False, final_error=-0.0),
@@ -524,8 +554,34 @@ class TestColumns:
 
     def test_hand_built_keeps_its_records(self):
         sample = RunSample(records=MIXED_RECORDS, cap=10)
-        assert sample.records is MIXED_RECORDS
         assert_columns_hold(sample, MIXED_RECORDS)
+
+    def test_caller_list_is_not_held(self):
+        records = MIXED_RECORDS[:2]
+        sample = RunSample(records=records, cap=10)
+        shown = repr(sample)
+        records.append(MIXED_RECORDS[4])
+        records[0] = RunRecord(seed=1, epochs=4, converged=False, final_error=1.0)
+        assert sample.records == MIXED_RECORDS[:2]
+        assert sample == RunSample(records=MIXED_RECORDS[:2], cap=10)
+        assert repr(sample) == shown
+        assert_columns_hold(sample, MIXED_RECORDS[:2])
+
+    def test_equality_compares_columns(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        save_runs(RunSample(records=MIXED_RECORDS, cap=10, metadata="m"), path)
+        assert math.isnan(load_runs(path).final_error[2])
+        assert load_runs(path) == load_runs(path)
+        positive_zero = replace(MIXED_RECORDS[1], final_error=0.0)
+        assert RunSample([MIXED_RECORDS[1]], cap=10) == RunSample([positive_zero], cap=10)
+        changed = [
+            MIXED_RECORDS[:4],
+            [*MIXED_RECORDS[:4], replace(MIXED_RECORDS[4], epochs=2)],
+            [*MIXED_RECORDS[:2], replace(MIXED_RECORDS[2], final_error=0.5), *MIXED_RECORDS[3:]],
+        ]
+        assert load_runs(path) != RunSample(records=MIXED_RECORDS, cap=10)
+        for records in changed:
+            assert load_runs(path) != RunSample(records=records, cap=10, metadata="m")
 
     def test_empty(self):
         assert_columns_hold(RunSample(records=[], cap=5), [])
@@ -559,6 +615,48 @@ class TestColumns:
             RunSample(records=[*MIXED_RECORDS, both], cap=10)
         with pytest.raises(ValueError, match="record 5: seed 0 repeats record 1"):
             RunSample(records=[*MIXED_RECORDS, replace(MIXED_RECORDS[1], seed=0)], cap=10)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from([0, 1, 2, 3, 4, 5, 2**64]),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([(1, 4, True, False), (2, 0, False, False)])
+    @example([(1, 4, False, False), (2, 2**64, True, False), (1, 4, False, False)])
+    @example([(1, 3, False, False), (1, 4, False, False)])
+    def test_one_check_matches_per_record_reference(self, rows):
+        # Each way in must refuse what the reference refuses, with its
+        # message: a record cannot hold epochs 0, an int64 block column
+        # cannot hold 2**64, so each path takes the rows it can carry.
+        cap = 4
+        if all(epochs >= 1 for _, epochs, _, _ in rows):
+            records = [RunRecord(s, e, c, 0.5, diverged=d) for s, e, c, d in rows]
+            assert sample_problem(lambda: RunSample(records=records, cap=cap)) == (
+                reference_first_bad(rows, cap)
+            )
+        if all(epochs < 2**63 for _, epochs, _, _ in rows):
+
+            class Rows(FormulaStub):
+                def attempt_many(self, seeds, cutoff):
+                    _, epochs, converged, diverged = zip(*rows)
+                    return runner.RunBlock(
+                        np.array(epochs, dtype=np.int64),
+                        np.array(converged),
+                        np.full(len(rows), 0.5),
+                        np.array(diverged),
+                    )
+
+            seeds = [derive_seed(1, i) for i in range(len(rows))]
+            derived = [(seed, *row[1:]) for seed, row in zip(seeds, rows)]
+            collect = partial(collect_runs, Rows(cap_epochs=cap), len(rows), base_seed=1)
+            assert sample_problem(collect) == reference_first_bad(derived, cap)
 
     @given(
         st.lists(
