@@ -10,21 +10,11 @@ from .dataset import Dataset, FoldSplit, kfold_split, load_thyroid, save_thyroid
 from .errors import (
     AllTrialsFailedError,
     DegenerateTailError,
-    DivergenceError,
     InsufficientDataError,
     ParseError,
     RunLogFormatError,
 )
-from .mlp import (
-    MlpConfig,
-    MlpProcess,
-    MlpState,
-    backprop_gradients,
-    forward,
-    init_weights,
-    train_epoch,
-    training_error,
-)
+from .mlp import MlpConfig, MlpProcess, MlpState, backprop_gradients, init_weights
 from .runner import (
     LasVegasProcess,
     RunBlock,

@@ -247,10 +247,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print("t_star\texpected_epochs\tno_restart_mean\treduction")
     print(f"{t_star}\t{expected:.3f}\t{baseline}")
     if args.curve_out:
-        rows = [
-            (t, f"{e:.6f}" if math.isfinite(e) else "inf")
-            for t, e in strategies.expected_time_curve(ecdf)
-        ]
+        rows = [(t, f"{e:.6f}") for t, e in strategies.expected_time_curve(ecdf)]
         _write_table(args.curve_out, ["t", "expected_epochs"], rows)
     return 0
 

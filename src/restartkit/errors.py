@@ -13,10 +13,6 @@ class DegenerateTailError(ValueError):
     """All top order statistics coincide, so the tail index is undefined."""
 
 
-class DivergenceError(ArithmeticError):
-    """Training produced a non-finite gradient or objective."""
-
-
 class AllTrialsFailedError(RuntimeError):
     """Every Monte Carlo trial exhausted its budget without succeeding."""
 

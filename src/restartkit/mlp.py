@@ -13,8 +13,7 @@ weights are updated in place. `MlpProcess.attempt_many` trains up to 16
 runs of a block side by side (fewer when their buffers would pass a fixed
 byte budget); a run leaves the stack at the epoch it converges, diverges
 or reaches the cutoff, and the next seed takes its slot. `MlpProcess.attempt`
-(a block of one seed), `training_error`, `backprop_gradients`, `train_epoch`
-and `forward` are the stack of one.
+(a block of one seed) and `backprop_gradients` are the stack of one.
 
 Each run's record is bit-identical to the plain allocating formulas for
 that seed alone, whatever the stack around it:
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DivergenceError, InsufficientDataError
+from .errors import InsufficientDataError
 from .runner import MAX_CAP, LasVegasProcess, RunBlock, check_cutoff
 
 
@@ -168,9 +167,7 @@ class _Epoch:
     `restack` drops finished runs and starts new ones in the freed slots.
     """
 
-    def __init__(
-        self, params: list[np.ndarray], x: np.ndarray, y: np.ndarray | None
-    ) -> None:
+    def __init__(self, params: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> None:
         capacity, n_hidden = params[0].shape[:2]
         n, n_out = x.shape[0], params[2].shape[1]
         self.x, self.y = x, y
@@ -225,13 +222,11 @@ class _Epoch:
         self._bind(m + len(states))
         return self.error()
 
-    def forward(self) -> np.ndarray:
-        _sigmoid_layer(self.x, self.w_hidden_t, self.b_hidden, self.hidden)
-        return _sigmoid_layer(self.hidden, self.w_out_t, self.b_out, self.output)
-
     def error(self) -> list[float]:
         """Each run's MSE over patterns and output units at its current weights."""
-        np.subtract(self.forward(), self.y, out=self.diff)
+        _sigmoid_layer(self.x, self.w_hidden_t, self.b_hidden, self.hidden)
+        _sigmoid_layer(self.hidden, self.w_out_t, self.b_out, self.output)
+        np.subtract(self.output, self.y, out=self.diff)
         np.multiply(self.diff, self.diff, out=self.d_out)
         return (np.add.reduce(self.squares, axis=1) / self.n_cells).tolist()
 
@@ -277,29 +272,6 @@ class _Epoch:
             p -= np.multiply(s, learning_rate, out=g)
 
 
-def forward(state: MlpState, inputs: np.ndarray) -> np.ndarray:
-    """Network output for a single input vector (sigmoid on both layers)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != state.w_hidden.shape[1]:
-        raise ValueError(
-            f"input must be a vector of length {state.w_hidden.shape[1]}, "
-            f"got shape {x.shape}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _Epoch(_stack_of_one(state), x[None, :], None).forward()[0, 0]
-
-
-def training_error(state: MlpState, data: Dataset) -> float:
-    """MSE averaged over patterns and output units."""
-    _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _Epoch(_stack_of_one(state), data.features, data.targets).error()[0]
-
-
-def _stack_of_one(state: MlpState) -> list[np.ndarray]:
-    return [p[None] for p in _params(state)]
-
-
 def _check_dims(data: Dataset, n_inputs: int, n_outputs: int) -> None:
     if data.n_rows == 0:
         raise InsufficientDataError("dataset is empty")
@@ -316,27 +288,12 @@ def _check_dims(data: Dataset, n_inputs: int, n_outputs: int) -> None:
 def backprop_gradients(
     state: MlpState, data: Dataset
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of `training_error` w.r.t. (w_hidden, b_hidden, w_out, b_out)."""
+    """Gradients of the MSE w.r.t. (w_hidden, b_hidden, w_out, b_out)."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        epoch = _Epoch(_stack_of_one(state), data.features, data.targets)
+        epoch = _Epoch([p[None] for p in _params(state)], data.features, data.targets)
         epoch.error()
         return tuple(g[0] for g in epoch.gradients())
-
-
-def train_epoch(state: MlpState, data: Dataset, learning_rate: float) -> MlpState:
-    """One full-batch gradient-descent step on the MSE objective."""
-    if learning_rate < 0.0:
-        raise ValueError(f"learning_rate must be >= 0, got {learning_rate}")
-    _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
-    params = [np.array(p, dtype=np.float64) for p in _stack_of_one(state)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        epoch = _Epoch(params, data.features, data.targets)
-        epoch.error()
-        if not all(np.isfinite(g).all() for g in epoch.gradients()):
-            raise DivergenceError("non-finite gradient in backpropagation step")
-        epoch.descend(learning_rate)
-    return MlpState(*(p[0] for p in params))
 
 
 # At most this many runs train side by side, and their stacked buffers

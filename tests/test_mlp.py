@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 
 from restartkit import (
     Dataset,
-    DivergenceError,
     InsufficientDataError,
     MlpConfig,
     MlpProcess,
     MlpState,
     RunRecord,
     backprop_gradients,
-    forward,
     init_weights,
-    train_epoch,
-    training_error,
 )
 
 from conftest import tiny_dataset
@@ -54,7 +50,7 @@ def finite_difference_gradients(state: MlpState, data: Dataset, h=1e-5):
     arrays = [state.w_hidden, state.b_hidden, state.w_out, state.b_out]
 
     def error_at(arrs):
-        return training_error(MlpState(*arrs), data)
+        return alloc_error(MlpState(*arrs), data)
 
     grads = []
     for k, a in enumerate(arrays):
@@ -84,6 +80,10 @@ def alloc_forward(state, x):
     hidden = alloc_sigmoid(x @ state.w_hidden.T + state.b_hidden)
     output = alloc_sigmoid(hidden @ state.w_out.T + state.b_out)
     return hidden, output
+
+
+def alloc_error(state, data):
+    return float(np.mean((alloc_forward(state, data.features)[1] - data.targets) ** 2))
 
 
 def alloc_gradients(state, x, y, hidden, output):
@@ -217,10 +217,13 @@ class TestInitWeights:
 
 
 class TestForward:
+    """The allocating reference's forward pass, which the kernel matches bit
+    for bit (TestBitIdentity, TestAttemptMany)."""
+
     def test_zero_weights_give_half(self):
         cfg = MlpConfig(n_inputs=4, n_hidden=3, n_outputs=2, init_half_width=0.0)
         state = init_weights(cfg, 0)
-        out = forward(state, np.array([0.3, -2.0, 5.0, 0.0]))
+        out = alloc_forward(state, np.array([[0.3, -2.0, 5.0, 0.0]]))[1][0]
         assert out.tolist() == [0.5, 0.5]
 
     def test_large_bias_saturates(self):
@@ -229,21 +232,28 @@ class TestForward:
         state = MlpState(
             state.w_hidden, state.b_hidden, state.w_out, state.b_out + [1000.0, 0.0]
         )
-        out = forward(state, np.array([0.1, 0.2]))
+        out = alloc_forward(state, np.array([[0.1, 0.2]]))[1][0]
         assert abs(out[0] - 1.0) < 1e-9
         assert out[1] == 0.5
 
     def test_outputs_in_open_unit_interval(self):
         cfg = MlpConfig(n_inputs=6, n_hidden=4, n_outputs=3, init_half_width=2.0)
         state = init_weights(cfg, 17)
-        out = forward(state, np.linspace(-1, 1, 6))
+        out = alloc_forward(state, np.linspace(-1, 1, 6)[None, :])[1][0]
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_dimension_mismatch(self):
         cfg = MlpConfig(n_inputs=4, n_hidden=3, n_outputs=2)
         state = init_weights(cfg, 0)
-        with pytest.raises(ValueError):
-            forward(state, np.zeros(5))
+        for n_features, n_outputs, message in [
+            (5, 2, "^dataset has 5 features, network expects 4$"),
+            (4, 3, "^dataset has 3 targets, network expects 2$"),
+        ]:
+            d = tiny_dataset(n_rows=3, n_features=n_features, n_outputs=n_outputs)
+            with pytest.raises(ValueError, match=message):
+                MlpProcess(cfg, d).attempt_many([0], 5)
+            with pytest.raises(ValueError, match=message):
+                backprop_gradients(state, d)
 
     def test_agrees_with_naive_oracle(self):
         cfg = MlpConfig(n_inputs=5, n_hidden=4, n_outputs=3, init_half_width=1.5)
@@ -252,23 +262,31 @@ class TestForward:
         for _ in range(5):
             x = rng.uniform(-2, 2, size=5)
             expected = naive_forward(state, x)
-            assert forward(state, x).tolist() == pytest.approx(expected, abs=1e-12)
+            got = alloc_forward(state, x[None, :])[1][0]
+            assert got.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 class TestTrainingError:
+    """The MSE over patterns and output units."""
+
     def test_exact_targets_give_zero(self):
+        # Targets equal to the outputs give a zero gradient, so the first
+        # step leaves the weights where they are and the kernel's error
+        # after it is exactly zero.
         cfg = MlpConfig(n_inputs=3, n_hidden=2, n_outputs=2, init_half_width=0.4)
         state = init_weights(cfg, 3)
         x = np.array([[0.1, 0.5, 0.9], [0.7, 0.2, 0.3]])
-        outputs = np.array([forward(state, row) for row in x])
-        d = Dataset(features=x, targets=outputs)
-        assert training_error(state, d) == 0.0
+        d = Dataset(features=x, targets=alloc_forward(state, x)[1])
+        assert alloc_error(state, d) == 0.0
+        assert all(not g.any() for g in backprop_gradients(state, d))
+        rec = MlpProcess(cfg, d).attempt(3, 1)
+        assert rec.converged and rec.final_error == 0.0
 
     def test_zero_weights_vs_one_hot(self):
         cfg = MlpConfig(n_inputs=4, n_hidden=3, n_outputs=3, init_half_width=0.0)
         state = init_weights(cfg, 0)
         d = tiny_dataset(n_rows=6, n_features=4, n_outputs=3)
-        assert training_error(state, d) == pytest.approx(0.25, abs=1e-15)
+        assert alloc_error(state, d) == pytest.approx(0.25, abs=1e-15)
 
     def test_hand_computed_two_patterns(self):
         cfg = MlpConfig(n_inputs=2, n_hidden=2, n_outputs=2, init_half_width=0.8)
@@ -282,24 +300,32 @@ class TestTrainingError:
                 total += (o - t) ** 2
         expected = total / 4.0
         d = Dataset(features=x, targets=y)
-        assert training_error(state, d) == pytest.approx(expected, abs=1e-12)
+        assert alloc_error(state, d) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_dataset(self):
         cfg = MlpConfig(n_inputs=2, n_hidden=2, n_outputs=2)
-        state = init_weights(cfg, 0)
         d = Dataset(features=np.zeros((0, 2)), targets=np.zeros((0, 2)))
-        with pytest.raises(InsufficientDataError):
-            training_error(state, d)
+        with pytest.raises(InsufficientDataError, match="^dataset is empty$"):
+            MlpProcess(cfg, d).attempt_many([0], 5)
+        with pytest.raises(InsufficientDataError, match="^dataset is empty$"):
+            backprop_gradients(init_weights(cfg, 0), d)
 
 
 class TestTrainEpoch:
+    """Full-batch gradient steps, as the kernel takes them in a training run."""
+
     def test_zero_learning_rate_keeps_state(self):
-        cfg = MlpConfig(n_inputs=4, n_hidden=3, n_outputs=2)
-        state = init_weights(cfg, 5)
+        # The config refuses learning rate 0. At the smallest positive one
+        # every step lr * g rounds to zero (here |g| < 0.04), so the weights
+        # never move and each epoch's error is the initial one, bit for bit.
+        cfg = MlpConfig(
+            n_inputs=4, n_hidden=3, n_outputs=2, learning_rate=5e-324,
+            target_error=1e-9, max_epochs=5,
+        )
         d = tiny_dataset(n_rows=4, n_features=4, n_outputs=2)
-        after = train_epoch(state, d, learning_rate=0.0)
-        assert np.array_equal(after.w_hidden, state.w_hidden)
-        assert np.array_equal(after.b_out, state.b_out)
+        rec = MlpProcess(cfg, d).attempt(5, cfg.max_epochs)
+        assert (rec.epochs, rec.converged, rec.diverged) == (5, False, False)
+        assert rec.final_error.hex() == alloc_error(init_weights(cfg, 5), d).hex()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -323,24 +349,26 @@ class TestTrainEpoch:
                 assert np.max(np.abs(a - n)) <= 1e-6
 
     def test_non_finite_gradient_raises(self):
-        # inf * 0 on a zero input column makes every gradient NaN.
+        # inf * 0 on a zero input column makes every gradient NaN. The NaNs
+        # are returned, not raised; a training run reports them as
+        # divergence in its record
+        # (TestBitIdentity.test_divergence_matches_allocating_epoch).
         cfg = MlpConfig(n_inputs=3, n_hidden=2, n_outputs=2)
         state = init_weights(cfg, 11)
         state.w_hidden[:, 0] = np.inf
         d = tiny_dataset(n_rows=4, n_features=3, n_outputs=2, seed=2)
         d.features[:, 0] = 0.0
-        with pytest.raises(DivergenceError, match="non-finite gradient"):
-            train_epoch(state, d, learning_rate=1e-3)
+        assert all(np.isnan(g).all() for g in backprop_gradients(state, d))
 
     def test_descent_property_small_lr(self):
-        cfg = MlpConfig(n_inputs=3, n_hidden=2, n_outputs=2)
-        state = init_weights(cfg, 11)
+        cfg = MlpConfig(
+            n_inputs=3, n_hidden=2, n_outputs=2, learning_rate=1e-3, target_error=1e-9
+        )
         d = tiny_dataset(n_rows=4, n_features=3, n_outputs=2, seed=2)
-        e0 = training_error(state, d)
-        s1 = train_epoch(state, d, learning_rate=1e-3)
-        e1 = training_error(s1, d)
-        s2 = train_epoch(s1, d, learning_rate=1e-3)
-        e2 = training_error(s2, d)
+        process = MlpProcess(cfg, d)
+        e0 = alloc_error(init_weights(cfg, 11), d)
+        e1 = process.attempt(11, 1).final_error
+        e2 = process.attempt(11, 2).final_error
         assert e1 <= e0
         assert e2 <= e1
 
@@ -384,17 +412,13 @@ class TestTrainUntil:
             learning_rate=5.0,
         )
         d = tiny_dataset(n_rows=6, n_features=4)
-        rec = MlpProcess(cfg, d).attempt(12, cfg.max_epochs)
-        state = init_weights(cfg, 12)
-        errors = []
-        for _ in range(rec.epochs):
-            state = train_epoch(state, d, cfg.learning_rate)
-            errors.append(training_error(state, d))
-        assert errors[-1] == rec.final_error
+        process = MlpProcess(cfg, d)
+        rec = process.attempt(12, cfg.max_epochs)
+        assert record_bits(rec) == record_bits(alloc_train_until(cfg, d, 12))
         if rec.converged and rec.epochs > 1:
             # Monotone stop: the epoch before convergence was above target.
-            assert errors[-2] > cfg.target_error
-        assert rec.converged == (errors[-1] <= cfg.target_error)
+            assert process.attempt(12, rec.epochs - 1).final_error > cfg.target_error
+        assert rec.converged == (rec.final_error <= cfg.target_error)
 
     def test_momentum_runs_and_differs(self):
         d = tiny_dataset(n_rows=6, n_features=4)
@@ -598,18 +622,13 @@ class TestBitIdentity:
         state = init_weights(cfg, seed)
         hidden, output = alloc_forward(state, d.features)
         grads = alloc_gradients(state, d.features, d.targets, hidden, output)
-        mse = float(np.mean((output - d.targets) ** 2))
-        assert training_error(state, d).hex() == mse.hex()
-        x0 = d.features[0]
-        assert same_bits(forward(state, x0), alloc_forward(state, x0[None, :])[1][0])
         assert all(map(same_bits, backprop_gradients(state, d), grads))
-        stepped = train_epoch(state, d, learning_rate)
-        for new, old, g in zip(
-            (stepped.w_hidden, stepped.b_hidden, stepped.w_out, stepped.b_out),
-            (state.w_hidden, state.b_hidden, state.w_out, state.b_out),
-            grads,
-        ):
-            assert same_bits(new, old - learning_rate * g)
+        # One epoch is one plain step, whatever the momentum: a run's first
+        # velocity is its gradient.
+        params = (state.w_hidden, state.b_hidden, state.w_out, state.b_out)
+        stepped = MlpState(*(p - learning_rate * g for p, g in zip(params, grads)))
+        one = MlpProcess(cfg, d).attempt(seed, 1)
+        assert one.final_error.hex() == alloc_error(stepped, d).hex()
 
     def test_divergence_matches_allocating_epoch(self):
         # Momentum near 1 accumulates steps of lr*g ~ 1e306 until a weight

@@ -261,6 +261,7 @@ class TestExpectedTimeEngine:
             if j + 1 < len(support):
                 running += cum[j] * (support[j + 1] - t)
         assert expected_time_curve(e) == expect
+        assert all(math.isfinite(v) for _, v in expect)
 
     @given(small_ecdfs())
     def test_optimum_is_first_argmin_of_curve(self, e):
