@@ -128,15 +128,17 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
             law=synth.parse_law(args.stub), cap_epochs=args.stub_cap
         )
     data = ds.load_thyroid(args.data)
-    if not args.no_scale:
+    notes = []
+    if args.no_scale:
+        notes.append("no-scale")
+    else:
         data = ds.scale_min_max(data)
-    note = ""
     if args.folds is not None:
         if args.fold >= args.folds:
             raise ValueError(f"--fold must be < --folds, got {args.fold}")
         split = ds.kfold_split(data.n_rows, args.folds, args.seed)[args.fold]
         data = data.subset(split.train_indices)
-        note = f"fold={args.fold}/{args.folds}"
+        notes.append(f"fold={args.fold}/{args.folds}")
     cfg = mlp.MlpConfig(
         n_inputs=data.n_features,
         n_hidden=args.hidden,
@@ -147,7 +149,7 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
         target_error=args.delta,
         max_epochs=args.max_epochs,
     )
-    return mlp.MlpProcess(cfg=cfg, data=data, note=note)
+    return mlp.MlpProcess(cfg=cfg, data=data, note=",".join(notes))
 
 
 def _budget(args: argparse.Namespace, process: runner.LasVegasProcess) -> int:

@@ -7,13 +7,13 @@ random variable: this is the Las Vegas process the rest of the toolkit
 analyzes.
 
 Every epoch runs on one in-place kernel (`_Epoch`) over a stack of runs.
-Run k's weights, activations, output - y, deltas and gradients are the
-contiguous slice [k] of (runs, rows, width) arrays allocated once, and the
-weights are updated in place. `MlpProcess.attempt_many` trains up to 16
-runs of a block side by side (fewer when their buffers would pass a fixed
-byte budget); a run leaves the stack at the epoch it converges, diverges
-or reaches the cutoff, and the next seed takes its slot. `MlpProcess.attempt`
-(a block of one seed) and `backprop_gradients` are the stack of one.
+Run k's weights, velocity, activations, output - y, deltas and gradients
+are the contiguous slice [k] of (runs, rows, width) arrays allocated once.
+`MlpProcess.attempt_many` trains up to 16 runs of a block side by side
+(fewer when their buffers would pass a fixed byte budget); a run leaves
+the stack at the epoch it converges, diverges or reaches the cutoff, and
+the next seed takes its slot at zero velocity. `MlpProcess.attempt` (a
+block of one seed) and `backprop_gradients` are the stack of one.
 
 Each run's record is bit-identical to the plain allocating formulas for
 that seed alone, whatever the stack around it:
@@ -41,7 +41,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InsufficientDataError
-from .runner import MAX_CAP, LasVegasProcess, RunBlock, check_cutoff
+from .runner import MAX_CAP, LasVegasProcess, RunBlock, check_cutoff, format_float
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,11 @@ class _Epoch:
     """Full-batch epochs for a stack of runs, on preallocated buffers.
 
     `params` is [w_hidden, b_hidden, w_out, b_out], each with a leading
-    stack axis: run k owns slice [k] of them and of every buffer, and
-    `descend` updates the weights in place. The features `x` and targets
-    `y` are shared. One epoch is `gradients()`, `descend()`, then
-    `error()`, which runs the forward pass at the new weights, caches
-    output - y for the next gradient and returns each run's MSE.
+    stack axis: run k owns slice [k] of them and of every buffer, its
+    velocity among them. The features `x` and targets `y` are shared. One
+    epoch is `gradients()`, `descend()`, which steps every run's weights in
+    place, then `error()`, which runs the forward pass at the new weights,
+    caches output - y for the next gradient and returns each run's MSE.
     `restack` drops finished runs and starts new ones in the freed slots.
     """
 
@@ -175,23 +175,19 @@ class _Epoch:
         self.scale = 2.0 / self.n_cells
         self._params = params
         self._grads = [np.empty(p.shape) for p in params]
-        self._velocity: list[np.ndarray] | None = None
+        self._velocity = [np.zeros(p.shape) for p in params]
         self._hidden = np.empty((capacity, n, n_hidden))
         self._output = np.empty((capacity, n, n_out))
         self._diff = np.empty((capacity, n, n_out))
         self._d_out = np.empty((capacity, n, n_out))
         self._d_hidden = np.empty((capacity, n, n_hidden))
-        # Runs [fresh:] have taken no step yet, so they have no velocity.
-        self.fresh = 0
         self._bind(capacity)
 
     def _bind(self, size: int) -> None:
         """Point the working views at the first `size` runs."""
-        self.size = size
         self.params = [p[:size] for p in self._params]
         self.grads = [g[:size] for g in self._grads]
-        if self._velocity is not None:
-            self.velocity = [v[:size] for v in self._velocity]
+        self.velocity = [v[:size] for v in self._velocity]
         self.hidden, self.output = self._hidden[:size], self._output[:size]
         self.diff, self.d_out = self._diff[:size], self._d_out[:size]
         self.d_hidden = self._d_hidden[:size]
@@ -206,19 +202,17 @@ class _Epoch:
     def restack(self, keep: list[int], states: list[MlpState]) -> list[float]:
         """Keep runs `keep`, in that order, then start one run per state.
 
-        Returns `error()` of the new stack; a kept run's forward pass is
-        recomputed from its unchanged weights, so its buffers and error are
-        the ones it had.
+        New runs start at zero velocity. Returns `error()` of the new stack;
+        a kept run's forward pass is recomputed from its unchanged weights,
+        so its buffers and error are the ones it had.
         """
         m = len(keep)
-        if m:
-            index = np.array(keep, dtype=np.intp)
-            for full in (*self._params, *(self._velocity or ())):
-                full[:m] = full[index]
+        index = np.array(keep, dtype=np.intp)
+        for full in (*self._params, *self._velocity):
+            full[:m], full[m:] = full[index], 0.0
         for k, state in enumerate(states, start=m):
             for full, p in zip(self._params, _params(state)):
                 full[k] = p
-        self.fresh = m
         self._bind(m + len(states))
         return self.error()
 
@@ -249,24 +243,20 @@ class _Epoch:
         _column_sums(d_hidden, g_b_hidden)
         return self.grads
 
-    def descend(self, learning_rate: float, momentum: float = 0.0) -> None:
-        """Step the weights along the last gradients (heavy-ball momentum).
+    def descend(self, learning_rate: float, momentum: float) -> None:
+        """Step every run: v = momentum * v + g, then p -= learning_rate * v.
 
-        A run's first step sets its velocity to its gradient.
+        A new run's zero velocity gives the weights of a first step v = g,
+        bit for bit: momentum * 0 + g is g but at g = -0.0 (+0.0); a zero's
+        sign reaches a weight p only via p - 0 at p = -0.0; and no weight is
+        -0.0: `rng.uniform(-w, w)` is -w + 2w * u, never -0.0 even at w = 0,
+        and round-to-nearest without flush-to-zero makes p - s -0.0 only if p is.
         """
         step = self.grads
         if momentum > 0.0:
-            if self._velocity is None:
-                self._velocity = [np.empty(g.shape) for g in self._grads]
-                self.velocity = [v[: self.size] for v in self._velocity]
-            fresh = self.fresh
             for v, g in zip(self.velocity, self.grads):
-                if fresh < self.size:
-                    v[fresh:] = g[fresh:]
-                    v, g = v[:fresh], g[:fresh]
                 v *= momentum
                 v += g
-            self.fresh = self.size
             step = self.velocity
         for p, s, g in zip(self.params, step, self.grads):
             p -= np.multiply(s, learning_rate, out=g)
@@ -385,11 +375,11 @@ class MlpProcess(LasVegasProcess):
         return self.cfg.max_epochs
 
     def describe(self) -> str:
-        c = self.cfg
+        c, fmt = self.cfg, format_float
         extra = f",{self.note}" if self.note else ""
         return (
-            f"mlp(hidden={c.n_hidden},delta={c.target_error:g},lr={c.learning_rate:g},"
-            f"momentum={c.momentum:g},init={c.init_half_width:g},cap={c.max_epochs},"
+            f"mlp(hidden={c.n_hidden},delta={fmt(c.target_error)},lr={fmt(c.learning_rate)},"
+            f"momentum={fmt(c.momentum)},init={fmt(c.init_half_width)},cap={c.max_epochs},"
             f"rows={self.data.n_rows}{extra})"
         )
 

@@ -141,6 +141,12 @@ class LasVegasProcess(Protocol):
         return self.attempt_many([seed], cutoff).records([seed])[0]
 
 
+def format_float(x: float) -> str:
+    """`x` for a label or a header: `:g` where it reads back as `x`, else `repr`."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 # Largest censoring cap: a sample keeps its epochs in an int64 column.
 MAX_CAP = 2**63 - 1
 

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import AllTrialsFailedError
-from .runner import MAX_CAP, LasVegasProcess, derive_seed, parallel_map, worker_count
+from .runner import MAX_CAP, LasVegasProcess, derive_seed, format_float, parallel_map, worker_count
 from .tailstats import Ecdf
 
 
@@ -85,7 +85,7 @@ class WalshSchedule(RestartSchedule):
             power_den *= den
 
     def describe(self) -> str:
-        return f"walsh:{self.gamma:g}"
+        return f"walsh:{format_float(self.gamma)}"
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,29 @@ class TestCollect:
         assert code == 0, err
         assert load_runs(log).n_runs == 4
 
+    @pytest.mark.parametrize(
+        "flags, part",
+        [
+            (["--no-scale"], ",rows=3,no-scale)"),
+            (["--lr", "80.0000001"], ",lr=80.0000001,"),
+            (["--folds", "3", "--no-scale"], ",rows=2,no-scale,fold=0/3)"),
+        ],
+        ids=["no_scale", "lr_past_six_digits", "no_scale_with_folds"],
+    )
+    def test_metadata_tells_apart_settings_that_change_runs(
+        self, capsys, tmp_path, thyroid_like_file, flags, part
+    ):
+        metadata = []
+        for extra in ([], flags):
+            log = tmp_path / "runs.jsonl"
+            code, out, err = run_cli(
+                capsys, "collect", "--data", str(thyroid_like_file), "--runs", "1",
+                "--max-epochs", "2", *extra, "--out", str(log),
+            )
+            assert code == 0, err
+            metadata.append(load_runs(log).metadata)
+        assert part not in metadata[0] and part in metadata[1]
+
     def test_fold_out_of_range(self, capsys, tmp_path, thyroid_like_file):
         code, out, err = run_cli(
             capsys,

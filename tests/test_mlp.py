@@ -533,11 +533,12 @@ class TestAttemptMany:
     reference's record for that seed alone, bit for bit."""
 
     @staticmethod
-    def config(n_hidden, n_outputs, momentum, cutoff):
+    def config(n_hidden, n_outputs, momentum, cutoff, init=4.0):
         # momentum None is the diverging config of TestBitIdentity.
         cfg = MlpConfig(
             n_inputs=4, n_hidden=n_hidden, n_outputs=n_outputs, learning_rate=5.0,
-            momentum=momentum or 0.0, target_error=0.09, max_epochs=cutoff,
+            momentum=momentum or 0.0, init_half_width=init, target_error=0.09,
+            max_epochs=cutoff,
         )
         if momentum is None:
             cfg = replace(cfg, learning_rate=1e308, momentum=0.99, target_error=1e-9)
@@ -545,7 +546,9 @@ class TestAttemptMany:
 
     # On tiny_dataset(6, 4, outputs 2..5) seeds 0-7 converge anywhere from
     # epoch 4 to past 150, are censored or (diverging config) diverge from
-    # epoch 44 on, so stacks drop runs at many different epochs.
+    # epoch 44 on, so stacks drop runs at many different epochs. At init 0
+    # every run starts from exact zero weights, where gradients hold exact
+    # zeros too: a new run's zero velocity must still step as v = g.
     @settings(max_examples=200, deadline=None)
     @given(
         n_hidden=st.integers(1, 5),
@@ -555,17 +558,22 @@ class TestAttemptMany:
         seeds=st.lists(st.integers(0, 7), max_size=12),
         cutoff=st.integers(1, 150),
         data_seed=st.integers(0, 3),
+        init=st.sampled_from([4.0, 0.0]),
     )
     @example(n_hidden=1, n_outputs=2, momentum=None, stack_runs=3,
-             seeds=[0, 1, 6, 0, 7, 6], cutoff=150, data_seed=0)
+             seeds=[0, 1, 6, 0, 7, 6], cutoff=150, data_seed=0, init=4.0)
     @example(n_hidden=3, n_outputs=5, momentum=0.9, stack_runs=2,
-             seeds=[3, 0, 6, 1, 3, 2, 4], cutoff=140, data_seed=0)
+             seeds=[3, 0, 6, 1, 3, 2, 4], cutoff=140, data_seed=0, init=4.0)
     @example(n_hidden=5, n_outputs=1, momentum=0.5, stack_runs=16,
-             seeds=list(range(8)) * 2 + [2], cutoff=7, data_seed=0)
+             seeds=list(range(8)) * 2 + [2], cutoff=7, data_seed=0, init=4.0)
+    @example(n_hidden=3, n_outputs=2, momentum=0.5, stack_runs=2,
+             seeds=[0, 1, 2, 3, 0], cutoff=150, data_seed=1, init=0.0)
+    @example(n_hidden=2, n_outputs=3, momentum=0.9, stack_runs=3,
+             seeds=[4, 5, 6, 7, 4, 5, 1], cutoff=120, data_seed=2, init=0.0)
     def test_matches_one_seed_reference(
-        self, n_hidden, n_outputs, momentum, stack_runs, seeds, cutoff, data_seed
+        self, n_hidden, n_outputs, momentum, stack_runs, seeds, cutoff, data_seed, init
     ):
-        cfg = self.config(n_hidden, n_outputs, momentum, cutoff)
+        cfg = self.config(n_hidden, n_outputs, momentum, cutoff, init)
         d = tiny_dataset(6, 4, n_outputs, seed=data_seed)
         process = MlpProcess(cfg, d)
         with mock.patch.object(mlp, "_STACK_RUNS", stack_runs):

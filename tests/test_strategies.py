@@ -132,6 +132,15 @@ class TestSchedules:
     def test_parse_round_trip(self, spec):
         assert parse_schedule(spec).describe() == spec
 
+    @pytest.mark.parametrize("gamma", [1.0000001, 1.0000002, 12345678.0])
+    def test_describe_reads_back_as_the_schedule(self, gamma):
+        # `:g` alone keeps 6 significant digits: "walsh:1", "walsh:1.23457e+07".
+        schedule = WalshSchedule(gamma)
+        assert parse_schedule(schedule.describe()) == schedule
+
+    def test_close_gammas_get_distinct_labels(self):
+        assert WalshSchedule(1.0000001).describe() != WalshSchedule(1.0000002).describe()
+
     def test_parse_rejects_garbage(self):
         for spec in ("", "fixed", "walsh:1", "luby:0", "geo:2", "fixed:x"):
             with pytest.raises(ValueError):
