@@ -54,7 +54,6 @@ from .synth import (
 )
 from .tailstats import (
     Ecdf,
-    cdf_at,
     empirical_cdf,
     expected_remaining,
     hill_estimator,
@@ -62,7 +61,6 @@ from .tailstats import (
     loglog_tail_slope,
     remaining_time_profile,
     restart_profitable,
-    survival,
     survival_table,
 )
 

@@ -117,12 +117,14 @@ def _add_process_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--fold",
         type=_nonneg_int,
-        default=0,
-        help="which fold's training partition to use (with --folds)",
+        default=None,
+        help="which fold's training partition to use (needs --folds; default 0)",
     )
 
 
 def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
+    if args.fold is not None and args.folds is None:
+        raise ValueError("--fold needs --folds")
     if args.stub is not None:
         return synth.SyntheticProcess(
             law=synth.parse_law(args.stub), cap_epochs=args.stub_cap
@@ -134,11 +136,12 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
     else:
         data = ds.scale_min_max(data)
     if args.folds is not None:
-        if args.fold >= args.folds:
-            raise ValueError(f"--fold must be < --folds, got {args.fold}")
-        split = ds.kfold_split(data.n_rows, args.folds, args.seed)[args.fold]
+        fold = 0 if args.fold is None else args.fold
+        if fold >= args.folds:
+            raise ValueError(f"--fold must be < --folds, got {fold}")
+        split = ds.kfold_split(data.n_rows, args.folds, args.seed)[fold]
         data = data.subset(split.train_indices)
-        notes.append(f"fold={args.fold}/{args.folds}")
+        notes.append(f"fold={fold}/{args.folds}")
     cfg = mlp.MlpConfig(
         n_inputs=data.n_features,
         n_hidden=args.hidden,
@@ -149,6 +152,8 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
         target_error=args.delta,
         max_epochs=args.max_epochs,
     )
+    if cfg.init_half_width == 0.0:
+        raise ValueError("--init must be > 0: at 0 every seed trains the same run")
     return mlp.MlpProcess(cfg=cfg, data=data, note=",".join(notes))
 
 

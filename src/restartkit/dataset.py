@@ -20,15 +20,10 @@ N_CLASSES = 3
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with one-hot targets.
-
-    `scaling` is None for raw data; after min-max scaling it records the
-    per-column (min, max) seen at scaling time.
-    """
+    """Feature matrix with one-hot targets."""
 
     features: np.ndarray
     targets: np.ndarray
-    scaling: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.features.shape[0] != self.targets.shape[0]:
@@ -52,18 +47,13 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Row subset (used to train on one fold's partition)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx].copy(),
-            targets=self.targets[idx].copy(),
-            scaling=self.scaling,
-        )
+        return Dataset(features=self.features[idx].copy(), targets=self.targets[idx].copy())
 
 
 @dataclass(frozen=True)
 class FoldSplit:
     """One train/test partition of a k-fold split."""
 
-    fold_id: int
     train_indices: np.ndarray
     test_indices: np.ndarray
 
@@ -108,7 +98,7 @@ def load_thyroid(path) -> Dataset:
     x = np.array(features, dtype=np.float64)
     y = np.zeros((len(labels), N_CLASSES), dtype=np.float64)
     y[np.arange(len(labels)), np.array(labels) - 1] = 1.0
-    return Dataset(features=x, targets=y, scaling=None)
+    return Dataset(features=x, targets=y)
 
 
 def save_thyroid(data: Dataset, path) -> None:
@@ -124,8 +114,7 @@ def scale_min_max(data: Dataset) -> Dataset:
     """Map every feature column affinely onto [0, 1].
 
     Constant columns map to 0 (the min-max denominator would vanish).
-    Idempotent: scaling already-scaled data changes nothing. The observed
-    (min, max) pairs are recorded on the result.
+    Idempotent: scaling already-scaled data changes nothing.
     """
     if data.n_rows == 0:
         raise InsufficientDataError("cannot scale an empty dataset")
@@ -136,11 +125,7 @@ def scale_min_max(data: Dataset) -> Dataset:
     scaled = np.zeros_like(x)
     nonconst = span > 0.0
     scaled[:, nonconst] = (x[:, nonconst] - mins[nonconst]) / span[nonconst]
-    return Dataset(
-        features=scaled,
-        targets=data.targets.copy(),
-        scaling=tuple((float(lo), float(hi)) for lo, hi in zip(mins, maxs)),
-    )
+    return Dataset(features=scaled, targets=data.targets.copy())
 
 
 def kfold_split(n_rows: int, k: int, seed: int) -> list[FoldSplit]:
@@ -158,16 +143,10 @@ def kfold_split(n_rows: int, k: int, seed: int) -> list[FoldSplit]:
     base, extra = divmod(n_rows, k)
     splits = []
     start = 0
-    for fold_id in range(k):
-        size = base + (1 if fold_id < extra else 0)
+    for i in range(k):
+        size = base + (1 if i < extra else 0)
         test = np.sort(perm[start : start + size])
         train = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
-        splits.append(
-            FoldSplit(
-                fold_id=fold_id,
-                train_indices=train.astype(np.int64),
-                test_indices=test.astype(np.int64),
-            )
-        )
+        splits.append(FoldSplit(train.astype(np.int64), test.astype(np.int64)))
         start += size
     return splits

@@ -503,7 +503,9 @@ def load_runs(path) -> RunSample:
     cap = header["cap"]
     if type(cap) is not int or not 1 <= cap <= MAX_CAP:
         raise RunLogFormatError("line 1: 'cap' must be an integer in [1, 2**63 - 1]")
-    metadata = str(header.get("metadata", ""))
+    metadata = header.get("metadata", "")
+    if not isinstance(metadata, str):
+        raise RunLogFormatError("line 1: 'metadata' must be a string")
     columns = _canonical_columns(text, len(first))
     if columns is not None:
         try:

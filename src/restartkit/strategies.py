@@ -1,8 +1,9 @@
 """Restart schedules and their evaluation.
 
-A schedule maps the attempt index i >= 1 to a cutoff t_i. The process is
-re-seeded and re-run whenever a cutoff elapses without success. Under a
-known distribution the optimal schedule is a fixed cutoff minimizing
+A schedule is its cutoffs t_1, t_2, ..., one per attempt, as `cutoffs()`
+walks them. The process is re-seeded and re-run whenever a cutoff elapses
+without success. Under a known distribution the optimal schedule is a
+fixed cutoff minimizing
 
     E[S_t] = (t - sum_{t' < t} q(t')) / q(t),
 
@@ -19,7 +20,6 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -30,14 +30,16 @@ from .tailstats import Ecdf
 
 
 class RestartSchedule:
-    """Rule producing the cutoff for attempt i >= 1."""
-
-    def cutoff(self, attempt: int) -> int:
-        raise NotImplementedError
+    """A restart schedule: the cutoffs t_1, t_2, ... of its attempts."""
 
     def cutoffs(self) -> Iterator[int]:
-        """t_1, t_2, ... in attempt order, as `cutoff` gives them."""
-        return map(self.cutoff, itertools.count(1))
+        """t_1, t_2, ... in attempt order."""
+        raise NotImplementedError
+
+    def cutoff(self, attempt: int) -> int:
+        """t_i, the i-th cutoff of the walk (O(i))."""
+        _check_attempt(attempt)
+        return next(itertools.islice(self.cutoffs(), attempt - 1, None))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -53,9 +55,8 @@ class FixedSchedule(RestartSchedule):
         if self.t < 1:
             raise ValueError(f"fixed cutoff must be >= 1, got {self.t}")
 
-    def cutoff(self, attempt: int) -> int:
-        _check_attempt(attempt)
-        return self.t
+    def cutoffs(self) -> Iterator[int]:
+        return itertools.repeat(self.t)
 
     def describe(self) -> str:
         return f"fixed:{self.t}"
@@ -71,13 +72,10 @@ class WalshSchedule(RestartSchedule):
         if not 1.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
 
-    def cutoff(self, attempt: int) -> int:
-        _check_attempt(attempt)
-        return math.ceil(Fraction(self.gamma) ** (attempt - 1))
-
     def cutoffs(self) -> Iterator[int]:
-        """The same exact cutoffs, each power one multiplication from the last."""
-        num, den = Fraction(self.gamma).as_integer_ratio()
+        """Ceilings of the exact rational powers of gamma, each power one
+        multiplication from the last."""
+        num, den = self.gamma.as_integer_ratio()
         power_num, power_den = 1, 1
         while True:
             yield -(-power_num // power_den)
@@ -98,9 +96,8 @@ class LubySchedule(RestartSchedule):
         if self.unit < 1:
             raise ValueError(f"luby unit must be >= 1, got {self.unit}")
 
-    def cutoff(self, attempt: int) -> int:
-        _check_attempt(attempt)
-        return self.unit * luby_term(attempt)
+    def cutoffs(self) -> Iterator[int]:
+        return (self.unit * luby_term(i) for i in itertools.count(1))
 
     def describe(self) -> str:
         return f"luby:{self.unit}"

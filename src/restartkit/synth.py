@@ -152,7 +152,7 @@ def exact_ecdf(law: SyntheticLaw, cap: int) -> Ecdf:
     """The law's true distribution packaged as an Ecdf truncated at `cap`.
 
     Support holds every t <= cap where the CDF is positive and increases;
-    mass beyond the cap is reported as censored, mirroring what an infinite
+    mass beyond the cap is left censored, mirroring what an infinite
     empirical sample capped at `cap` would estimate.
     """
     if cap < 1:
@@ -171,7 +171,6 @@ def exact_ecdf(law: SyntheticLaw, cap: int) -> Ecdf:
     return Ecdf(
         support=np.array(support, dtype=np.int64),
         cum_prob=np.array(cum, dtype=np.float64),
-        censored_mass=1.0 - prev,
         cap=cap,
     )
 

@@ -1,7 +1,7 @@
 """Empirical distribution machinery for completion-time samples.
 
 Covers the diagnostic chain for deciding whether restarts can pay off:
-empirical CDF and survival function, log-log tail slope, the Hill tail
+empirical CDF and survival table, log-log tail slope, the Hill tail
 index, and the conditional expected remaining time E[T - tau | T > tau].
 
 E[T - tau | T > tau] and its standard error at every tau on the support
@@ -31,16 +31,15 @@ MIN_TAIL_RECORDS = 10
 
 @dataclass(frozen=True)
 class Ecdf:
-    """Step-function estimate of q(t) = Pr(T <= t) with censoring mass.
+    """Step-function estimate of q(t) = Pr(T <= t).
 
     `support` holds the distinct observed completion times (strictly
-    increasing); `cum_prob[j]` is q(support[j]). The final cumulative value
-    equals 1 - censored_mass.
+    increasing); `cum_prob[j]` is q(support[j]). The censored share, the
+    mass that survives past the cap, is 1 - cum_prob[-1].
     """
 
     support: np.ndarray
     cum_prob: np.ndarray
-    censored_mass: float
     cap: int
 
     def __post_init__(self) -> None:
@@ -53,15 +52,13 @@ class Ecdf:
             raise ValueError("cum_prob must be positive and nondecreasing")
         if s[-1] > self.cap:
             raise ValueError(f"support exceeds cap={self.cap}")
-        if not math.isclose(c[-1], 1.0 - self.censored_mass, abs_tol=1e-12):
-            raise ValueError("final cum_prob must equal 1 - censored_mass")
 
 
 def empirical_cdf(sample: RunSample) -> Ecdf:
     """Estimate q(t) from a run sample.
 
     q(t) counts converged runs with epochs <= t over all runs, censored
-    included; the censored fraction is carried separately.
+    included.
     """
     epochs = sample.converged_epochs()
     if epochs.size == 0:
@@ -72,24 +69,8 @@ def empirical_cdf(sample: RunSample) -> Ecdf:
     return Ecdf(
         support=support.astype(np.int64),
         cum_prob=cum.astype(np.float64),
-        censored_mass=sample.n_censored / n_total,
         cap=sample.cap,
     )
-
-
-def cdf_at(ecdf: Ecdf, t: int) -> float:
-    """q(t) = Pr(T <= t), stepwise-constant between support points."""
-    idx = int(np.searchsorted(ecdf.support, t, side="right")) - 1
-    if idx < 0:
-        return 0.0
-    return float(ecdf.cum_prob[idx])
-
-
-def survival(ecdf: Ecdf, t: int) -> float:
-    """Pr(T > t); the censored mass survives beyond the cap."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return 1.0 - cdf_at(ecdf, t)
 
 
 def survival_table(ecdf: Ecdf) -> list[tuple[int, float]]:

@@ -182,6 +182,30 @@ class TestCollect:
         assert code == 1
         assert "--fold" in err
 
+    @pytest.mark.parametrize("stub", [False, True], ids=["data", "stub"])
+    def test_fold_without_folds_is_an_error(self, capsys, tmp_path, thyroid_like_file, stub):
+        # Without --folds nothing reads --fold, so it would be silently ignored.
+        log = tmp_path / "x.jsonl"
+        source = ["--stub", "constant:3"] if stub else ["--data", str(thyroid_like_file)]
+        code, out, err = run_cli(
+            capsys, "collect", *source, "--runs", "2", "--max-epochs", "5",
+            "--fold", "1", "--out", str(log),
+        )
+        assert (code, out) == (1, "")
+        assert err == "restartkit: error: --fold needs --folds\n"
+        assert not log.exists()
+
+    def test_zero_init_is_an_error(self, capsys, tmp_path, thyroid_like_file):
+        # Every weight would start at 0, so every seed would train one run.
+        log = tmp_path / "x.jsonl"
+        code, out, err = run_cli(
+            capsys, "collect", "--data", str(thyroid_like_file), "--runs", "2",
+            "--max-epochs", "5", "--init", "0", "--out", str(log),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("restartkit: error: --init must be > 0")
+        assert not log.exists()
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [

@@ -36,7 +36,6 @@ class TestLoadThyroid:
         assert data.n_rows == 1
         assert data.features[0].tolist() == pytest.approx(values)
         assert data.targets[0].tolist() == [0.0, 0.0, 1.0]
-        assert data.scaling is None
 
     def test_labels_map_to_columns(self, tmp_path):
         rows = [ann_line([0.1] * 21, label) for label in (1, 2, 3)]
@@ -133,7 +132,6 @@ class TestScaleMinMax:
         )
         scaled = scale_min_max(d)
         assert scaled.features[:, 0].tolist() == [0.0, 0.5, 1.0]
-        assert scaled.scaling == ((2.0, 6.0),)
 
     def test_constant_column_maps_to_zero(self):
         d = Dataset(

@@ -375,7 +375,10 @@ def reference_load(path):
     cap = header["cap"]
     if type(cap) is not int or not 1 <= cap <= 2**63 - 1:
         raise RunLogFormatError("line 1: 'cap' must be an integer in [1, 2**63 - 1]")
-    return cap, str(header.get("metadata", "")), reference_load_body(lines[1:], cap)
+    metadata = header.get("metadata", "")
+    if not isinstance(metadata, str):
+        raise RunLogFormatError("line 1: 'metadata' must be a string")
+    return cap, metadata, reference_load_body(lines[1:], cap)
 
 
 def log_outcome(load):
@@ -430,11 +433,12 @@ class TestRespelledLogs:
             (lambda text: text + "\n", True),
             (lambda text: text + "  \n\t", True),
             (non_ascii_header, True),
+            (lambda text: '{"cap":5,"metadata":null}' + text[text.index("\n") :], False),
         ],
         ids=[
             "crlf", "u2028-in-record", "u2028-in-header", "x85-in-record",
             "x85-in-header", "x85-line-end", "blank-last-line", "blank-tail",
-            "non-ascii-metadata",
+            "non-ascii-metadata", "null-metadata",
         ],
     )
     def test_same_as_whole_json_reader(self, tmp_path, respell, loads):

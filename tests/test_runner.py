@@ -392,6 +392,20 @@ class TestRunLog:
         with pytest.raises(RunLogFormatError, match="cap"):
             load_runs(path)
 
+    @pytest.mark.parametrize("metadata", ["null", '["a"]', "3", "{}"])
+    def test_metadata_must_be_a_string(self, tmp_path, metadata):
+        path = tmp_path / "bad.jsonl"
+        rec = '{"seed":1,"epochs":3,"converged":true,"final_error":0.0}'
+        path.write_text(f'{{"cap":10,"metadata":{metadata}}}\n{rec}\n', encoding="utf-8")
+        with pytest.raises(RunLogFormatError, match="^line 1: 'metadata' must be a string$"):
+            load_runs(path)
+
+    def test_missing_metadata_reads_as_empty(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        rec = '{"seed":1,"epochs":3,"converged":true,"final_error":0.0}'
+        path.write_text('{"cap":10}\n' + rec + "\n", encoding="utf-8")
+        assert load_runs(path).metadata == ""
+
     def test_wrong_types_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         rec = json.dumps(

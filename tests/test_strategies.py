@@ -16,7 +16,6 @@ from restartkit import (
     SyntheticProcess,
     TwoPoint,
     WalshSchedule,
-    cdf_at,
     derive_seed,
     empirical_cdf,
     evaluate_strategy_mc,
@@ -49,6 +48,15 @@ class TestSchedules:
         expected = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
         assert [luby_term(i) for i in range(1, 16)] == expected
 
+    @pytest.mark.parametrize("unit", [1, 7])
+    def test_luby_walk_follows_the_recursion(self, unit):
+        # L(2^k - 1) = (L(2^(k-1) - 1), L(2^(k-1) - 1), unit * 2^(k-1)).
+        walked = list(itertools.islice(LubySchedule(unit).cutoffs(), 2**12 - 1))
+        expected = [unit]
+        for k in range(2, 13):
+            expected = expected + expected + [unit * 2 ** (k - 1)]
+        assert walked == expected
+
     def test_luby_scales_by_unit(self):
         s = LubySchedule(50)
         assert [s.cutoff(i) for i in range(1, 8)] == [50, 50, 100, 50, 50, 100, 200]
@@ -73,25 +81,27 @@ class TestSchedules:
     def test_walsh_huge_cutoff_is_exact(self):
         assert WalshSchedule(10.0).cutoff(400) == 10**399
 
+    # `cutoff(i)` walks i terms, so the long ranges below walk `cutoffs()` once.
     @pytest.mark.parametrize("gamma", [1.01, 1.1, 1.5, 2, 2.5, 3, 10])
     def test_walsh_matches_float_power_below_1e12(self, gamma):
-        s = WalshSchedule(gamma)
-        i = 1
-        while (t := math.ceil(gamma ** (i - 1))) <= 1e12:
-            assert s.cutoff(i) == t
-            i += 1
+        for i, t in enumerate(WalshSchedule(gamma).cutoffs(), start=1):
+            if (expected := math.ceil(gamma ** (i - 1))) > 1e12:
+                break
+            assert t == expected
 
     @pytest.mark.parametrize("gamma", [1.01, 1.0001, 1.3333, 2.0, 2.5, 10.0])
     def test_walsh_equals_exact_rational_ceiling(self, gamma):
-        s = WalshSchedule(gamma)
-        for i in range(1, 600):
-            assert s.cutoff(i) == math.ceil(Fraction(gamma) ** (i - 1))
+        walked = itertools.islice(WalshSchedule(gamma).cutoffs(), 599)
+        for i, t in enumerate(walked, start=1):
+            assert t == math.ceil(Fraction(gamma) ** (i - 1))
 
     @pytest.mark.parametrize("gamma", [1.01, 1.5, 2.0, 10.0])
     def test_walsh_walk_equals_cutoff(self, gamma):
         s = WalshSchedule(gamma)
         walked = list(itertools.islice(s.cutoffs(), 2000))
-        assert walked == [s.cutoff(i) for i in range(1, 2001)]
+        assert [walked[i - 1] for i in (1, 2, 3, 1000, 2000)] == [
+            s.cutoff(i) for i in (1, 2, 3, 1000, 2000)
+        ]
 
     @pytest.mark.parametrize("schedule", [FixedSchedule(7), LubySchedule(3)])
     def test_default_walk_equals_cutoff(self, schedule):
@@ -222,12 +232,7 @@ class TestOptimalCutoff:
         # crafted Ecdf with equal expectations.
         from restartkit import Ecdf
 
-        e = Ecdf(
-            support=np.array([1, 2], dtype=np.int64),
-            cum_prob=np.array([0.5, 0.75]),
-            censored_mass=0.25,
-            cap=2,
-        )
+        e = Ecdf(support=np.array([1, 2], dtype=np.int64), cum_prob=np.array([0.5, 0.75]), cap=2)
         # E[S_1] = 1/0.5 = 2; E[S_2] = (2 - 0.5)/0.75 = 2 -> tie, pick 1.
         t_star, expected = optimal_cutoff(e)
         assert t_star == 1
@@ -251,13 +256,18 @@ def small_ecdfs(draw):
 class TestExpectedTimeEngine:
     @given(small_ecdfs())
     def test_fixed_cutoff_matches_brute_force_prefix_sum(self, e):
+        # q(u) for u = 0 .. cap + 1: each support point's cum_prob holds until the next.
+        steps = dict(zip(e.support.tolist(), e.cum_prob.tolist()))
+        qs = [0.0]
+        for u in range(1, e.cap + 2):
+            qs.append(steps.get(u, qs[-1]))
         for t in range(1, e.cap + 2):
-            q = cdf_at(e, t)
+            q = qs[t]
             got = fixed_cutoff_expected_time(e, t)
             if q == 0.0:
                 assert got == math.inf
             else:
-                below = sum(cdf_at(e, u) for u in range(1, t))
+                below = sum(qs[1:t])
                 assert got == pytest.approx((t - below) / q, rel=1e-12)
 
     @given(small_ecdfs())
@@ -356,7 +366,7 @@ class TestRunWithStrategy:
         (outcome,) = run_schedules(proc, [s], 5, budget=10**6)
         assert outcome.succeeded and outcome.attempts == 696
         cutoffs = [t for t, _ in outcome.per_attempt]
-        assert cutoffs == [s.cutoff(i) for i in range(1, 697)]
+        assert cutoffs == list(itertools.islice(s.cutoffs(), 696))
 
     def test_deterministic(self):
         proc = SyntheticProcess(Geometric(0.05), cap_epochs=1000)

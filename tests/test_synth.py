@@ -129,13 +129,13 @@ class TestExactEcdf:
         e = exact_ecdf(TwoPoint(0.5, 1, 10), cap=10)
         assert e.support.tolist() == [1, 10]
         assert e.cum_prob.tolist() == [0.5, 1.0]
-        assert e.censored_mass == 0.0
+        assert 1.0 - e.cum_prob[-1] == 0.0
 
     def test_truncation_reports_censored_mass(self):
         law = Geometric(0.1)
         e = exact_ecdf(law, cap=20)
         assert e.support.tolist() == list(range(1, 21))
-        assert e.censored_mass == pytest.approx(1 - law.cdf(20), abs=1e-12)
+        assert 1.0 - e.cum_prob[-1] == pytest.approx(1 - law.cdf(20), abs=1e-12)
 
     def test_cap_below_support_rejected(self):
         with pytest.raises(ValueError):

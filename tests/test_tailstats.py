@@ -11,7 +11,6 @@ from restartkit import (
     DiscretePareto,
     Geometric,
     InsufficientDataError,
-    cdf_at,
     empirical_cdf,
     expected_remaining,
     hill_estimator,
@@ -19,7 +18,6 @@ from restartkit import (
     loglog_tail_slope,
     remaining_time_profile,
     restart_profitable,
-    survival,
     survival_table,
 )
 
@@ -28,23 +26,24 @@ from conftest import make_sample, sample_from_times
 
 class TestEmpiricalCdf:
     def test_counting(self):
+        # q(2) = q(1): the step holds between support points.
         e = empirical_cdf(make_sample([1, 1, 3]))
         assert e.support.tolist() == [1, 3]
         assert e.cum_prob.tolist() == [2 / 3, 1.0]
-        assert e.censored_mass == 0.0
-        assert cdf_at(e, 2) == 2 / 3
+        assert 1.0 - e.cum_prob[-1] == 0.0
 
     def test_counting_with_censoring(self):
         e = empirical_cdf(make_sample([1], censored=1))
-        assert cdf_at(e, 1) == 0.5
-        assert e.censored_mass == 0.5
+        assert (e.support.tolist(), e.cum_prob.tolist()) == ([1], [0.5])
+        assert 1.0 - e.cum_prob[-1] == 0.5
 
     def test_geometric_oracle(self):
         law = Geometric(0.1)
         times = law.sample_many(np.arange(100_000, dtype=np.uint64))
         e = empirical_cdf(sample_from_times(times, cap=10_000_000))
-        for t in range(1, 51):
-            assert abs(cdf_at(e, t) - (1 - 0.9**t)) < 0.01
+        assert e.support[:50].tolist() == list(range(1, 51))
+        for t, q in zip(range(1, 51), e.cum_prob):
+            assert abs(q - (1 - 0.9**t)) < 0.01
 
     def test_requires_converged_records(self):
         with pytest.raises(InsufficientDataError):
@@ -53,31 +52,34 @@ class TestEmpiricalCdf:
 
 class TestSurvival:
     def test_below_support_everything_survives(self):
+        # The table starts at the first completion time: before it, Pr(T > t) = 1.
         e = empirical_cdf(make_sample([5, 9]))
-        assert survival(e, 1) == 1.0
-        assert survival(e, 4) == 1.0
+        assert survival_table(e) == [(5, 0.5), (9, 0.0)]
 
     def test_at_cap_without_censoring(self):
         e = empirical_cdf(make_sample([3, 7], cap=7))
-        assert survival(e, 7) == 0.0
+        assert survival_table(e)[-1] == (7, 0.0)
 
     def test_censored_mass_survives_beyond_cap(self):
         e = empirical_cdf(make_sample([3], cap=10, censored=1))
-        assert survival(e, 10) == 0.5
+        assert survival_table(e) == [(3, 0.5)]
 
     def test_geometric_oracle(self):
         law = Geometric(0.1)
         times = law.sample_many(np.arange(100_000, dtype=np.uint64))
         e = empirical_cdf(sample_from_times(times, cap=10_000_000))
+        table = dict(survival_table(e))
         for t in range(1, 51):
-            assert abs(survival(e, t) - 0.9**t) < 0.01
+            assert abs(table[t] - 0.9**t) < 0.01
 
     def test_nonincreasing_and_complements_cdf(self):
         e = empirical_cdf(make_sample([2, 2, 5, 11, 30], censored=2))
-        values = [survival(e, t) for t in range(1, 35)]
+        table = survival_table(e)
+        values = [s for _, s in table]
         assert all(a >= b for a, b in zip(values, values[1:]))
-        for t in range(1, 35):
-            assert survival(e, t) + cdf_at(e, t) == pytest.approx(1.0, abs=1e-15)
+        assert [t for t, _ in table] == e.support.tolist()
+        for s, q in zip(values, e.cum_prob):
+            assert s + q == pytest.approx(1.0, abs=1e-15)
 
 
 class TestLogLogTailSlope:
@@ -271,7 +273,9 @@ class TestRestartProfitable:
 
 class TestSurvivalTable:
     def test_matches_pointwise_survival(self):
+        # Pr(T > t) counts the runs past t, the censored one included, over all 5.
         s = make_sample([1, 1, 3, 8], censored=1)
         e = empirical_cdf(s)
         for t, surv in survival_table(e):
-            assert surv == pytest.approx(survival(e, t))
+            past = sum(1 for x in (1, 1, 3, 8) if x > t) + 1
+            assert surv == pytest.approx(past / 5)
