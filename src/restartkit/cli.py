@@ -58,6 +58,9 @@ def _gamma_list(text: str) -> list[float]:
     return gammas
 
 
+_STUB_CAP = 1_000_000
+
+
 def _add_process_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument(
@@ -69,43 +72,23 @@ def _add_process_flags(p: argparse.ArgumentParser) -> None:
         help="synthetic process, e.g. two-point:0.5:1:10, geometric:0.1, "
         "discrete-pareto:1.5, constant:7",
     )
+    # Each flag below applies to one source and defaults to None, so that
+    # `_build_process` can reject it when given with the other.
     p.add_argument(
         "--stub-cap",
         type=_cap,
-        default=1_000_000,
-        help="censoring cap for stub processes (default 1000000)",
+        help=f"censoring cap for stub processes (default {_STUB_CAP})",
     )
-    defaults = mlp.MlpConfig()
-    p.add_argument(
-        "--hidden", type=_positive_int, default=defaults.n_hidden, help="hidden units"
-    )
-    p.add_argument(
-        "--delta",
-        type=_positive_float,
-        default=defaults.target_error,
-        help="target training error",
-    )
-    p.add_argument(
-        "--lr", type=_positive_float, default=defaults.learning_rate, help="learning rate"
-    )
-    p.add_argument(
-        "--momentum", type=float, default=defaults.momentum, help="momentum term"
-    )
-    p.add_argument(
-        "--init",
-        type=float,
-        default=defaults.init_half_width,
-        help="half-width of the uniform weight init",
-    )
-    p.add_argument(
-        "--max-epochs",
-        type=_cap,
-        default=defaults.max_epochs,
-        help="censoring cap per training run",
-    )
+    p.add_argument("--hidden", type=_positive_int, help="hidden units")
+    p.add_argument("--delta", type=_positive_float, help="target training error")
+    p.add_argument("--lr", type=_positive_float, help="learning rate")
+    p.add_argument("--momentum", type=float, help="momentum term")
+    p.add_argument("--init", type=float, help="half-width of the uniform weight init")
+    p.add_argument("--max-epochs", type=_cap, help="censoring cap per training run")
     p.add_argument(
         "--no-scale",
         action="store_true",
+        default=None,
         help="skip min-max feature scaling",
     )
     p.add_argument(
@@ -122,13 +105,31 @@ def _add_process_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+# The MlpConfig field each `--data` flag sets, by argparse dest.
+_MLP_FIELDS = {
+    "hidden": "n_hidden",
+    "delta": "target_error",
+    "lr": "learning_rate",
+    "momentum": "momentum",
+    "init": "init_half_width",
+    "max_epochs": "max_epochs",
+}
+# Flags that only one source reads, by the source that reads them.
+_DATA_ONLY = [*_MLP_FIELDS, "no_scale", "folds", "fold"]
+_STUB_ONLY = ["stub_cap"]
+
+
 def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
     if args.fold is not None and args.folds is None:
         raise ValueError("--fold needs --folds")
+    source, other = ("--stub", _DATA_ONLY) if args.stub is not None else ("--data", _STUB_ONLY)
+    for dest in other:
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to {source}")
     if args.stub is not None:
-        return synth.SyntheticProcess(
-            law=synth.parse_law(args.stub), cap_epochs=args.stub_cap
-        )
+        cap = _STUB_CAP if args.stub_cap is None else args.stub_cap
+        return synth.SyntheticProcess(law=synth.parse_law(args.stub), cap_epochs=cap)
     data = ds.load_thyroid(args.data)
     notes = []
     if args.no_scale:
@@ -142,16 +143,12 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
         split = ds.kfold_split(data.n_rows, args.folds, args.seed)[fold]
         data = data.subset(split.train_indices)
         notes.append(f"fold={fold}/{args.folds}")
-    cfg = mlp.MlpConfig(
-        n_inputs=data.n_features,
-        n_hidden=args.hidden,
-        n_outputs=data.n_outputs,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        init_half_width=args.init,
-        target_error=args.delta,
-        max_epochs=args.max_epochs,
-    )
+    given = {
+        field: getattr(args, dest)
+        for dest, field in _MLP_FIELDS.items()
+        if getattr(args, dest) is not None
+    }
+    cfg = mlp.MlpConfig(n_inputs=data.n_features, n_outputs=data.n_outputs, **given)
     if cfg.init_half_width == 0.0:
         raise ValueError("--init must be > 0: at 0 every seed trains the same run")
     return mlp.MlpProcess(cfg=cfg, data=data, note=",".join(notes))

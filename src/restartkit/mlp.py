@@ -7,8 +7,9 @@ random variable: this is the Las Vegas process the rest of the toolkit
 analyzes.
 
 Every epoch runs on one in-place kernel (`_Epoch`) over a stack of runs.
-Run k's weights, velocity, activations, output - y, deltas and gradients
-are the contiguous slice [k] of (runs, rows, width) arrays allocated once.
+Run k's weights, gradients and velocity are row k of three flat
+(runs, n_weights) buffers, and its activations, output - y and deltas are
+the contiguous slice [k] of (runs, rows, width) arrays, all allocated once.
 `MlpProcess.attempt_many` trains up to 16 runs of a block side by side
 (fewer when their buffers would pass a fixed byte budget); a run leaves
 the stack at the epoch it converges, diverges or reaches the cutoff, and
@@ -19,9 +20,14 @@ Each run's record is bit-identical to the plain allocating formulas for
 that seed alone, whatever the stack around it:
 - each elementwise formula keeps its left-to-right grouping, and the runs
   share no element;
-- each matmul is `np.matmul` over the stack, which makes the same BLAS
-  call per slice, on the same shape and operand layout as one run does,
-  never one wide GEMM across runs;
+- each matmul is `np.matmul` over the stack, one BLAS call per slice on
+  that slice's shape and layout, never one wide GEMM across runs, so no
+  run's bits depend on the stack around it;
+- the two forward matmuls take operands laid out for gemm (features in
+  Fortran order, a C-order copy of W_outᵀ), which changes their speed but
+  not their bits; at the shapes where numpy calls gemv instead (one hidden
+  unit, one output or one row), where a new layout can change the bits,
+  they keep the C-order operands of the plain formulas;
 - each MSE is one pairwise sum over the run's contiguous slice, divided by
   its size;
 - column sums go through `einsum("kij->kj")`, which adds each slice's rows
@@ -155,45 +161,67 @@ def _sigmoid_layer(
     return np.divide(1.0, out, out=out)
 
 
-class _Epoch:
-    """Full-batch epochs for a stack of runs, on preallocated buffers.
+def _layer_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Each row of `flat` cut into consecutive layers of the given shapes,
+    as views with a leading stack axis; row k's slice of each is C-contiguous."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[:, start:stop].reshape(len(flat), *shape))
+        start = stop
+    return views
 
-    `params` is [w_hidden, b_hidden, w_out, b_out], each with a leading
-    stack axis: run k owns slice [k] of them and of every buffer, its
-    velocity among them. The features `x` and targets `y` are shared. One
-    epoch is `gradients()`, `descend()`, which steps every run's weights in
-    place, then `error()`, which runs the forward pass at the new weights,
-    caches output - y for the next gradient and returns each run's MSE.
-    `restack` drops finished runs and starts new ones in the freed slots.
+
+class _Epoch:
+    """Full-batch epochs for a stack of up to `capacity` runs, on preallocated buffers.
+
+    Run k owns row k of three (capacity, n_weights) buffers: its weights
+    [w_hidden, b_hidden, w_out, b_out] laid end to end, their gradients and
+    their velocity. `params` and `grads` view those rows as the layers, and
+    run k also owns slice [k] of every activation buffer. The features `x`
+    and targets `y` are shared. One epoch is `gradients()`, `descend()`,
+    which steps every run's weights in place, then `error()`, which runs
+    the forward pass at the new weights, caches output - y for the next
+    gradient and returns each run's MSE. `restack` drops finished runs and
+    starts new ones in the freed slots. `x_fwd` and `w_out_t_fwd` are the
+    forward operands, laid out for gemm where numpy calls it (see the
+    module docstring).
     """
 
-    def __init__(self, params: list[np.ndarray], x: np.ndarray, y: np.ndarray) -> None:
-        capacity, n_hidden = params[0].shape[:2]
-        n, n_out = x.shape[0], params[2].shape[1]
+    def __init__(self, n_hidden: int, capacity: int, x: np.ndarray, y: np.ndarray) -> None:
+        (n, n_inputs), n_out = x.shape, y.shape[1]
         self.x, self.y = x, y
+        self.x_fwd = np.asfortranarray(x) if n_hidden > 1 else x
         self.n_cells = n * n_out
         self.scale = 2.0 / self.n_cells
-        self._params = params
-        self._grads = [np.empty(p.shape) for p in params]
-        self._velocity = [np.zeros(p.shape) for p in params]
+        shapes = [(n_hidden, n_inputs), (n_hidden,), (n_out, n_hidden), (n_out,)]
+        n_weights = sum(math.prod(shape) for shape in shapes)
+        self._weights = np.empty((capacity, n_weights))
+        self._gradient = np.empty((capacity, n_weights))
+        self._velocity = np.zeros((capacity, n_weights))
+        self._params = _layer_views(self._weights, shapes)
+        self._grads = _layer_views(self._gradient, shapes)
+        copy_w_out_t = n > 1 and n_out > 1
+        self._w_out_t = np.empty((capacity, n_hidden, n_out)) if copy_w_out_t else None
         self._hidden = np.empty((capacity, n, n_hidden))
         self._output = np.empty((capacity, n, n_out))
         self._diff = np.empty((capacity, n, n_out))
         self._d_out = np.empty((capacity, n, n_out))
         self._d_hidden = np.empty((capacity, n, n_hidden))
-        self._bind(capacity)
 
     def _bind(self, size: int) -> None:
         """Point the working views at the first `size` runs."""
+        self.weights, self.gradient = self._weights[:size], self._gradient[:size]
+        self.velocity = self._velocity[:size]
         self.params = [p[:size] for p in self._params]
         self.grads = [g[:size] for g in self._grads]
-        self.velocity = [v[:size] for v in self._velocity]
         self.hidden, self.output = self._hidden[:size], self._output[:size]
         self.diff, self.d_out = self._diff[:size], self._d_out[:size]
         self.d_hidden = self._d_hidden[:size]
         w_hidden, b_hidden, w_out, b_out = self.params
         self.w_hidden_t = w_hidden.transpose(0, 2, 1)
         self.w_out_t = w_out.transpose(0, 2, 1)
+        self.w_out_t_fwd = self.w_out_t if self._w_out_t is None else self._w_out_t[:size]
         self.b_hidden, self.b_out = b_hidden[:, :, None], b_out[:, :, None]
         self.d_out_t = self.d_out.transpose(0, 2, 1)
         self.d_hidden_t = self.d_hidden.transpose(0, 2, 1)
@@ -208,7 +236,7 @@ class _Epoch:
         """
         m = len(keep)
         index = np.array(keep, dtype=np.intp)
-        for full in (*self._params, *self._velocity):
+        for full in (self._weights, self._velocity):
             full[:m], full[m:] = full[index], 0.0
         for k, state in enumerate(states, start=m):
             for full, p in zip(self._params, _params(state)):
@@ -218,8 +246,10 @@ class _Epoch:
 
     def error(self) -> list[float]:
         """Each run's MSE over patterns and output units at its current weights."""
-        _sigmoid_layer(self.x, self.w_hidden_t, self.b_hidden, self.hidden)
-        _sigmoid_layer(self.hidden, self.w_out_t, self.b_out, self.output)
+        _sigmoid_layer(self.x_fwd, self.w_hidden_t, self.b_hidden, self.hidden)
+        if self.w_out_t_fwd is not self.w_out_t:  # the C-order copy for gemm
+            np.copyto(self.w_out_t_fwd, self.w_out_t)
+        _sigmoid_layer(self.hidden, self.w_out_t_fwd, self.b_out, self.output)
         np.subtract(self.output, self.y, out=self.diff)
         np.multiply(self.diff, self.diff, out=self.d_out)
         return (np.add.reduce(self.squares, axis=1) / self.n_cells).tolist()
@@ -246,20 +276,19 @@ class _Epoch:
     def descend(self, learning_rate: float, momentum: float) -> None:
         """Step every run: v = momentum * v + g, then p -= learning_rate * v.
 
+        Each is one elementwise pass over all weights of all runs.
         A new run's zero velocity gives the weights of a first step v = g,
         bit for bit: momentum * 0 + g is g but at g = -0.0 (+0.0); a zero's
         sign reaches a weight p only via p - 0 at p = -0.0; and no weight is
         -0.0: `rng.uniform(-w, w)` is -w + 2w * u, never -0.0 even at w = 0,
         and round-to-nearest without flush-to-zero makes p - s -0.0 only if p is.
         """
-        step = self.grads
+        step = self.gradient
         if momentum > 0.0:
-            for v, g in zip(self.velocity, self.grads):
-                v *= momentum
-                v += g
+            self.velocity *= momentum
+            self.velocity += self.gradient
             step = self.velocity
-        for p, s, g in zip(self.params, step, self.grads):
-            p -= np.multiply(s, learning_rate, out=g)
+        self.weights -= np.multiply(step, learning_rate, out=self.gradient)
 
 
 def _check_dims(data: Dataset, n_inputs: int, n_outputs: int) -> None:
@@ -281,8 +310,8 @@ def backprop_gradients(
     """Gradients of the MSE w.r.t. (w_hidden, b_hidden, w_out, b_out)."""
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        epoch = _Epoch([p[None] for p in _params(state)], data.features, data.targets)
-        epoch.error()
+        epoch = _Epoch(state.w_hidden.shape[0], 1, data.features, data.targets)
+        epoch.restack([], [state])
         return tuple(g[0] for g in epoch.gradients())
 
 
@@ -295,10 +324,11 @@ _STACK_BYTES = 2 << 20
 
 def _stack_width(cfg: MlpConfig, n_rows: int) -> int:
     """Runs per lockstep stack: `_STACK_RUNS`, fewer if their buffers (the
-    activations, output - y, the deltas, and the weights with their
-    gradients and velocities) would pass `_STACK_BYTES`."""
+    activations, output - y, the deltas, the weights with their gradients
+    and velocities, and the copy of W_outᵀ) would pass `_STACK_BYTES`."""
     n_weights = cfg.n_hidden * (cfg.n_inputs + 1) + cfg.n_outputs * (cfg.n_hidden + 1)
-    run_bytes = 8 * (n_rows * (2 * cfg.n_hidden + 3 * cfg.n_outputs) + 3 * n_weights)
+    n_floats = n_rows * (2 * cfg.n_hidden + 3 * cfg.n_outputs) + 3 * n_weights
+    run_bytes = 8 * (n_floats + cfg.n_hidden * cfg.n_outputs)
     return max(1, min(_STACK_RUNS, _STACK_BYTES // run_bytes))
 
 
@@ -313,11 +343,7 @@ def _train_runs(cfg: MlpConfig, data: Dataset, seeds: list[int], cutoff: int) ->
     lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
     n = len(seeds)
     width = min(n, _stack_width(cfg, data.n_rows))
-    shapes = [(cfg.n_hidden, cfg.n_inputs), (cfg.n_hidden,)]
-    shapes += [(cfg.n_outputs, cfg.n_hidden), (cfg.n_outputs,)]
-    kernel = _Epoch(
-        [np.empty((width, *shape)) for shape in shapes], data.features, data.targets
-    )
+    kernel = _Epoch(cfg.n_hidden, width, data.features, data.targets)
     block = RunBlock(
         np.empty(n, dtype=np.int64), np.zeros(n, dtype=bool), np.empty(n), np.zeros(n, dtype=bool)
     )

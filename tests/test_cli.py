@@ -195,6 +195,41 @@ class TestCollect:
         assert err == "restartkit: error: --fold needs --folds\n"
         assert not log.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--hidden", "9"],
+            ["--delta", "0.1"],
+            ["--lr", "5"],
+            ["--momentum", "1.5"],
+            ["--init", "0"],
+            ["--max-epochs", "7"],
+            ["--no-scale"],
+            ["--folds", "3"],
+            ["--folds", "3", "--fold", "7"],
+        ],
+        ids=lambda flags: "_".join(flags),
+    )
+    def test_mlp_flag_with_stub_is_an_error(self, capsys, tmp_path, flags):
+        # A stub process reads none of these, so each would be silently ignored.
+        log = tmp_path / "x.jsonl"
+        code, out, err = run_cli(
+            capsys, "collect", "--stub", "constant:3", "--runs", "2", *flags, "--out", str(log),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"restartkit: error: {flags[0]} does not apply to --stub\n"
+        assert not log.exists()
+
+    def test_stub_cap_with_data_is_an_error(self, capsys, tmp_path, thyroid_like_file):
+        log = tmp_path / "x.jsonl"
+        code, out, err = run_cli(
+            capsys, "collect", "--data", str(thyroid_like_file), "--runs", "2",
+            "--max-epochs", "5", "--stub-cap", "5", "--out", str(log),
+        )
+        assert (code, out) == (1, "")
+        assert err == "restartkit: error: --stub-cap does not apply to --data\n"
+        assert not log.exists()
+
     def test_zero_init_is_an_error(self, capsys, tmp_path, thyroid_like_file):
         # Every weight would start at 0, so every seed would train one run.
         log = tmp_path / "x.jsonl"

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -20,8 +21,16 @@ from restartkit import (
 )
 
 from conftest import tiny_dataset
-from restartkit import mlp
+from restartkit import load_thyroid, mlp, scale_min_max
 from restartkit.mlp import _column_sums
+
+CASE_STUDY_DATA = os.path.join(os.path.dirname(__file__), "..", "data", "thyroidlike-train.data")
+
+
+@pytest.fixture(scope="module")
+def case_study():
+    """The case-study training set, min-max scaled as `collect` trains on it."""
+    return scale_min_max(load_thyroid(CASE_STUDY_DATA))
 
 
 def naive_forward(state: MlpState, x):
@@ -549,8 +558,12 @@ class TestAttemptMany:
     # epoch 44 on, so stacks drop runs at many different epochs. At init 0
     # every run starts from exact zero weights, where gradients hold exact
     # zeros too: a new run's zero velocity must still step as v = g.
+    # With one data row, one hidden unit or one output, numpy calls gemv
+    # instead of gemm, and the kernel keeps its forward operands in C order;
+    # the last three examples pin those shapes.
     @settings(max_examples=200, deadline=None)
     @given(
+        n_rows=st.sampled_from([6, 1]),
         n_hidden=st.integers(1, 5),
         n_outputs=st.integers(1, 5),
         momentum=st.sampled_from([0.0, 0.5, 0.9, None]),
@@ -560,26 +573,51 @@ class TestAttemptMany:
         data_seed=st.integers(0, 3),
         init=st.sampled_from([4.0, 0.0]),
     )
-    @example(n_hidden=1, n_outputs=2, momentum=None, stack_runs=3,
+    @example(n_rows=6, n_hidden=1, n_outputs=2, momentum=None, stack_runs=3,
              seeds=[0, 1, 6, 0, 7, 6], cutoff=150, data_seed=0, init=4.0)
-    @example(n_hidden=3, n_outputs=5, momentum=0.9, stack_runs=2,
+    @example(n_rows=6, n_hidden=3, n_outputs=5, momentum=0.9, stack_runs=2,
              seeds=[3, 0, 6, 1, 3, 2, 4], cutoff=140, data_seed=0, init=4.0)
-    @example(n_hidden=5, n_outputs=1, momentum=0.5, stack_runs=16,
+    @example(n_rows=6, n_hidden=5, n_outputs=1, momentum=0.5, stack_runs=16,
              seeds=list(range(8)) * 2 + [2], cutoff=7, data_seed=0, init=4.0)
-    @example(n_hidden=3, n_outputs=2, momentum=0.5, stack_runs=2,
+    @example(n_rows=6, n_hidden=3, n_outputs=2, momentum=0.5, stack_runs=2,
              seeds=[0, 1, 2, 3, 0], cutoff=150, data_seed=1, init=0.0)
-    @example(n_hidden=2, n_outputs=3, momentum=0.9, stack_runs=3,
+    @example(n_rows=6, n_hidden=2, n_outputs=3, momentum=0.9, stack_runs=3,
              seeds=[4, 5, 6, 7, 4, 5, 1], cutoff=120, data_seed=2, init=0.0)
+    @example(n_rows=1, n_hidden=2, n_outputs=2, momentum=0.0, stack_runs=3,
+             seeds=[0, 1, 2, 3, 4, 5, 6, 7], cutoff=150, data_seed=0, init=4.0)
+    @example(n_rows=6, n_hidden=3, n_outputs=1, momentum=0.5, stack_runs=3,
+             seeds=[0, 1, 2, 3, 4, 5, 6, 7], cutoff=150, data_seed=0, init=4.0)
+    @example(n_rows=6, n_hidden=1, n_outputs=3, momentum=0.0, stack_runs=3,
+             seeds=[0, 1, 2, 3, 4, 5, 6, 7], cutoff=150, data_seed=0, init=4.0)
     def test_matches_one_seed_reference(
-        self, n_hidden, n_outputs, momentum, stack_runs, seeds, cutoff, data_seed, init
+        self, n_rows, n_hidden, n_outputs, momentum, stack_runs, seeds, cutoff, data_seed, init
     ):
         cfg = self.config(n_hidden, n_outputs, momentum, cutoff, init)
-        d = tiny_dataset(6, 4, n_outputs, seed=data_seed)
+        d = tiny_dataset(n_rows, 4, n_outputs, seed=data_seed)
         process = MlpProcess(cfg, d)
         with mock.patch.object(mlp, "_STACK_RUNS", stack_runs):
             got = process.attempt_many(seeds, cutoff).records(seeds)
         want = [alloc_train_until(cfg, d, s) for s in seeds]
         assert list(map(record_bits, got)) == list(map(record_bits, want))
+
+    # BLAS picks its kernels by operand size, so the oracle also runs at the
+    # case-study shape (1000 rows, 21 features, 3 outputs), not only on
+    # tiny_dataset. At delta 0.05 some runs without momentum converge
+    # within the cutoff and leave the stack early; every other run is
+    # censored at it. 18 runs overfill a stack of 16, so two start later.
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("n_hidden", [2, 3])
+    def test_case_study_shape_matches_one_seed_reference(self, case_study, n_hidden, momentum):
+        cfg = MlpConfig(
+            n_inputs=21, n_hidden=n_hidden, n_outputs=3, momentum=momentum,
+            target_error=0.05, max_epochs=200,
+        )
+        want = {s: record_bits(alloc_train_until(cfg, case_study, s)) for s in range(6)}
+        process = MlpProcess(cfg, case_study)
+        for stack_runs, seeds in [(1, [*range(6)]), (2, [*range(6)]), (16, [*range(6)] * 3)]:
+            with mock.patch.object(mlp, "_STACK_RUNS", stack_runs):
+                got = process.attempt_many(seeds, cfg.max_epochs).records(seeds)
+            assert list(map(record_bits, got)) == [want[s] for s in seeds], stack_runs
 
     def test_examples_reach_every_outcome(self):
         # The first example above mixes diverged and censored runs of
@@ -614,6 +652,16 @@ class TestBitIdentity:
         seed=st.integers(0, 2**64 - 1),
         data_seed=st.integers(0, 2**32 - 1),
     )
+    # The shapes where numpy calls gemv instead of gemm: one data row, one
+    # output, one hidden unit.
+    @example(n_rows=1, n_inputs=3, n_hidden=2, n_outputs=2, momentum=0.0,
+             learning_rate=5.0, target_error=0.01, seed=0, data_seed=0)
+    @example(n_rows=1, n_inputs=5, n_hidden=4, n_outputs=3, momentum=0.5,
+             learning_rate=5.0, target_error=0.01, seed=1, data_seed=1)
+    @example(n_rows=20, n_inputs=5, n_hidden=3, n_outputs=1, momentum=0.0,
+             learning_rate=5.0, target_error=0.01, seed=2, data_seed=2)
+    @example(n_rows=20, n_inputs=5, n_hidden=1, n_outputs=3, momentum=0.5,
+             learning_rate=5.0, target_error=0.01, seed=3, data_seed=3)
     def test_matches_allocating_epoch(
         self, n_rows, n_inputs, n_hidden, n_outputs, momentum, learning_rate,
         target_error, seed, data_seed,
