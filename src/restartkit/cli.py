@@ -16,8 +16,9 @@ import argparse
 import math
 import sys
 
-from . import dataset as ds
-from . import mlp, runner, strategies, synth, tailstats
+# `runner` alone is imported here, for `_cap`; each command imports the
+# other modules it runs, so `tail` and `optimize` never load the MLP.
+from . import runner
 from .errors import AllTrialsFailedError, InsufficientDataError
 
 _ERRORS = (AllTrialsFailedError, OSError, ValueError)
@@ -128,8 +129,13 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{flag} does not apply to {source}")
     if args.stub is not None:
+        from . import synth
+
         cap = _STUB_CAP if args.stub_cap is None else args.stub_cap
         return synth.SyntheticProcess(law=synth.parse_law(args.stub), cap_epochs=cap)
+    from . import dataset as ds
+    from . import mlp
+
     data = ds.load_thyroid(args.data)
     notes = []
     if args.no_scale:
@@ -190,6 +196,8 @@ def _summary_or_none(sample: runner.RunSample) -> runner.SummaryStats | None:
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
+    from . import tailstats
+
     sample = runner.load_runs(args.runs_file)
     ecdf = tailstats.empirical_cdf(sample)
     m = sample.n_converged
@@ -239,6 +247,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from . import strategies, tailstats
+
     sample = runner.load_runs(args.runs_file)
     ecdf = tailstats.empirical_cdf(sample)
     stats = _summary_or_none(sample)
@@ -257,6 +267,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _sweep_schedules(args: argparse.Namespace) -> list[strategies.RestartSchedule]:
+    from . import strategies
+
     scheds: list[strategies.RestartSchedule] = [
         strategies.WalshSchedule(gamma=g) for g in args.gammas
     ]
@@ -268,6 +280,8 @@ def _sweep_schedules(args: argparse.Namespace) -> list[strategies.RestartSchedul
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import strategies
+
     process = _build_process(args)
     budget = _budget(args, process)
     schedules = _sweep_schedules(args)
@@ -313,6 +327,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_restart_run(args: argparse.Namespace) -> int:
+    from . import strategies
+
     process = _build_process(args)
     schedule = strategies.parse_schedule(args.schedule)
     budget = _budget(args, process)

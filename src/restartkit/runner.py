@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Protocol
@@ -69,6 +68,9 @@ def parallel_map(tasks: list, n_jobs: int) -> list:
     workers = worker_count(n_jobs, len(tasks))
     if workers == 1:
         return [task() for task in tasks]
+    # Imported here, not at the top: a serial run never pays for the pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(task) for task in tasks]
         return [future.result() for future in futures]

@@ -21,12 +21,15 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AllTrialsFailedError
 from .runner import MAX_CAP, LasVegasProcess, derive_seed, format_float, parallel_map, worker_count
-from .tailstats import Ecdf
+
+if TYPE_CHECKING:
+    from .tailstats import Ecdf
 
 
 class RestartSchedule:

@@ -7,6 +7,7 @@ both exact CDFs and Monte Carlo runs of the same process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,8 @@ class DiscretePareto(SyntheticLaw):
     x_min: int = 1
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.x_min < 1:
             raise ValueError(f"x_min must be >= 1, got {self.x_min}")
 

@@ -599,7 +599,7 @@ class TestSweep:
                 queues[-1].append(fn)
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
         return queues
 
     def test_one_pool_baseline_first(self, capsys, monkeypatch):

@@ -94,7 +94,7 @@ class TestWorkerCount:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         sample = collect_runs(FormulaStub(), 1, base_seed=5, n_jobs=2)
         assert sample.records == [FormulaStub().attempt(derive_seed(5, 0), 1000)]
 

@@ -292,7 +292,7 @@ class TestStubCollectBlocks:
     def test_one_quantile_call_per_block(self, monkeypatch):
         # Threads stand in for the pool so the calls are counted here.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
         calls = count_quantile_calls(monkeypatch, Geometric)
         sample = collect_runs(SyntheticProcess(Geometric(0.01)), 203, 4, n_jobs=2)
         assert sample.n_runs == 203
@@ -320,7 +320,19 @@ class TestParseLaw:
 
     @pytest.mark.parametrize(
         "spec",
-        ["", "nope:1", "two-point:0.5:1", "constant:x", "geometric:2", "constant:-1"],
+        [
+            "",
+            "nope:1",
+            "two-point:0.5:1",
+            "constant:x",
+            "geometric:2",
+            "constant:-1",
+            # NaN passes `alpha <= 0`, and an infinite alpha draws x_min
+            # every time although cdf(x_min) is 0.
+            "discrete-pareto:nan",
+            "discrete-pareto:inf",
+            "discrete-pareto:-inf",
+        ],
     )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
