@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Protocol
@@ -417,39 +416,37 @@ def _parse_record(obj: dict, lineno: int, cap: int) -> tuple:
     return seed, epochs, conv, err, diverged
 
 
-# One line exactly as `save_runs` writes it. The digit bounds keep every
-# epochs value inside int64 and every integer far below `int`'s digit limit;
-# a longer number, like any other spelling, takes the line-by-line path.
-_CANONICAL_RECORD = re.compile(
-    r'^\{"seed":(0|[1-9][0-9]{0,19}),"epochs":([1-9][0-9]{0,17}),"converged":(true|false),'
-    r'"final_error":(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)'
-    r'|NaN|-?Infinity)'
-    r'(,"diverged":true)?\}$',
-    re.MULTILINE | re.ASCII,
-)
+def _one_pass_columns(lines: list[str]) -> tuple | None:
+    """The record columns from one `json.loads` over the lines joined into
+    an array, or None unless each row must be one line's record, in types
+    that `_parse_record` takes as they are.
 
-
-def _canonical_columns(text: str, header_end: int) -> tuple | None:
-    """The record columns, when the header line ends at `header_end` with a
-    newline and every line after it is canonical.
-
-    One regex pass over those lines, in place, extracts the fields; `float`
-    parses each error as `json` does. Anything else returns None.
+    Every line opens with the only "{" in it, so n rows are the n lines.
+    Seeds are ints >= 0, epochs ints in [1, 2**63 - 1], the flags bools and
+    the errors floats.
     """
-    if not text.startswith("\n", header_end):
+    n = len(lines)
+    array = "[" + ",\n".join(lines) + "]"
+    if not array.startswith("[{") or array.count(",\n{") != n - 1 or array.count("{") != n:
         return None
-    start = header_end + 1
-    rows = _CANONICAL_RECORD.findall(text, start)
-    # At most one match per line, so a match per line is every line.
-    n_lines = text.count("\n", start) + (not text.endswith("\n"))
-    if not rows or len(rows) != n_lines:
+    try:
+        rows = json.loads(array)
+        seeds, epochs, converged, final_error = (
+            [row[key] for row in rows] for key in ("seed", "epochs", "converged", "final_error")
+        )
+    except (ValueError, KeyError, TypeError):  # invalid JSON, or a row that is no record
         return None
-    seeds, epochs, converged, final_error, diverged = zip(*rows)
-    seeds = list(map(int, seeds))
-    epochs = np.array(list(map(int, epochs)), dtype=np.int64)
-    converged = np.fromiter(map(len, converged), np.int64, len(rows)) == 4  # "true"
-    diverged = np.fromiter(map(bool, diverged), bool, len(rows))
-    return seeds, epochs, converged, list(map(float, final_error)), diverged
+    diverged = [row.get("diverged", False) for row in rows]
+    if (
+        len(rows) != n
+        or {*map(type, seeds), *map(type, epochs)} != {int}
+        or {*map(type, converged), *map(type, diverged)} != {bool}
+        or set(map(type, final_error)) != {float}
+        or min(seeds) < 0
+        or not 1 <= min(epochs) <= max(epochs) <= MAX_CAP
+    ):
+        return None
+    return seeds, np.array(epochs, dtype=np.int64), converged, final_error, diverged
 
 
 def _strict_columns(lines: list[str], cap: int) -> tuple:
@@ -476,28 +473,22 @@ def _strict_columns(lines: list[str], cap: int) -> tuple:
     return seeds, np.array(epochs, dtype=np.int64), converged, final_error, diverged
 
 
-# The first line as `str.splitlines` ends it. A canonical record line
-# holds none of these characters, so when the header ends at a "\n" and
-# every "\n"-line of the body is canonical, these are splitlines' lines.
-_FIRST_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
-
-
 def load_runs(path) -> RunSample:
     """Read a run log written by `save_runs` (lossless round trip).
 
-    A log whose records are all spelled as `save_runs` spells them is read
-    in one regex pass into columns, which the sample's initialiser checks
-    once. Any other log, and one whose runs that check refuses, goes line
+    The log is split into lines once. The record lines are decoded as one
+    JSON array into columns, which the sample's initialiser checks once,
+    when `_one_pass_columns` can tell that each array element is one line's
+    record. Any other log, and one whose runs that check refuses, goes line
     by line through `json`, so it is accepted or rejected, with the same
     message and line, exactly as that decoder and `_parse_record` decide.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
+        lines = fh.read().splitlines()
+    if not lines:
         raise InsufficientDataError(f"run log {path} is empty")
-    first = _FIRST_LINE.match(text).group()
     try:
-        header = json.loads(first)
+        header = json.loads(lines[0])
     except ValueError as exc:  # JSONDecodeError, or int's digit limit
         raise RunLogFormatError(f"line 1: invalid header: {exc}") from exc
     if not isinstance(header, dict) or "cap" not in header:
@@ -508,13 +499,14 @@ def load_runs(path) -> RunSample:
     metadata = header.get("metadata", "")
     if not isinstance(metadata, str):
         raise RunLogFormatError("line 1: 'metadata' must be a string")
-    columns = _canonical_columns(text, len(first))
+    body = lines[1:]
+    columns = _one_pass_columns(body)
     if columns is not None:
         try:
             return RunSample._from_columns(*columns, cap, metadata)
         except ValueError:
             pass  # the strict reader names the line
-    columns = _strict_columns(text.splitlines()[1:], cap)
+    columns = _strict_columns(body, cap)
     if not columns[0]:
         raise InsufficientDataError(f"run log {path} has no records")
     return RunSample._from_columns(*columns, cap, metadata)

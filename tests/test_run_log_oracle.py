@@ -16,10 +16,12 @@ from restartkit import (
     RunLogFormatError,
     RunRecord,
     RunSample,
+    collect_runs,
     load_runs,
     runner,
     save_runs,
 )
+from restartkit.synth import SyntheticProcess, parse_law
 
 from conftest import reference_record_line
 
@@ -254,6 +256,19 @@ class TestReaderOracle:
             ['[1]'],
             ['"seed"'],
             ["\ufeff" '{"seed":1,"epochs":2,"converged":true,"final_error":0.0}'],
+            # Two records on one line, then one record over two lines that
+            # each open with "{": one array reads three rows from three
+            # lines, where the line reader refuses the first line. Only the
+            # "{" inside the extra key gives it away...
+            ['{"seed":1,"epochs":3,"converged":false,"final_error":1.0},'
+             '{"seed":2,"epochs":3,"converged":false,"final_error":1.0}',
+             '{"seed":3,"epochs":3,"converged":false,"final_error":1.0,"x":[{"a":1}',
+             '{"b":2}]}'],
+            # ...or inside a repeated key, which leaves the row with the four
+            # fields and no other key.
+            ['{"seed":1,"epochs":3,"converged":false,"final_error":1.0},'
+             '{"seed":2,"epochs":3,"converged":false,"final_error":1.0,"seed":[{"a":1}',
+             '{"b":2}],"seed":3}'],
         ],
     )
     def test_named_cases(self, tmp_path, lines):
@@ -339,21 +354,33 @@ class TestCanonicalReader:
         )
 
     def test_save_runs_output_takes_the_canonical_path(self, tmp_path, monkeypatch):
-        records = [
-            RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1),
-            RunRecord(seed=0, epochs=3, converged=False, final_error=-0.0),
-            RunRecord(seed=9, epochs=2, converged=False, final_error=math.nan, diverged=True),
+        # `analyze-stub`'s law and cap: a log with censored runs.
+        pareto = SyntheticProcess(parse_law("discrete-pareto:0.5:50"), cap_epochs=5000)
+        logs = [
+            RunSample(
+                records=[
+                    RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1),
+                    RunRecord(seed=0, epochs=3, converged=False, final_error=-0.0),
+                    RunRecord(
+                        seed=9, epochs=2, converged=False, final_error=math.nan, diverged=True
+                    ),
+                ],
+                cap=CAP,
+            ),
+            collect_runs(pareto, n_runs=2000, base_seed=11),
         ]
-        path = tmp_path / "runs.jsonl"
-        save_runs(RunSample(records=records, cap=CAP), path)
+        assert logs[1].n_censored > 0
 
         def no_strict(lines, cap):
-            raise AssertionError("a canonical log was read line by line")
+            raise AssertionError("a save_runs log was read line by line")
 
         monkeypatch.setattr(runner, "_strict_columns", no_strict)
-        assert [record_key(r) for r in load_runs(path).records] == [
-            record_key(r) for r in records
-        ]
+        for i, sample in enumerate(logs):
+            path = tmp_path / f"runs{i}.jsonl"
+            save_runs(sample, path)
+            assert [record_key(r) for r in load_runs(path).records] == [
+                record_key(r) for r in sample.records
+            ]
 
 
 # ------------------------------------------------------ re-spelled whole logs

@@ -600,7 +600,7 @@ class TestColumns:
     def test_empty(self):
         assert_columns_hold(RunSample(records=[], cap=5), [])
 
-    # A seed past 20 digits is not canonical, so the second log is read line by line.
+    # A seed past 64 bits loads back as the Python int it was.
     @pytest.mark.parametrize("first_seed", [2**64 - 1, 10**30])
     def test_loaded(self, tmp_path, first_seed):
         records = [replace(MIXED_RECORDS[0], seed=first_seed), *MIXED_RECORDS[1:]]
