@@ -14,6 +14,10 @@ import importlib
 
 __version__ = "0.1.0"
 
+# Largest censoring cap: a sample keeps its epochs in an int64 column. It is
+# defined here, not in `runner`, so the CLI checks its flags without numpy.
+MAX_CAP = 2**63 - 1
+
 # The submodule that defines each exported name.
 _EXPORTS = {
     name: module

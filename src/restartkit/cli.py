@@ -16,9 +16,9 @@ import argparse
 import math
 import sys
 
-# `runner` alone is imported here, for `_cap`; each command imports the
-# other modules it runs, so `tail` and `optimize` never load the MLP.
-from . import runner
+# Each command imports the modules it runs, so `tail` and `optimize` never
+# load the MLP, and `--help` and argparse errors load no numpy.
+from . import MAX_CAP
 from .errors import AllTrialsFailedError, InsufficientDataError
 
 _ERRORS = (AllTrialsFailedError, OSError, ValueError)
@@ -41,7 +41,7 @@ def _checked(convert, accept, requirement: str, kind: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1", "an integer")
 _nonneg_int = _checked(int, lambda v: v >= 0, ">= 0", "an integer")
-_cap = _checked(int, lambda v: 1 <= v <= runner.MAX_CAP, "in [1, 2**63 - 1]", "an integer")
+_cap = _checked(int, lambda v: 1 <= v <= MAX_CAP, "in [1, 2**63 - 1]", "an integer")
 _positive_float = _checked(float, lambda v: v > 0.0, "> 0", "a number")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "in (0,1)", "a number")
 
@@ -78,14 +78,20 @@ def _add_process_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--stub-cap",
         type=_cap,
-        help=f"censoring cap for stub processes (default {_STUB_CAP})",
+        help=f"censoring cap of plain stub runs, as in collect and sweep's none baseline "
+        f"(default {_STUB_CAP}); restart attempts are bounded by --budget instead",
     )
     p.add_argument("--hidden", type=_positive_int, help="hidden units")
     p.add_argument("--delta", type=_positive_float, help="target training error")
     p.add_argument("--lr", type=_positive_float, help="learning rate")
     p.add_argument("--momentum", type=float, help="momentum term")
     p.add_argument("--init", type=float, help="half-width of the uniform weight init")
-    p.add_argument("--max-epochs", type=_cap, help="censoring cap per training run")
+    p.add_argument(
+        "--max-epochs",
+        type=_cap,
+        help="censoring cap of plain training runs, as in collect and sweep's none "
+        "baseline; restart attempts are bounded by --budget instead",
+    )
     p.add_argument(
         "--no-scale",
         action="store_true",
@@ -162,7 +168,7 @@ def _build_process(args: argparse.Namespace) -> runner.LasVegasProcess:
 
 def _budget(args: argparse.Namespace, process: runner.LasVegasProcess) -> int:
     """`--budget`, by default 20 cutoffs at the process cap (at most `MAX_CAP`)."""
-    return args.budget if args.budget is not None else min(20 * process.cap, runner.MAX_CAP)
+    return args.budget if args.budget is not None else min(20 * process.cap, MAX_CAP)
 
 
 def _write_table(path: str, header: list[str], rows: list[tuple]) -> None:
@@ -173,6 +179,8 @@ def _write_table(path: str, header: list[str], rows: list[tuple]) -> None:
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
+    from . import runner
+
     process = _build_process(args)
     sample = runner.collect_runs(process, args.runs, args.seed, n_jobs=args.jobs)
     runner.save_runs(sample, args.out)
@@ -189,6 +197,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 def _summary_or_none(sample: runner.RunSample) -> runner.SummaryStats | None:
     """Summary moments, or None when fewer than 2 runs converged."""
+    from . import runner
+
     try:
         return runner.summary_stats(sample)
     except InsufficientDataError:
@@ -196,7 +206,7 @@ def _summary_or_none(sample: runner.RunSample) -> runner.SummaryStats | None:
 
 
 def cmd_tail(args: argparse.Namespace) -> int:
-    from . import tailstats
+    from . import runner, tailstats
 
     sample = runner.load_runs(args.runs_file)
     ecdf = tailstats.empirical_cdf(sample)
@@ -247,7 +257,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    from . import strategies, tailstats
+    from . import runner, strategies, tailstats
 
     sample = runner.load_runs(args.runs_file)
     ecdf = tailstats.empirical_cdf(sample)
@@ -280,7 +290,7 @@ def _sweep_schedules(args: argparse.Namespace) -> list[strategies.RestartSchedul
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from . import strategies
+    from . import runner, strategies
 
     process = _build_process(args)
     budget = _budget(args, process)

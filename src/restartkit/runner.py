@@ -16,6 +16,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
+from . import MAX_CAP
 from .errors import InsufficientDataError, RunLogFormatError
 
 _MASK64 = (1 << 64) - 1
@@ -99,8 +100,9 @@ class RunRecord:
 
 
 class RunBlock(NamedTuple):
-    """What `attempt_many` returns: one run per seed, in seed order, as
-    columns. `records(seeds)` reads them back as `RunRecord`s."""
+    """One run per seed, in seed order, as columns: what `attempt_many`
+    returns and a `RunSample` holds. `records(seeds)` reads them back as
+    `RunRecord`s."""
 
     epochs: np.ndarray  # int64
     converged: np.ndarray  # bool
@@ -148,10 +150,6 @@ def format_float(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-# Largest censoring cap: a sample keeps its epochs in an int64 column.
-MAX_CAP = 2**63 - 1
-
-
 def check_cutoff(cutoff: int) -> None:
     """Reject a cutoff outside [1, `MAX_CAP`], the range `attempt_many` takes."""
     if cutoff < 1:
@@ -163,56 +161,36 @@ def check_cutoff(cutoff: int) -> None:
 class RunSample:
     """An ordered collection of runs sharing one censoring cap.
 
-    The runs are held as columns, one entry per run in record order:
-    `seeds` (a list of Python ints, so any non-negative seed round-trips),
-    `epochs` (int64), `converged` and `diverged` (bool) and `final_error`
-    (float64); the arrays are read-only. `records` builds `RunRecord`s from
-    the columns on each read; a sample never holds its caller's list.
-    Records here, `collect_runs`' blocks and `load_runs`' columns all go
-    through one initialiser, which checks the runs as `load_runs` checks a
-    log's records (see `_first_bad`), so every sample's `save_runs` log
-    loads back and no sample exists unchecked.
+    `seeds[i]` is the seed of row i of `runs`, a `RunBlock` whose epochs
+    are an int64 array (object when a value may not fit int64) and whose
+    other columns may be any sequences. The sample keeps `seeds` as a list
+    of Python ints, so any non-negative seed round-trips, and `runs` as
+    read-only arrays: `epochs` (int64), `converged` and `diverged` (bool)
+    and `final_error` (float64), also readable by name. It never holds its
+    caller's sequences. `records` builds `RunRecord`s from the columns on
+    each read. Before a sample exists its runs pass `_first_bad`, the one
+    statement of the rules a log's records obey, so every sample's
+    `save_runs` log loads back.
     """
 
-    def __init__(self, records: list[RunRecord], cap: int, metadata: str = "") -> None:
-        self._init(
-            [r.seed for r in records],
-            np.array([r.epochs for r in records], dtype=object),  # past int64 too
-            [r.converged for r in records],
-            [r.final_error for r in records],
-            [r.diverged for r in records],
-            cap,
-            metadata,
-        )
-
-    @classmethod
-    def _from_columns(cls, seeds, epochs, converged, final_error, diverged, cap, metadata):
-        """The sample over the columns; `epochs` is an int64 array."""
-        sample = cls.__new__(cls)
-        sample._init(seeds, epochs, converged, final_error, diverged, cap, metadata)
-        return sample
-
-    def _init(self, seeds, epochs, converged, final_error, diverged, cap, metadata) -> None:
+    def __init__(self, seeds, runs: RunBlock, cap: int, metadata: str = "") -> None:
         if not 1 <= cap <= MAX_CAP:
             raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
-        converged, diverged = _frozen(converged, bool), _frozen(diverged, bool)
-        if (problem := _first_bad(seeds, epochs, converged, diverged, cap)) is not None:
+        seeds = list(seeds)
+        converged, diverged = _frozen(runs.converged, bool), _frozen(runs.diverged, bool)
+        if (problem := _first_bad(seeds, runs.epochs, converged, diverged, cap)) is not None:
             raise ValueError(problem)
-        self.seeds = list(seeds)
-        self.epochs = _frozen(epochs, np.int64)
-        self.converged = converged
-        self.diverged = diverged
-        self.final_error = _frozen(final_error, np.float64)
+        self.seeds = seeds
+        epochs, final_error = _frozen(runs.epochs, np.int64), _frozen(runs.final_error, float)
+        self.runs = RunBlock(epochs, converged, final_error, diverged)
+        self.epochs, self.converged, self.final_error, self.diverged = self.runs
         self.cap = cap
         self.metadata = metadata
         self.n_converged = int(np.count_nonzero(converged))
 
-    def _block(self) -> RunBlock:
-        return RunBlock(self.epochs, self.converged, self.final_error, self.diverged)
-
     @property
     def records(self) -> list[RunRecord]:
-        return self._block().records(self.seeds)
+        return self.runs.records(self.seeds)
 
     def __eq__(self, other) -> bool:
         """Same cap, metadata and columns, with NaN errors equal."""
@@ -220,10 +198,10 @@ class RunSample:
             return NotImplemented
         if (self.cap, self.metadata, self.seeds) != (other.cap, other.metadata, other.seeds):
             return False
-        return all(map(partial(np.array_equal, equal_nan=True), self._block(), other._block()))
+        return all(map(partial(np.array_equal, equal_nan=True), self.runs, other.runs))
 
     def __repr__(self) -> str:
-        return f"RunSample(records={self.records!r}, cap={self.cap!r}, metadata={self.metadata!r})"
+        return f"RunSample({self.seeds!r}, {self.runs!r}, {self.cap!r}, {self.metadata!r})"
 
     @property
     def n_runs(self) -> int:
@@ -244,14 +222,17 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
-def _first_bad(seeds, epochs: np.ndarray, converged, diverged, cap: int) -> str | None:
-    """The message for the first run `load_runs` would refuse, or None: one
-    with epochs outside [1, cap], both converged and diverged, censored off
-    the cap, or repeating an earlier seed, checked in that order. `epochs`
-    is int64, or object when a value may not fit int64."""
+def _first_bad(seeds: list, epochs: np.ndarray, converged, diverged, cap: int) -> str | None:
+    """The message for the first run a log's records may not hold, or None:
+    one with a negative seed, epochs outside [1, cap], both converged and
+    diverged, censored off the cap, or repeating an earlier seed, checked
+    in that order, as `_parse_record` and `_strict_columns` check a line.
+    `epochs` is int64, or object when a value may not fit int64."""
     off_cap = ~(converged | diverged) & (epochs != cap)
     bad = np.flatnonzero((epochs < 1) | (epochs > cap) | (converged & diverged) | off_cap)
     end = int(bad[0]) if bad.size else len(seeds)
+    if seeds and min(seeds) < 0:
+        end = min(end, next(i for i, seed in enumerate(seeds) if seed < 0))
     if len(set(seeds)) < len(seeds):
         first: dict[int, int] = {}
         for i, seed in enumerate(seeds[:end]):
@@ -259,6 +240,8 @@ def _first_bad(seeds, epochs: np.ndarray, converged, diverged, cap: int) -> str 
                 return f"record {i}: seed {seed} repeats record {first[seed]}"
     if end == len(seeds):
         return None
+    if seeds[end] < 0:
+        return f"record {end}: seed must be >= 0, got {seeds[end]}"
     e = int(epochs[end])
     if e < 1:
         return f"record {end}: epochs must be >= 1, got {e}"
@@ -294,7 +277,7 @@ def collect_tasks(process: LasVegasProcess, n_runs: int, base_seed: int, n_jobs:
     tasks = [partial(process.attempt_many, block, cap) for block in blocks]
 
     def sample(blocks: list[RunBlock]) -> RunSample:
-        return RunSample._from_columns(seeds, *map(np.concatenate, zip(*blocks)), cap, meta)
+        return RunSample(seeds, RunBlock(*map(np.concatenate, zip(*blocks))), cap, meta)
 
     return tasks, sample
 
@@ -416,14 +399,15 @@ def _parse_record(obj: dict, lineno: int, cap: int) -> tuple:
     return seed, epochs, conv, err, diverged
 
 
-def _one_pass_columns(lines: list[str]) -> tuple | None:
-    """The record columns from one `json.loads` over the lines joined into
+def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock] | None:
+    """The seeds and runs from one `json.loads` over the lines joined into
     an array, or None unless each row must be one line's record, in types
     that `_parse_record` takes as they are.
 
     Every line opens with the only "{" in it, so n rows are the n lines.
-    Seeds are ints >= 0, epochs ints in [1, 2**63 - 1], the flags bools and
-    the errors floats.
+    Seeds and epochs are ints, epochs in [1, 2**63 - 1] for the int64
+    column, the flags bools and the errors floats. The sample checks the
+    rest.
     """
     n = len(lines)
     array = "[" + ",\n".join(lines) + "]"
@@ -434,7 +418,8 @@ def _one_pass_columns(lines: list[str]) -> tuple | None:
         seeds, epochs, converged, final_error = (
             [row[key] for row in rows] for key in ("seed", "epochs", "converged", "final_error")
         )
-    except (ValueError, KeyError, TypeError):  # invalid JSON, or a row that is no record
+    # Invalid JSON, nesting past the recursion limit, or a row that is no record.
+    except (ValueError, RecursionError, KeyError, TypeError):
         return None
     diverged = [row.get("diverged", False) for row in rows]
     if (
@@ -442,15 +427,14 @@ def _one_pass_columns(lines: list[str]) -> tuple | None:
         or {*map(type, seeds), *map(type, epochs)} != {int}
         or {*map(type, converged), *map(type, diverged)} != {bool}
         or set(map(type, final_error)) != {float}
-        or min(seeds) < 0
         or not 1 <= min(epochs) <= max(epochs) <= MAX_CAP
     ):
         return None
-    return seeds, np.array(epochs, dtype=np.int64), converged, final_error, diverged
+    return seeds, RunBlock(np.array(epochs, dtype=np.int64), converged, final_error, diverged)
 
 
-def _strict_columns(lines: list[str], cap: int) -> tuple:
-    """The record columns, decoding each line with `json` and checking it."""
+def _strict_columns(lines: list[str], cap: int) -> tuple[tuple, RunBlock]:
+    """The seeds and runs, decoding each line with `json` and checking it."""
     parsed = []
     seed_lines: dict[int, int] = {}
     for lineno, line in enumerate(lines, start=2):
@@ -458,7 +442,7 @@ def _strict_columns(lines: list[str], cap: int) -> tuple:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or int's digit limit
+        except (ValueError, RecursionError) as exc:  # also int's digit limit
             raise RunLogFormatError(f"line {lineno}: invalid record: {exc}") from exc
         if not isinstance(obj, dict):
             raise RunLogFormatError(f"line {lineno}: record must be an object")
@@ -470,18 +454,19 @@ def _strict_columns(lines: list[str], cap: int) -> tuple:
         seed_lines[row[0]] = lineno
         parsed.append(row)
     seeds, epochs, converged, final_error, diverged = zip(*parsed) if parsed else ((),) * 5
-    return seeds, np.array(epochs, dtype=np.int64), converged, final_error, diverged
+    return seeds, RunBlock(np.array(epochs, dtype=np.int64), converged, final_error, diverged)
 
 
 def load_runs(path) -> RunSample:
     """Read a run log written by `save_runs` (lossless round trip).
 
     The log is split into lines once. The record lines are decoded as one
-    JSON array into columns, which the sample's initialiser checks once,
+    JSON array into columns, which `RunSample` checks once (`_first_bad`),
     when `_one_pass_columns` can tell that each array element is one line's
     record. Any other log, and one whose runs that check refuses, goes line
     by line through `json`, so it is accepted or rejected, with the same
     message and line, exactly as that decoder and `_parse_record` decide.
+    JSON nested past the recursion limit is refused on its line too.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -489,7 +474,7 @@ def load_runs(path) -> RunSample:
         raise InsufficientDataError(f"run log {path} is empty")
     try:
         header = json.loads(lines[0])
-    except ValueError as exc:  # JSONDecodeError, or int's digit limit
+    except (ValueError, RecursionError) as exc:  # also int's digit limit
         raise RunLogFormatError(f"line 1: invalid header: {exc}") from exc
     if not isinstance(header, dict) or "cap" not in header:
         raise RunLogFormatError("line 1: header must carry 'cap'")
@@ -503,10 +488,10 @@ def load_runs(path) -> RunSample:
     columns = _one_pass_columns(body)
     if columns is not None:
         try:
-            return RunSample._from_columns(*columns, cap, metadata)
+            return RunSample(*columns, cap, metadata)
         except ValueError:
             pass  # the strict reader names the line
-    columns = _strict_columns(body, cap)
-    if not columns[0]:
+    seeds, runs = _strict_columns(body, cap)
+    if not seeds:
         raise InsufficientDataError(f"run log {path} has no records")
-    return RunSample._from_columns(*columns, cap, metadata)
+    return RunSample(seeds, runs, cap, metadata)

@@ -22,10 +22,10 @@ def reference_record_line(r: RunRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def block_of(records: list[RunRecord]) -> RunBlock:
+def block_of(records: list[RunRecord], epochs_dtype=np.int64) -> RunBlock:
     """The `attempt_many` result whose row i is records[i]."""
     return RunBlock(
-        np.array([r.epochs for r in records], dtype=np.int64),
+        np.array([r.epochs for r in records], dtype=epochs_dtype),
         np.array([r.converged for r in records], dtype=bool),
         np.array([r.final_error for r in records], dtype=np.float64),
         np.array([r.diverged for r in records], dtype=bool),
@@ -83,33 +83,39 @@ class ParityStub(LasVegasProcess):
         )
 
 
+def sample_of(records: list[RunRecord], cap: int, metadata: str = "") -> RunSample:
+    """The sample whose runs are `records`, in order. Its epochs column is
+    object, so an epochs value past int64 reaches the sample's check."""
+    return RunSample([r.seed for r in records], block_of(records, object), cap, metadata)
+
+
+def runs_of(epochs, converged) -> RunBlock:
+    """Runs of the given epochs: error 0 if converged, else 1; none diverged."""
+    converged = np.asarray(converged, dtype=bool)
+    return RunBlock(
+        np.asarray(epochs, dtype=np.int64),
+        converged,
+        np.where(converged, 0.0, 1.0),
+        np.zeros(converged.size, dtype=bool),
+    )
+
+
 def make_sample(epochs, cap=10_000, censored=0) -> RunSample:
-    """RunSample with the given converged epochs plus censored runs at cap."""
-    records = [
-        RunRecord(seed=i, epochs=int(e), converged=True, final_error=0.0)
-        for i, e in enumerate(epochs)
-    ]
-    records += [
-        RunRecord(seed=10_000 + j, epochs=cap, converged=False, final_error=1.0)
-        for j in range(censored)
-    ]
-    return RunSample(records=records, cap=cap, metadata="test")
+    """RunSample with the given converged epochs (seeds 0, 1, ...) plus
+    censored runs at cap (seeds 10000, 10001, ...)."""
+    epochs = [int(e) for e in epochs]
+    seeds = [*range(len(epochs)), *range(10_000, 10_000 + censored)]
+    runs = runs_of(epochs + [cap] * censored, [True] * len(epochs) + [False] * censored)
+    return RunSample(seeds, runs, cap, "test")
 
 
 def sample_from_times(times: np.ndarray, cap: int) -> RunSample:
-    """Bulk RunSample from an array of drawn completion times."""
-    records = []
-    for i, t in enumerate(np.asarray(times)):
-        t = int(t)
-        if t <= cap:
-            records.append(
-                RunRecord(seed=i, epochs=t, converged=True, final_error=0.0)
-            )
-        else:
-            records.append(
-                RunRecord(seed=i, epochs=cap, converged=False, final_error=1.0)
-            )
-    return RunSample(records=records, cap=cap, metadata="from-times")
+    """Bulk RunSample from an array of drawn completion times: run i has
+    seed i, converged at times[i] if within cap, else censored at cap."""
+    times = np.asarray(times, dtype=np.int64)
+    converged = times <= cap
+    runs = runs_of(np.where(converged, times, cap), converged)
+    return RunSample(range(times.size), runs, cap, "from-times")
 
 
 def tiny_dataset(n_rows=5, n_features=4, n_outputs=2, seed=0) -> Dataset:

@@ -15,7 +15,6 @@ from restartkit import (
     InsufficientDataError,
     RunLogFormatError,
     RunRecord,
-    RunSample,
     collect_runs,
     load_runs,
     runner,
@@ -23,7 +22,7 @@ from restartkit import (
 )
 from restartkit.synth import SyntheticProcess, parse_law
 
-from conftest import reference_record_line
+from conftest import reference_record_line, sample_of
 
 CAP = 3
 HEADER = '{"cap":3,"metadata":"oracle"}'
@@ -138,7 +137,7 @@ class TestWriterOracle:
     @example(RunRecord(seed=4, epochs=2, converged=False, final_error=math.inf, diverged=True))
     @example(RunRecord(seed=5, epochs=2, converged=False, final_error=-math.inf))
     def test_line_bytes_equal(self, record):
-        sample = RunSample(records=[record], cap=record.epochs)
+        sample = sample_of([record], cap=record.epochs)
         assert runner._record_lines(sample) == [reference_record_line(record)]
 
     @pytest.mark.parametrize("err", [np.float64(0.1), 0, 7, np.float64("nan")])
@@ -146,7 +145,7 @@ class TestWriterOracle:
         # The writer reads the sample's float64 column, so an int error is
         # spelled as the float it is stored as.
         record = RunRecord(seed=1, epochs=2, converged=True, final_error=err)
-        sample = RunSample(records=[record], cap=2)
+        sample = sample_of([record], cap=2)
         assert runner._record_lines(sample) == [
             reference_record_line(replace(record, final_error=float(err)))
         ]
@@ -159,7 +158,7 @@ class TestWriterOracle:
     def test_file_bytes_equal(self, tmp_path_factory, recs, metadata):
         cap = max(r.epochs for r in recs)
         recs = [r if r.converged or r.diverged else replace(r, epochs=cap) for r in recs]
-        sample = RunSample(records=recs, cap=cap, metadata=metadata)
+        sample = sample_of(recs, cap=cap, metadata=metadata)
         path = tmp_path_factory.mktemp("w") / "runs.jsonl"
         save_runs(sample, path)
         header = json.dumps({"cap": cap, "metadata": metadata}, separators=(",", ":"))
@@ -357,8 +356,8 @@ class TestCanonicalReader:
         # `analyze-stub`'s law and cap: a log with censored runs.
         pareto = SyntheticProcess(parse_law("discrete-pareto:0.5:50"), cap_epochs=5000)
         logs = [
-            RunSample(
-                records=[
+            sample_of(
+                [
                     RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1),
                     RunRecord(seed=0, epochs=3, converged=False, final_error=-0.0),
                     RunRecord(
@@ -470,7 +469,7 @@ class TestRespelledLogs:
     )
     def test_same_as_whole_json_reader(self, tmp_path, respell, loads):
         path = tmp_path / "runs.jsonl"
-        save_runs(RunSample(records=RESPELLED_RECORDS, cap=5, metadata=METADATA), path)
+        save_runs(sample_of(RESPELLED_RECORDS, cap=5, metadata=METADATA), path)
         plain = log_outcome(lambda: loaded_parts(path))
         text = respell(path.read_text(encoding="utf-8"))
         path.write_bytes(text.encode("utf-8"))

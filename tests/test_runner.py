@@ -32,7 +32,7 @@ from restartkit import (
 )
 from restartkit.strategies import FixedSchedule, run_schedules
 
-from conftest import FormulaStub, make_sample, reference_record_line, tiny_dataset
+from conftest import FormulaStub, make_sample, reference_record_line, sample_of, tiny_dataset
 
 
 def reference_mix(base: int, index: int) -> int:
@@ -216,7 +216,7 @@ class TestBlocks:
     def test_equals_one_attempt_per_seed(self, tmp_path_factory, process, n_runs, base, jobs):
         sample = collect_runs(process, n_runs, base, n_jobs=jobs)
         records = [process.attempt(derive_seed(base, i), process.cap) for i in range(n_runs)]
-        want = RunSample(records, process.cap, sample.metadata)
+        want = sample_of(records, process.cap, sample.metadata)
         assert list(map(record_bits, sample.records)) == list(map(record_bits, want.records))
         assert sample == want
         path = tmp_path_factory.mktemp("log") / "runs.jsonl"
@@ -299,7 +299,7 @@ class TestRunLog:
                 seed=5, epochs=3, converged=False, final_error=float("nan"), diverged=True
             ),
         ]
-        sample = RunSample(records=records, cap=100, metadata="round trip")
+        sample = sample_of(records, cap=100, metadata="round trip")
         path = tmp_path / "runs.jsonl"
         save_runs(sample, path)
         loaded = load_runs(path)
@@ -499,6 +499,23 @@ class TestRunLog:
         with pytest.raises(RunLogFormatError, match=f"^line {line}: "):
             load_runs(path)
 
+    @pytest.mark.parametrize(
+        "header, record, line",
+        [
+            ('{"cap":10,"x":%s}', '{"seed":1,"epochs":3,"converged":true,"final_error":0.0}', 1),
+            ('{"cap":10}', '{"seed":1,"epochs":3,"converged":true,"final_error":0.0,"x":%s}', 2),
+        ],
+        ids=["header", "record"],
+    )
+    def test_nesting_past_recursion_limit_names_line(self, tmp_path, header, record, line):
+        # json's decoder raises RecursionError, not ValueError, this deep.
+        path = tmp_path / "deep.jsonl"
+        text = (header + "\n" + record + "\n").replace("%s", "[" * 100_000)
+        path.write_text(text, encoding="utf-8")
+        kind = "header" if line == 1 else "record"
+        with pytest.raises(RunLogFormatError, match=f"^line {line}: invalid {kind}: "):
+            load_runs(path)
+
 
 def assert_columns_hold(sample: RunSample, records: list[RunRecord]) -> None:
     """`sample`'s columns hold `records` field by field, in order."""
@@ -525,9 +542,11 @@ def assert_columns_hold(sample: RunSample, records: list[RunRecord]) -> None:
 
 def reference_first_bad(rows: list[tuple], cap: int) -> str | None:
     """The first refusal among (seed, epochs, converged, diverged) rows, one
-    record at a time: `RunRecord`'s epochs check, then `RunSample`'s."""
+    record at a time, each rule in the order `_parse_record` checks a line."""
     first: dict[int, int] = {}
     for i, (seed, epochs, converged, diverged) in enumerate(rows):
+        if seed < 0:
+            return f"record {i}: seed must be >= 0, got {seed}"
         if epochs < 1:
             return f"record {i}: epochs must be >= 1, got {epochs}"
         if epochs > cap:
@@ -540,6 +559,19 @@ def reference_first_bad(rows: list[tuple], cap: int) -> str | None:
             return f"record {i}: seed {seed} repeats record {first[seed]}"
         first[seed] = i
     return None
+
+
+def sample_of_rows(rows: list[tuple], cap: int) -> RunSample:
+    """The sample over (seed, epochs, converged, diverged) rows as columns,
+    epochs in an object column and every error 0.5."""
+    seeds, epochs, converged, diverged = zip(*rows)
+    runs = runner.RunBlock(
+        np.array(epochs, dtype=object),
+        np.array(converged),
+        np.full(len(rows), 0.5),
+        np.array(diverged),
+    )
+    return RunSample(seeds, runs, cap)
 
 
 def sample_problem(build) -> str | None:
@@ -567,45 +599,45 @@ class TestColumns:
         assert_columns_hold(sample, sample.records)
 
     def test_hand_built_keeps_its_records(self):
-        sample = RunSample(records=MIXED_RECORDS, cap=10)
+        sample = sample_of(MIXED_RECORDS, cap=10)
         assert_columns_hold(sample, MIXED_RECORDS)
 
     def test_caller_list_is_not_held(self):
         records = MIXED_RECORDS[:2]
-        sample = RunSample(records=records, cap=10)
+        sample = sample_of(records, cap=10)
         shown = repr(sample)
         records.append(MIXED_RECORDS[4])
         records[0] = RunRecord(seed=1, epochs=4, converged=False, final_error=1.0)
         assert sample.records == MIXED_RECORDS[:2]
-        assert sample == RunSample(records=MIXED_RECORDS[:2], cap=10)
+        assert sample == sample_of(MIXED_RECORDS[:2], cap=10)
         assert repr(sample) == shown
         assert_columns_hold(sample, MIXED_RECORDS[:2])
 
     def test_equality_compares_columns(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        save_runs(RunSample(records=MIXED_RECORDS, cap=10, metadata="m"), path)
+        save_runs(sample_of(MIXED_RECORDS, cap=10, metadata="m"), path)
         assert math.isnan(load_runs(path).final_error[2])
         assert load_runs(path) == load_runs(path)
         positive_zero = replace(MIXED_RECORDS[1], final_error=0.0)
-        assert RunSample([MIXED_RECORDS[1]], cap=10) == RunSample([positive_zero], cap=10)
+        assert sample_of([MIXED_RECORDS[1]], cap=10) == sample_of([positive_zero], cap=10)
         changed = [
             MIXED_RECORDS[:4],
             [*MIXED_RECORDS[:4], replace(MIXED_RECORDS[4], epochs=2)],
             [*MIXED_RECORDS[:2], replace(MIXED_RECORDS[2], final_error=0.5), *MIXED_RECORDS[3:]],
         ]
-        assert load_runs(path) != RunSample(records=MIXED_RECORDS, cap=10)
+        assert load_runs(path) != sample_of(MIXED_RECORDS, cap=10)
         for records in changed:
-            assert load_runs(path) != RunSample(records=records, cap=10, metadata="m")
+            assert load_runs(path) != sample_of(records, cap=10, metadata="m")
 
     def test_empty(self):
-        assert_columns_hold(RunSample(records=[], cap=5), [])
+        assert_columns_hold(sample_of([], cap=5), [])
 
     # A seed past 64 bits loads back as the Python int it was.
     @pytest.mark.parametrize("first_seed", [2**64 - 1, 10**30])
     def test_loaded(self, tmp_path, first_seed):
         records = [replace(MIXED_RECORDS[0], seed=first_seed), *MIXED_RECORDS[1:]]
         path = tmp_path / "runs.jsonl"
-        save_runs(RunSample(records=records, cap=10, metadata="m"), path)
+        save_runs(sample_of(records, cap=10, metadata="m"), path)
         loaded = load_runs(path)
         assert_columns_hold(loaded, records)
         assert_columns_hold(loaded, loaded.records)
@@ -613,27 +645,27 @@ class TestColumns:
 
     def test_rejects_cap_beyond_int64(self):
         with pytest.raises(ValueError, match=r"cap must be in \[1, 2\*\*63 - 1\]"):
-            RunSample(records=[], cap=2**63)
+            sample_of([], cap=2**63)
         top = RunRecord(seed=1, epochs=2**63 - 1, converged=True, final_error=0.0)
-        assert RunSample(records=[top], cap=2**63 - 1).epochs.tolist() == [2**63 - 1]
+        assert sample_of([top], cap=2**63 - 1).epochs.tolist() == [2**63 - 1]
 
     def test_first_bad_record_is_named(self):
         off_cap = RunRecord(seed=1, epochs=4, converged=False, final_error=1.0)
         huge = RunRecord(seed=2, epochs=2**64, converged=True, final_error=0.0)
         with pytest.raises(ValueError, match="record 0: censored"):
-            RunSample(records=[off_cap, huge], cap=10)
+            sample_of([off_cap, huge], cap=10)
         with pytest.raises(ValueError, match=f"record 0: epochs {2**64} exceeds cap 10"):
-            RunSample(records=[huge, off_cap], cap=10)
+            sample_of([huge, off_cap], cap=10)
         both = RunRecord(seed=3, epochs=2, converged=True, final_error=0.0, diverged=True)
         with pytest.raises(ValueError, match="record 5: run is both converged and diverged"):
-            RunSample(records=[*MIXED_RECORDS, both], cap=10)
+            sample_of([*MIXED_RECORDS, both], cap=10)
         with pytest.raises(ValueError, match="record 5: seed 0 repeats record 1"):
-            RunSample(records=[*MIXED_RECORDS, replace(MIXED_RECORDS[1], seed=0)], cap=10)
+            sample_of([*MIXED_RECORDS, replace(MIXED_RECORDS[1], seed=0)], cap=10)
 
     @given(
         st.lists(
             st.tuples(
-                st.integers(0, 3),
+                st.integers(-1, 3),
                 st.sampled_from([0, 1, 2, 3, 4, 5, 2**64]),
                 st.booleans(),
                 st.booleans(),
@@ -645,16 +677,15 @@ class TestColumns:
     @example([(1, 4, True, False), (2, 0, False, False)])
     @example([(1, 4, False, False), (2, 2**64, True, False), (1, 4, False, False)])
     @example([(1, 3, False, False), (1, 4, False, False)])
+    @example([(1, 4, True, False), (-1, 0, False, False)])
+    @example([(0, 4, True, False), (0, 0, True, False), (-1, 4, True, False)])
     def test_one_check_matches_per_record_reference(self, rows):
         # Each way in must refuse what the reference refuses, with its
-        # message: a record cannot hold epochs 0, an int64 block column
-        # cannot hold 2**64, so each path takes the rows it can carry.
+        # message. Columns with an object epochs column carry every row;
+        # an int64 block column cannot hold 2**64, and `collect_runs`
+        # derives its own seeds, so it takes the rows it can carry.
         cap = 4
-        if all(epochs >= 1 for _, epochs, _, _ in rows):
-            records = [RunRecord(s, e, c, 0.5, diverged=d) for s, e, c, d in rows]
-            assert sample_problem(lambda: RunSample(records=records, cap=cap)) == (
-                reference_first_bad(rows, cap)
-            )
+        assert sample_problem(lambda: sample_of_rows(rows, cap)) == reference_first_bad(rows, cap)
         if all(epochs < 2**63 for _, epochs, _, _ in rows):
 
             class Rows(FormulaStub):
@@ -674,26 +705,26 @@ class TestColumns:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 3), st.integers(1, 5), st.booleans(), st.booleans()),
+            st.tuples(st.integers(-1, 3), st.integers(1, 5), st.booleans(), st.booleans()),
             min_size=1,
             max_size=5,
         )
     )
     @example([(1, 2, True, True)])
     @example([(1, 4, False, False), (1, 4, False, False)])
+    @example([(1, 2, True, False), (-1, 4, False, False)])
     def test_accepts_what_load_runs_accepts(self, tmp_path_factory, rows):
-        # A sample exists exactly when the log `save_runs` would write for
-        # its records loads back.
-        records = [RunRecord(s, e, c, 0.5, diverged=d) for s, e, c, d in rows]
+        # A sample exists exactly when a log of its runs loads back.
+        keys = ("seed", "epochs", "converged", "diverged")
+        records = (json.dumps({**dict(zip(keys, row)), "final_error": 0.5}) for row in rows)
         path = tmp_path_factory.mktemp("log") / "runs.jsonl"
-        lines = ['{"cap":4,"metadata":""}', *map(reference_record_line, records)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(['{"cap":4,"metadata":""}', *records]) + "\n", encoding="utf-8")
         try:
             loaded = load_runs(path)
         except RunLogFormatError:
             loaded = None
         try:
-            sample = RunSample(records=records, cap=4)
+            sample = sample_of_rows(rows, 4)
         except ValueError:
             sample = None
         assert (sample is None) == (loaded is None)

@@ -13,26 +13,28 @@ from restartkit.cli import main
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 # Print what a fresh interpreter has loaded after `import restartkit` and,
-# given arguments, after `cli.main` runs them.
+# given arguments, after `cli.main` runs them, also when argparse exits.
 _SCRIPT = """
 import sys
 import restartkit
-if sys.argv[1:]:
-    from restartkit.cli import main
-    assert main(sys.argv[1:]) == 0
-print(" ".join(sorted(sys.modules)))
+try:
+    if sys.argv[1:]:
+        from restartkit.cli import main
+        sys.exit(main(sys.argv[1:]))
+finally:
+    print(" ".join(sorted(sys.modules)))
 """
 
 POOL = "concurrent.futures.process"
 
 
-def loaded_modules(*argv: str) -> set[str]:
+def loaded_modules(*argv: str, status: int = 0) -> set[str]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT, *argv], capture_output=True, text=True, env=env
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
@@ -56,6 +58,15 @@ def test_log_commands_load_neither_mlp_nor_pool(stub_log, command):
     modules = loaded_modules(command, "--runs-file", stub_log)
     for name in ("restartkit.mlp", "restartkit.dataset", "restartkit.synth", POOL):
         assert name not in modules
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["--help"], 0), (["collect", "--stub", "constant:3", "--runs", "0", "--out", "x"], 2)],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_errors_load_no_numpy(argv, status):
+    assert "numpy" not in loaded_modules(*argv, status=status)
 
 
 def test_stub_collect_loads_no_mlp(tmp_path):
