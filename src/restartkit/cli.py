@@ -171,11 +171,9 @@ def _budget(args: argparse.Namespace, process: runner.LasVegasProcess) -> int:
     return args.budget if args.budget is not None else min(20 * process.cap, MAX_CAP)
 
 
-def _write_table(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_table(path: str, header: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+        fh.write("\n".join([header, *lines, ""]))
 
 
 def cmd_collect(args: argparse.Namespace) -> int:
@@ -235,24 +233,18 @@ def cmd_tail(args: argparse.Namespace) -> int:
         print(f"first_profitable_tau\t{profitable[0]}")
     else:
         print("restart_profitable\tno (no tau)")
+    survival = tailstats.survival_table(ecdf) if args.survival_out or args.loglog_out else []
     if args.survival_out:
-        rows = [(t, f"{s:.10g}") for t, s in tailstats.survival_table(ecdf)]
-        _write_table(args.survival_out, ["t", "survival"], rows)
+        _write_table(args.survival_out, "t\tsurvival", [f"{t}\t{s:.10g}" for t, s in survival])
     if args.loglog_out:
-        rows = [
-            (f"{math.log(t):.10g}", f"{math.log(s):.10g}")
-            for t, s in tailstats.survival_table(ecdf)
-            if s > 0.0
-        ]
-        _write_table(args.loglog_out, ["log_t", "log_survival"], rows)
+        lines = [f"{math.log(t):.10g}\t{math.log(s):.10g}" for t, s in survival if s > 0.0]
+        _write_table(args.loglog_out, "log_t\tlog_survival", lines)
     if args.remaining_out:
-        rows = [
-            (tau, f"{mean:.6f}", n, f"{se:.6f}")
+        lines = [
+            f"{tau}\t{mean:.6f}\t{n}\t{se:.6f}"
             for tau, mean, n, se in tailstats.remaining_time_profile(sample)
         ]
-        _write_table(
-            args.remaining_out, ["tau", "expected_remaining", "n", "stderr"], rows
-        )
+        _write_table(args.remaining_out, "tau\texpected_remaining\tn\tstderr", lines)
     return 0
 
 
@@ -271,8 +263,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     print("t_star\texpected_epochs\tno_restart_mean\treduction")
     print(f"{t_star}\t{expected:.3f}\t{baseline}")
     if args.curve_out:
-        rows = [(t, f"{e:.6f}") for t, e in strategies.expected_time_curve(ecdf)]
-        _write_table(args.curve_out, ["t", "expected_epochs"], rows)
+        lines = [f"{t}\t{e:.6f}" for t, e in strategies.expected_time_curve(ecdf)]
+        _write_table(args.curve_out, "t\texpected_epochs", lines)
     return 0
 
 

@@ -117,12 +117,12 @@ class LasVegasProcess(Protocol):
     """Behavioral contract for a restartable randomized process.
 
     `attempt_many(seeds, cutoff)` runs each seed for at most `cutoff`
-    epochs, a cutoff in [1, `MAX_CAP`], and returns a `RunBlock` whose
+    epochs, a Python int in [1, `MAX_CAP`], and returns a `RunBlock` whose
     row i is the run of seeds[i]. It is a pure function of its arguments:
     the same seed gives the same row wherever it sits in the block, even
     repeated. A numeric failure is a diverged row, never an exception.
-    `cap` is the default censoring cutoff for plain (no-restart) runs;
-    `collect_runs` calls `attempt_many` once per block of seeds and joins
+    `cap`, a Python int too, is the censoring cutoff for plain (no-restart)
+    runs; `collect_runs` calls `attempt_many` once per block of seeds and joins
     the blocks' columns into its sample. Processes that subclass the
     protocol inherit `attempt`, row 0 of a block of one, as a `RunRecord`.
 
@@ -151,7 +151,9 @@ def format_float(x: float) -> str:
 
 
 def check_cutoff(cutoff: int) -> None:
-    """Reject a cutoff outside [1, `MAX_CAP`], the range `attempt_many` takes."""
+    """Reject a cutoff other than a Python int in [1, `MAX_CAP`], as `attempt_many` takes."""
+    if type(cutoff) is not int:
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     if cutoff > MAX_CAP:
@@ -159,12 +161,12 @@ def check_cutoff(cutoff: int) -> None:
 
 
 class RunSample:
-    """An ordered collection of runs sharing one censoring cap.
+    """An ordered collection of runs sharing one censoring cap, a Python int.
 
-    `seeds[i]` is the seed of row i of `runs`, a `RunBlock` whose epochs
-    are an int64 array (object when a value may not fit int64) and whose
-    other columns may be any sequences. The sample keeps `seeds` as a list
-    of Python ints, so any non-negative seed round-trips, and `runs` as
+    `seeds[i]`, a Python int, is the seed of row i of `runs`, a `RunBlock`
+    whose epochs are an int64 array (object when a value may not fit int64)
+    and whose other columns may be any sequences. The sample keeps `seeds`
+    as a list, so any non-negative seed round-trips, and `runs` as
     read-only arrays: `epochs` (int64), `converged` and `diverged` (bool)
     and `final_error` (float64), also readable by name. It never holds its
     caller's sequences. `records` builds `RunRecord`s from the columns on
@@ -174,6 +176,8 @@ class RunSample:
     """
 
     def __init__(self, seeds, runs: RunBlock, cap: int, metadata: str = "") -> None:
+        if type(cap) is not int:
+            raise ValueError(f"cap must be an integer, got {cap!r}")
         if not 1 <= cap <= MAX_CAP:
             raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
         seeds = list(seeds)
@@ -224,22 +228,25 @@ def _frozen(values, dtype) -> np.ndarray:
 
 def _first_bad(seeds: list, epochs: np.ndarray, converged, diverged, cap: int) -> str | None:
     """The message for the first run a log's records may not hold, or None:
-    one with a negative seed, epochs outside [1, cap], both converged and
-    diverged, censored off the cap, or repeating an earlier seed, checked
-    in that order, as `_parse_record` and `_strict_columns` check a line.
-    `epochs` is int64, or object when a value may not fit int64."""
+    one whose seed is not a Python int (a bool or numpy int either) or is
+    negative, epochs outside [1, cap], both converged and diverged, censored
+    off the cap, or repeating an earlier seed, checked in that order, as
+    `_parse_record` and `_strict_columns` check a line. `epochs` is int64,
+    or object when a value may not fit int64."""
     off_cap = ~(converged | diverged) & (epochs != cap)
     bad = np.flatnonzero((epochs < 1) | (epochs > cap) | (converged & diverged) | off_cap)
     end = int(bad[0]) if bad.size else len(seeds)
-    if seeds and min(seeds) < 0:
-        end = min(end, next(i for i, seed in enumerate(seeds) if seed < 0))
-    if len(set(seeds)) < len(seeds):
+    if set(map(type, seeds)) - {int} or (seeds and min(seeds) < 0):
+        end = min(end, next(i for i, seed in enumerate(seeds) if type(seed) is not int or seed < 0))
+    if len(set(seeds[:end])) < end:
         first: dict[int, int] = {}
         for i, seed in enumerate(seeds[:end]):
             if first.setdefault(seed, i) != i:
                 return f"record {i}: seed {seed} repeats record {first[seed]}"
     if end == len(seeds):
         return None
+    if type(seeds[end]) is not int:
+        return f"record {end}: seed must be an integer, got {seeds[end]!r}"
     if seeds[end] < 0:
         return f"record {end}: seed must be >= 0, got {seeds[end]}"
     e = int(epochs[end])
@@ -405,9 +412,8 @@ def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock] | None:
     that `_parse_record` takes as they are.
 
     Every line opens with the only "{" in it, so n rows are the n lines.
-    Seeds and epochs are ints, epochs in [1, 2**63 - 1] for the int64
-    column, the flags bools and the errors floats. The sample checks the
-    rest.
+    Epochs are ints in [1, 2**63 - 1] for the int64 column, the flags
+    bools and the errors floats. The sample checks the rest, seeds included.
     """
     n = len(lines)
     array = "[" + ",\n".join(lines) + "]"
@@ -424,7 +430,7 @@ def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock] | None:
     diverged = [row.get("diverged", False) for row in rows]
     if (
         len(rows) != n
-        or {*map(type, seeds), *map(type, epochs)} != {int}
+        or set(map(type, epochs)) != {int}
         or {*map(type, converged), *map(type, diverged)} != {bool}
         or set(map(type, final_error)) != {float}
         or not 1 <= min(epochs) <= max(epochs) <= MAX_CAP

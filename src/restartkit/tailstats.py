@@ -17,9 +17,10 @@ and therefore makes the restart-profitability test conservative.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def empirical_cdf(sample: RunSample) -> Ecdf:
 
 def survival_table(ecdf: Ecdf) -> list[tuple[int, float]]:
     """(t, Pr(T > t)) at each distinct support value, for plotting."""
-    return [(int(t), 1.0 - float(q)) for t, q in zip(ecdf.support, ecdf.cum_prob)]
+    return [(t, 1.0 - q) for t, q in zip(ecdf.support.tolist(), ecdf.cum_prob.tolist())]
 
 
 def loglog_tail_slope(sample: RunSample, tail_fraction: float) -> float:
@@ -147,19 +148,19 @@ def hill_estimator(sample: RunSample, r: int) -> float:
 
 
 def expected_remaining(sample: RunSample, tau: int) -> float:
-    """E[T - tau | T > tau] over converged runs.
+    """E[T - tau | T > tau] from the `_conditional_means` row of the last tau' <= tau.
 
     Censored runs are excluded even though they also survive past tau, so
     the estimate is biased low: restart profitability is under-, never
     over-stated.
     """
-    if tau < 0:
+    if (tau := index(tau)) < 0:  # an integer: a numpy one would make n * tau int64
         raise ValueError(f"tau must be >= 0, got {tau}")
-    epochs = sample.converged_epochs()
-    beyond = epochs[epochs > tau]
-    if beyond.size == 0:
+    taus, n, s1, _, _ = _conditional_means(sample)
+    i = bisect_right(taus, tau) - 1
+    if s1[i] <= n[i] * tau:
         raise InsufficientDataError(f"no converged runs beyond tau={tau}")
-    return float(np.mean(beyond - tau))
+    return (s1[i] - n[i] * tau) / n[i]
 
 
 def _conditional_means(sample: RunSample) -> tuple[list, ...]:

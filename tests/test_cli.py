@@ -9,11 +9,14 @@ import pytest
 from restartkit import (
     AllTrialsFailedError,
     collect_runs,
+    empirical_cdf,
     evaluate_strategy_mc,
     load_runs,
     mlp,
+    remaining_time_profile,
     runner,
     strategies,
+    survival_table,
 )
 from restartkit.cli import (
     _build_process,
@@ -498,6 +501,52 @@ def test_tail_sums_exact_past_int64(capsys, tmp_path):
     assert rows[1] == "0\t900000000000000000.000000\t12\t1.040833"
     # Survivors 9e17+6..9e17+11 beyond tau = 9e17+5: T - tau is 1..6.
     assert rows[7] == f"{9 * 10**17 + 5}\t3.500000\t6\t0.763763"
+
+
+def tsv(header: list[str], rows: list[tuple]) -> str:
+    """A table as the plot files spell it: one tab-joined `str` line per row."""
+    return "".join("\t".join(str(v) for v in row) + "\n" for row in [header, *rows])
+
+
+@pytest.mark.parametrize(
+    "stub, cap",
+    [
+        # Censored runs, and a last remaining-time row of one survivor (nan stderr).
+        ("discrete-pareto:0.5:50", "300"),
+        # No censored run: survival reaches 0, a point the log-log table drops.
+        ("two-point:0.3:2:40", "40"),
+    ],
+)
+def test_plot_files_hold_the_library_tables(capsys, tmp_path, stub, cap):
+    log = tmp_path / "runs.jsonl"
+    argv = ["--stub", stub, "--stub-cap", cap, "--runs", "400", "--seed", "3"]
+    assert run_cli(capsys, "collect", *argv, "--out", str(log))[0] == 0
+    paths = {name: tmp_path / f"{name}.tsv" for name in ("survival", "loglog", "remaining")}
+    flags = [arg for name, path in paths.items() for arg in (f"--{name}-out", str(path))]
+    assert run_cli(capsys, "tail", "--runs-file", str(log), *flags)[0] == 0
+    paths["curve"] = curve = tmp_path / "curve.tsv"
+    assert run_cli(capsys, "optimize", "--runs-file", str(log), "--curve-out", str(curve))[0] == 0
+    sample = load_runs(log)
+    ecdf = empirical_cdf(sample)
+    survival = survival_table(ecdf)
+    profile = remaining_time_profile(sample)
+    assert (sample.n_censored > 0 and math.isnan(profile[-1][3])) or survival[-1][1] == 0.0
+    expected = {
+        "survival": tsv(["t", "survival"], [(t, f"{p:.10g}") for t, p in survival]),
+        "loglog": tsv(
+            ["log_t", "log_survival"],
+            [(f"{math.log(t):.10g}", f"{math.log(p):.10g}") for t, p in survival if p > 0.0],
+        ),
+        "remaining": tsv(
+            ["tau", "expected_remaining", "n", "stderr"],
+            [(tau, f"{mean:.6f}", n, f"{se:.6f}") for tau, mean, n, se in profile],
+        ),
+        "curve": tsv(
+            ["t", "expected_epochs"],
+            [(t, f"{e:.6f}") for t, e in strategies.expected_time_curve(ecdf)],
+        ),
+    }
+    assert {name: path.read_text(encoding="utf-8") for name, path in paths.items()} == expected
 
 
 @pytest.mark.parametrize("command", ["tail", "optimize"])

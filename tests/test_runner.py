@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from restartkit import runner
+from restartkit import mlp, runner
 from restartkit import (
     Constant,
     DiscretePareto,
@@ -156,6 +156,23 @@ class TestCollectRuns:
             collect_runs(Exploding(), 20, base_seed=0)
         with pytest.raises(ArithmeticError, match="boom at cutoff 5"):
             run_schedules(Exploding(), [FixedSchedule(5)], 0, budget=100)
+
+    def test_float_stub_cap_fails_before_any_draw(self, monkeypatch):
+        process = SyntheticProcess(Geometric(0.5), cap_epochs=50.0)
+        monkeypatch.setattr(Geometric, "sample_many", pytest.fail)
+        with pytest.raises(ValueError, match=r"^cutoff must be an integer, got 50\.0$"):
+            collect_runs(process, 5, base_seed=1)
+
+    def test_float_mlp_cap_fails_before_any_training(self, monkeypatch):
+        cfg = MlpConfig(n_inputs=4, n_hidden=2, n_outputs=2, max_epochs=30.0)
+        monkeypatch.setattr(mlp, "_train_runs", pytest.fail)
+        with pytest.raises(ValueError, match=r"^cutoff must be an integer, got 30\.0$"):
+            collect_runs(MlpProcess(cfg, tiny_dataset()), 2, base_seed=1)
+
+    @pytest.mark.parametrize("cutoff", [5.0, np.int64(5), True], ids=["float", "int64", "bool"])
+    def test_check_cutoff_takes_python_ints_only(self, cutoff):
+        problem = sample_problem(partial(runner.check_cutoff, cutoff))
+        assert problem == f"cutoff must be an integer, got {cutoff!r}"
 
 
 # Each stub law, and an MLP that converges, is censored or (momentum None)
@@ -545,6 +562,8 @@ def reference_first_bad(rows: list[tuple], cap: int) -> str | None:
     record at a time, each rule in the order `_parse_record` checks a line."""
     first: dict[int, int] = {}
     for i, (seed, epochs, converged, diverged) in enumerate(rows):
+        if type(seed) is not int:
+            return f"record {i}: seed must be an integer, got {seed!r}"
         if seed < 0:
             return f"record {i}: seed must be >= 0, got {seed}"
         if epochs < 1:
@@ -575,7 +594,7 @@ def sample_of_rows(rows: list[tuple], cap: int) -> RunSample:
 
 
 def sample_problem(build) -> str | None:
-    """The ValueError message of `build()`, or None when it builds a sample."""
+    """The ValueError message of `build()`, or None when it returns."""
     try:
         build()
     except ValueError as exc:
@@ -649,6 +668,13 @@ class TestColumns:
         top = RunRecord(seed=1, epochs=2**63 - 1, converged=True, final_error=0.0)
         assert sample_of([top], cap=2**63 - 1).epochs.tolist() == [2**63 - 1]
 
+    # `save_runs` would write each of these caps as a header `load_runs`
+    # refuses (10.0), or not write it at all (np.int64).
+    @pytest.mark.parametrize("cap", [10.0, np.int64(10), True], ids=["float", "int64", "bool"])
+    def test_rejects_cap_that_is_not_an_int(self, cap):
+        problem = sample_problem(partial(sample_of, MIXED_RECORDS[:1], cap))
+        assert problem == f"cap must be an integer, got {cap!r}"
+
     def test_first_bad_record_is_named(self):
         off_cap = RunRecord(seed=1, epochs=4, converged=False, final_error=1.0)
         huge = RunRecord(seed=2, epochs=2**64, converged=True, final_error=0.0)
@@ -665,7 +691,7 @@ class TestColumns:
     @given(
         st.lists(
             st.tuples(
-                st.integers(-1, 3),
+                st.integers(-1, 3) | st.sampled_from([1.5, True, np.uint64(2)]),
                 st.sampled_from([0, 1, 2, 3, 4, 5, 2**64]),
                 st.booleans(),
                 st.booleans(),
@@ -679,6 +705,12 @@ class TestColumns:
     @example([(1, 3, False, False), (1, 4, False, False)])
     @example([(1, 4, True, False), (-1, 0, False, False)])
     @example([(0, 4, True, False), (0, 0, True, False), (-1, 4, True, False)])
+    # A float seed saves a record `load_runs` refuses, a bool one that is not
+    # JSON, and a numpy int would stay a numpy scalar in `seeds`.
+    @example([(1, 4, True, False), (True, 0, False, False)])
+    @example([(-1, 4, True, False), (1.5, 4, True, False)])
+    @example([(1, 4, True, False), (1.5, 4, True, False), ([1], 4, True, False)])
+    @example([(2, 4, True, False), (np.uint64(2), 4, True, False)])
     def test_one_check_matches_per_record_reference(self, rows):
         # Each way in must refuse what the reference refuses, with its
         # message. Columns with an object epochs column carry every row;
@@ -705,12 +737,19 @@ class TestColumns:
 
     @given(
         st.lists(
-            st.tuples(st.integers(-1, 3), st.integers(1, 5), st.booleans(), st.booleans()),
+            st.tuples(
+                st.integers(-1, 3) | st.sampled_from([1.5, True]),
+                st.integers(1, 5),
+                st.booleans(),
+                st.booleans(),
+            ),
             min_size=1,
             max_size=5,
         )
     )
     @example([(1, 2, True, True)])
+    @example([(1, 4, True, False), (1.5, 4, True, False)])
+    @example([(True, 4, True, False)])
     @example([(1, 4, False, False), (1, 4, False, False)])
     @example([(1, 2, True, False), (-1, 4, False, False)])
     def test_accepts_what_load_runs_accepts(self, tmp_path_factory, rows):

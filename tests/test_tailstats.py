@@ -176,6 +176,14 @@ class TestExpectedRemaining:
         with pytest.raises(InsufficientDataError):
             expected_remaining(make_sample([2, 3]), 3)
 
+    def test_numpy_tau_with_sums_past_int64(self):
+        s = make_sample([2**62, 2**62 + 3, 2**62 + 3], cap=2**63 - 1)
+        assert expected_remaining(s, np.int64(2**62)) == 3.0
+
+    def test_no_converged_runs(self):
+        with pytest.raises(InsufficientDataError, match="no converged runs"):
+            expected_remaining(make_sample([], censored=3), 0)
+
 
 class TestRemainingProfile:
     def test_first_row_is_plain_mean(self):
@@ -244,6 +252,16 @@ class TestProfileOracle:
                 )
 
     @given(small_samples())
+    def test_expected_remaining_is_exact_between_support_points(self, s):
+        epochs = [int(e) for e in s.converged_epochs()]
+        for tau in range(max(epochs)):
+            beyond = [e - tau for e in epochs if e > tau]
+            assert expected_remaining(s, tau) == sum(beyond) / len(beyond)
+        for tau in (max(epochs), max(epochs) + 1, 10**30):
+            with pytest.raises(InsufficientDataError):
+                expected_remaining(s, tau)
+
+    @given(small_samples())
     def test_profitable_matches_profile(self, s):
         profile = remaining_time_profile(s)
         expect = [tau for tau, mean, _, _ in profile[1:] if mean > profile[0][1]]
@@ -279,3 +297,9 @@ class TestSurvivalTable:
         for t, surv in survival_table(e):
             past = sum(1 for x in (1, 1, 3, 8) if x > t) + 1
             assert surv == pytest.approx(past / 5)
+
+    def test_python_values_of_the_ecdf_columns(self):
+        e = empirical_cdf(make_sample([1, 1, 3, 8, 8, 40], censored=3))
+        table = survival_table(e)
+        assert table == [(int(t), 1.0 - float(q)) for t, q in zip(e.support, e.cum_prob)]
+        assert all(type(t) is int and type(p) is float for t, p in table)
