@@ -207,7 +207,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
     from . import runner, tailstats
 
     sample = runner.load_runs(args.runs_file)
-    ecdf = tailstats.empirical_cdf(sample)
     m = sample.n_converged
     r = max(2, int(args.r_fraction * m))
     profitable = tailstats.restart_profitable(sample)
@@ -233,7 +232,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
         print(f"first_profitable_tau\t{profitable[0]}")
     else:
         print("restart_profitable\tno (no tau)")
-    survival = tailstats.survival_table(ecdf) if args.survival_out or args.loglog_out else []
+    if args.survival_out or args.loglog_out:
+        survival = tailstats.survival_table(tailstats.empirical_cdf(sample))
     if args.survival_out:
         _write_table(args.survival_out, "t\tsurvival", [f"{t}\t{s:.10g}" for t, s in survival])
     if args.loglog_out:

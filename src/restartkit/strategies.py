@@ -12,6 +12,9 @@ with q(t) = Pr(T <= t); when the distribution is unknown, geometric
 
 Q(t) = sum_{t' < t} q(t') is one cumulative sum over the ECDF steps, so
 the fixed cutoff, the whole curve and its optimum all cost O(support).
+All three read the numerators D_j = s_j - Q(s_j) at the support points: from
+the last s_k <= t, t - Q(t) = D_k + (1 - q(s_k))(t - s_k), with t cancelled
+before any rounding, so no cutoff up to 2**63 - 1 rounds D_k away.
 """
 
 from __future__ import annotations
@@ -142,9 +145,10 @@ def parse_schedule(spec: str) -> RestartSchedule:
     )
 
 
-def _prefix_sums(ecdf: Ecdf) -> np.ndarray:
-    """Q(s_j) = sum_{t' < s_j} q(t') at every support point, summed in support order."""
-    return np.concatenate(([0.0], np.cumsum(ecdf.cum_prob[:-1] * np.diff(ecdf.support))))
+def _numerators(ecdf: Ecdf) -> np.ndarray:
+    """s_j - Q(s_j) at every support point s_j, Q summed in support order."""
+    prefix = np.cumsum(ecdf.cum_prob[:-1] * np.diff(ecdf.support))
+    return ecdf.support - np.concatenate(([0.0], prefix))
 
 
 def fixed_cutoff_expected_time(ecdf: Ecdf, t: int) -> float:
@@ -160,8 +164,7 @@ def fixed_cutoff_expected_time(ecdf: Ecdf, t: int) -> float:
     if k < 0:
         return math.inf
     q = float(ecdf.cum_prob[k])
-    below = float(_prefix_sums(ecdf)[k]) + q * (t - int(ecdf.support[k]))
-    return (t - below) / q
+    return (float(_numerators(ecdf)[k]) + (1.0 - q) * (t - int(ecdf.support[k]))) / q
 
 
 def optimal_cutoff(ecdf: Ecdf) -> tuple[int, float]:
@@ -176,7 +179,7 @@ def optimal_cutoff(ecdf: Ecdf) -> tuple[int, float]:
 
 def expected_time_curve(ecdf: Ecdf) -> list[tuple[int, float]]:
     """(t, E[S_t]) at every support point, for the cutoff-sweep plot."""
-    expected = (ecdf.support - _prefix_sums(ecdf)) / ecdf.cum_prob
+    expected = _numerators(ecdf) / ecdf.cum_prob
     return list(zip(ecdf.support.tolist(), expected.tolist()))
 
 

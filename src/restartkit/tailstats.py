@@ -4,9 +4,11 @@ Covers the diagnostic chain for deciding whether restarts can pay off:
 empirical CDF and survival table, log-log tail slope, the Hill tail
 index, and the conditional expected remaining time E[T - tau | T > tau].
 
-E[T - tau | T > tau] and its standard error at every tau on the support
-come from exact integer suffix sums of T and T^2 over the distinct
-completion times: O(support) after the sort, with no int64 overflow.
+Every statistic reads one table, `_tabulate`: the distinct converged
+times and their run counts. The ECDF and the log-log fit read its
+cumulative counts, the Hill estimator its times repeated by their counts,
+and E[T - tau | T > tau] and its standard error at every tau its exact
+integer suffix sums of T and T^2: O(support) after the sort, no overflow.
 
 Convention: the CDF is q(t) = Pr(T <= t). Censored runs count in the
 denominator of q (they provably ran past every t up to the cap) but are
@@ -61,17 +63,16 @@ def empirical_cdf(sample: RunSample) -> Ecdf:
     q(t) counts converged runs with epochs <= t over all runs, censored
     included.
     """
+    support, counts = _tabulate(sample)
+    return Ecdf(support=support, cum_prob=np.cumsum(counts) / sample.n_runs, cap=sample.cap)
+
+
+def _tabulate(sample: RunSample) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct converged times (increasing, int64) and each one's run count."""
     epochs = sample.converged_epochs()
     if epochs.size == 0:
-        raise InsufficientDataError("no converged runs; cannot build an ECDF")
-    n_total = sample.n_runs
-    support, counts = np.unique(epochs, return_counts=True)
-    cum = np.cumsum(counts) / n_total
-    return Ecdf(
-        support=support.astype(np.int64),
-        cum_prob=cum.astype(np.float64),
-        cap=sample.cap,
-    )
+        raise InsufficientDataError("no converged runs")
+    return np.unique(epochs, return_counts=True)
 
 
 def survival_table(ecdf: Ecdf) -> list[tuple[int, float]]:
@@ -89,19 +90,19 @@ def loglog_tail_slope(sample: RunSample, tail_fraction: float) -> float:
     """
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail_fraction must be in (0,1), got {tail_fraction}")
-    epochs = np.sort(sample.converged_epochs())
-    m = epochs.size
-    n_tail = int(math.ceil(tail_fraction * m))
+    times, counts = _tabulate(sample)
+    cum = np.cumsum(counts)
+    m = int(cum[-1])
+    n_tail = math.ceil(tail_fraction * m)
     if n_tail < MIN_TAIL_RECORDS:
         raise InsufficientDataError(
             f"tail holds {n_tail} records; need >= {MIN_TAIL_RECORDS}"
         )
-    threshold = epochs[m - n_tail]
-    ecdf = empirical_cdf(sample)
+    # The tail starts at the first time whose cumulative count passes the m - n_tail below it.
+    j = int(np.searchsorted(cum, m - n_tail, side="right"))
+    survival = 1.0 - cum[j:] / sample.n_runs
     pts = [
-        (math.log(t), math.log(s))
-        for t, s in survival_table(ecdf)
-        if t >= threshold and s > 0.0
+        (math.log(t), math.log(s)) for t, s in zip(times[j:].tolist(), survival.tolist()) if s > 0.0
     ]
     if len(pts) < 2:
         raise InsufficientDataError(
@@ -141,10 +142,8 @@ def hill_from_values(values: np.ndarray, r: int) -> float:
 
 def hill_estimator(sample: RunSample, r: int) -> float:
     """Hill tail-index estimate over the converged completion times."""
-    epochs = sample.converged_epochs()
-    if epochs.size == 0:
-        raise InsufficientDataError("no converged runs for the Hill estimator")
-    return hill_from_values(epochs.astype(np.float64), r)
+    times, counts = _tabulate(sample)
+    return hill_from_values(np.repeat(times.astype(np.float64), counts), r)
 
 
 def expected_remaining(sample: RunSample, tau: int) -> float:
@@ -166,10 +165,7 @@ def expected_remaining(sample: RunSample, tau: int) -> float:
 def _conditional_means(sample: RunSample) -> tuple[list, ...]:
     """Each tau, its survivors' count n, sum S1 of T and sum S2 of T^2 (exact
     Python ints), and E[T-tau|T>tau] = (S1 - n*tau) / n as a float."""
-    epochs = sample.converged_epochs()
-    if epochs.size == 0:
-        raise InsufficientDataError("no converged runs")
-    values, counts = (a.tolist() for a in np.unique(epochs, return_counts=True))
+    values, counts = (a.tolist() for a in _tabulate(sample))
     values.reverse()
     counts.reverse()
     # Suffix sums over the distinct times, largest first, then reversed.

@@ -17,6 +17,7 @@ from restartkit import (
     runner,
     strategies,
     survival_table,
+    tailstats,
 )
 from restartkit.cli import (
     _build_process,
@@ -547,6 +548,40 @@ def test_plot_files_hold_the_library_tables(capsys, tmp_path, stub, cap):
         ),
     }
     assert {name: path.read_text(encoding="utf-8") for name, path in paths.items()} == expected
+
+
+@pytest.mark.parametrize(
+    "command, plot_flags",
+    [
+        ("tail", ["--survival-out", "--loglog-out", "--remaining-out"]),
+        ("optimize", ["--curve-out"]),
+    ],
+    ids=["tail", "optimize"],
+)
+def test_log_without_converged_runs_is_one_error_line(capsys, tmp_path, command, plot_flags):
+    log = tmp_path / "censored.jsonl"
+    argv = ["--stub", "constant:7", "--stub-cap", "5", "--runs", "10", "--out", str(log)]
+    assert run_cli(capsys, "collect", *argv)[0] == 0
+    plots = [arg for i, flag in enumerate(plot_flags) for arg in (flag, str(tmp_path / f"{i}.tsv"))]
+    code, out, err = run_cli(capsys, command, "--runs-file", str(log), *plots)
+    assert (code, out, err) == (1, "", "restartkit: error: no converged runs\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["censored.jsonl"]
+
+
+def test_tail_without_plot_files_builds_no_ecdf(capsys, tmp_path, monkeypatch):
+    log = tmp_path / "runs.jsonl"
+    argv = ["--stub", "discrete-pareto:1.5", "--stub-cap", "1000", "--runs", "400", "--seed", "3"]
+    assert run_cli(capsys, "collect", *argv, "--out", str(log))[0] == 0
+    remaining = ["--remaining-out", str(tmp_path / "remaining.tsv")]
+    expect = run_cli(capsys, "tail", "--runs-file", str(log), *remaining)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail builds the ECDF only for --survival-out or --loglog-out")
+
+    monkeypatch.setattr(tailstats, "empirical_cdf", refuse)
+    monkeypatch.setattr(tailstats, "survival_table", refuse)
+    assert run_cli(capsys, "tail", "--runs-file", str(log), *remaining) == expect
+    assert expect[0] == 0 and "n/a" not in expect[1]
 
 
 @pytest.mark.parametrize("command", ["tail", "optimize"])

@@ -180,6 +180,14 @@ class TestFixedCutoffExpectedTime:
         e = exact_ecdf(Constant(7), cap=7)
         assert fixed_cutoff_expected_time(e, 7) == pytest.approx(7.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [2**53, 10**18, 2**63 - 1])
+    def test_two_point_far_past_the_support(self, t):
+        # q = 1 from t = 10 on, so every cutoff past it is the plain mean.
+        assert fixed_cutoff_expected_time(exact_ecdf(TWO_POINT, cap=10), t) == 5.5
+
+    def test_deterministic_law_at_the_largest_cutoff(self):
+        assert fixed_cutoff_expected_time(exact_ecdf(Constant(7), cap=7), 2**63 - 1) == 7.0
+
     def test_zero_mass_cutoff_is_infinite(self):
         e = exact_ecdf(Constant(7), cap=7)
         assert fixed_cutoff_expected_time(e, 3) == math.inf

@@ -1,9 +1,10 @@
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from restartkit import (
@@ -11,6 +12,8 @@ from restartkit import (
     DiscretePareto,
     Geometric,
     InsufficientDataError,
+    RunBlock,
+    RunSample,
     empirical_cdf,
     expected_remaining,
     hill_estimator,
@@ -19,6 +22,7 @@ from restartkit import (
     remaining_time_profile,
     restart_profitable,
     survival_table,
+    tailstats,
 )
 
 from conftest import make_sample, sample_from_times
@@ -105,6 +109,17 @@ class TestLogLogTailSlope:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             loglog_tail_slope(make_sample(range(1, 101)), tail_fraction=1.5)
+
+    def test_builds_no_ecdf_or_survival_table(self, monkeypatch):
+        sample = make_sample([1] * 40 + [2] * 30 + [3, 5, 5, 8, 13, 21, 34, 55, 89, 144], censored=4)
+        expect = loglog_tail_slope(sample, tail_fraction=0.3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("loglog_tail_slope reads the tabulation only")
+
+        for name in ("Ecdf", "empirical_cdf", "survival_table"):
+            monkeypatch.setattr(tailstats, name, refuse)
+        assert loglog_tail_slope(sample, tail_fraction=0.3) == expect
 
 
 class TestHillEstimator:
@@ -303,3 +318,102 @@ class TestSurvivalTable:
         table = survival_table(e)
         assert table == [(int(t), 1.0 - float(q)) for t, q in zip(e.support, e.cum_prob)]
         assert all(type(t) is int and type(p) is float for t, p in table)
+
+
+@st.composite
+def mixed_samples(draw):
+    """A run sample of converged (c), censored (_) and diverged (d) runs in
+    any order, many of them tied, and a Hill r below the converged count."""
+    cap = draw(st.integers(min_value=1, max_value=200))
+    n_runs = draw(st.integers(min_value=1, max_value=150))
+    kinds = draw(st.lists(st.sampled_from("cccc_d"), min_size=n_runs, max_size=n_runs))
+    times = draw(st.lists(st.integers(1, cap), min_size=1, max_size=30))
+    epochs = [cap if k == "_" else draw(st.sampled_from(times)) for k in kinds]
+    runs = RunBlock(
+        np.array(epochs, dtype=np.int64),
+        np.array([k == "c" for k in kinds]),
+        np.array([0.0 if k == "c" else 1.0 for k in kinds]),
+        np.array([k == "d" for k in kinds]),
+    )
+    r = draw(st.integers(2, max(2, kinds.count("c") - 1)))
+    return RunSample(range(len(kinds)), runs, cap), r
+
+
+def reference_loglog(epochs: list[int], n_runs: int, tail_fraction: float) -> float:
+    """The log-log slope from a sort, the threshold order statistic and a
+    survival count over all runs at each distinct time at or past it."""
+    m = len(epochs)
+    n_tail = math.ceil(tail_fraction * m)
+    if n_tail < tailstats.MIN_TAIL_RECORDS:
+        raise InsufficientDataError("tail too small")
+    threshold = epochs[m - n_tail]
+    pts = []
+    for t in sorted(set(epochs)):
+        s = 1.0 - sum(e <= t for e in epochs) / n_runs
+        if t >= threshold and s > 0.0:
+            pts.append((math.log(t), math.log(s)))
+    if len(pts) < 2:
+        raise InsufficientDataError("too few points")
+    xs, ys = zip(*pts)
+    return float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+
+
+def reference_hill(epochs: list[int], r: int) -> float:
+    """1 / (mean of the top r log order statistics - log of the next one)."""
+    m = len(epochs)
+    if not 2 <= r < m:
+        raise ValueError("r out of range")
+    if epochs[-1] == epochs[m - r - 1]:
+        raise DegenerateTailError("flat top")
+    logs = np.log(np.array(epochs[m - r :], dtype=np.float64))
+    return 1.0 / float(np.mean(logs) - np.log(float(epochs[m - r - 1])))
+
+
+def outcome(f, *args):
+    """`f(*args)` as a value, or the type of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestTabulationOracle:
+    # The tail starts right after a tie: the m - n_tail = 15 times below it are the 1s.
+    @example((make_sample([1] * 15 + [2] * 5 + [3] * 10, censored=5), 3), 0.5)
+    @given(mixed_samples(), st.floats(0.01, 0.99))
+    def test_statistics_match_references_from_the_sorted_epochs(self, sample_and_r, tail_fraction):
+        s, r = sample_and_r
+        epochs = sorted(int(e) for e in s.converged_epochs())
+        if not epochs:
+            calls = [(empirical_cdf,), (remaining_time_profile,), (hill_estimator, r)]
+            for f, *args in [*calls, (loglog_tail_slope, tail_fraction)]:
+                with pytest.raises(InsufficientDataError, match="^no converged runs$"):
+                    f(s, *args)
+            return
+        support = sorted(set(epochs))
+        e = empirical_cdf(s)
+        assert e.support.dtype == np.int64 and e.support.tolist() == support
+        assert [q.hex() for q in e.cum_prob.tolist()] == [
+            (sum(x <= t for x in epochs) / s.n_runs).hex() for t in support
+        ]
+        for got, expect in [
+            (outcome(hill_estimator, s, r), outcome(reference_hill, epochs, r)),
+            (
+                outcome(loglog_tail_slope, s, tail_fraction),
+                outcome(reference_loglog, epochs, s.n_runs, tail_fraction),
+            ),
+        ]:
+            if isinstance(expect, float):
+                assert got.hex() == expect.hex()
+            else:
+                assert got is expect
+        expect_rows = []
+        for tau in [0, *support[:-1]]:
+            beyond = [x - tau for x in epochs if x > tau]
+            n = len(beyond)
+            mean = Fraction(sum(beyond), n)
+            var = sum((x - mean) ** 2 for x in beyond) / (n - 1) if n >= 2 else None
+            se = math.nan if var is None else math.sqrt(float(var)) / math.sqrt(n)
+            expect_rows.append((tau, float(mean).hex(), n, se.hex()))
+        got_rows = [(tau, m.hex(), n, se.hex()) for tau, m, n, se in remaining_time_profile(s)]
+        assert got_rows == expect_rows
