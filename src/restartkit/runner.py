@@ -9,9 +9,12 @@ from a single base seed, regardless of execution order or parallelism.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -220,6 +223,25 @@ class RunSample:
         return self.epochs[self.converged]
 
 
+def _tabulate(sample: RunSample) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct converged times (increasing, int64) and each one's run count."""
+    epochs = sample.converged_epochs()
+    if epochs.size == 0:
+        raise InsufficientDataError("no converged runs")
+    return np.unique(epochs, return_counts=True)
+
+
+def _suffix_sums(sample: RunSample) -> tuple[list[int], ...]:
+    """Each tau (0, then every `_tabulate` time but the last) and the count n,
+    sum S1 of T and sum S2 of T^2 of the converged runs with T > tau, as exact
+    Python ints; row 0 (tau = 0) sums every converged run."""
+    values, counts = (a.tolist()[::-1] for a in _tabulate(sample))
+    n = list(accumulate(counts))[::-1]
+    s1 = list(accumulate(map(mul, counts, values)))[::-1]
+    s2 = list(accumulate(c * v * v for c, v in zip(counts, values)))[::-1]
+    return [0, *values[:0:-1]], n, s1, s2
+
+
 def _frozen(values, dtype) -> np.ndarray:
     array = np.array(values, dtype=dtype)
     array.flags.writeable = False
@@ -308,26 +330,26 @@ def collect_runs(
     return sample(parallel_map(tasks, n_jobs))
 
 
+def mean_and_stddev(n: int, s1: int, s2: int) -> tuple[float, float]:
+    """Mean S1/n and sample standard deviation sqrt((n*S2 - S1^2) / (n(n-1)))
+    of n >= 1 values with exact integer sums S1 of T and S2 of T^2: the mean and
+    the variance each round once. The deviation is NaN below two values."""
+    stddev = math.sqrt((n * s2 - s1 * s1) / (n * (n - 1))) if n >= 2 else math.nan
+    return s1 / n, stddev
+
+
 def summary_stats(sample: RunSample) -> SummaryStats:
-    """Mean, sample standard deviation, and their ratio over converged runs.
+    """Mean, sample standard deviation, and their ratio over converged runs,
+    from row 0 of the exact sums that `tail` reads (`_suffix_sums`).
 
     Censored runs are excluded from the moments; their count is reported so
     the exclusion is always visible.
     """
-    epochs = sample.converged_epochs()
-    if epochs.size < 2:
-        raise InsufficientDataError(
-            f"need >= 2 converged runs for summary statistics, have {epochs.size}"
-        )
-    mean = float(np.mean(epochs))
-    stddev = float(np.std(epochs, ddof=1))
-    return SummaryStats(
-        mean=mean,
-        stddev=stddev,
-        ratio=stddev / mean,
-        n_converged=int(epochs.size),
-        n_censored=sample.n_censored,
-    )
+    if (n := sample.n_converged) < 2:
+        raise InsufficientDataError(f"need >= 2 converged runs for summary statistics, have {n}")
+    _, _, s1, s2 = _suffix_sums(sample)
+    mean, stddev = mean_and_stddev(n, s1[0], s2[0])
+    return SummaryStats(mean, stddev, stddev / mean, n, sample.n_censored)
 
 
 # Record-line pieces as `json.dumps` spells them: booleans, the optional

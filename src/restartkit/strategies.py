@@ -29,7 +29,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AllTrialsFailedError
-from .runner import MAX_CAP, LasVegasProcess, derive_seed, format_float, parallel_map, worker_count
+from .runner import (
+    MAX_CAP, LasVegasProcess, derive_seed, format_float, mean_and_stddev, parallel_map, worker_count
+)
 
 if TYPE_CHECKING:
     from .tailstats import Ecdf
@@ -297,23 +299,16 @@ def mc_result(
     standard error is NaN. Raises AllTrialsFailedError if none succeeded.
     """
     n_trials = len(outcomes)
-    totals = np.array([t for ok, t in outcomes if ok], dtype=np.float64)
-    n_succ = totals.size
+    totals = [t for ok, t in outcomes if ok]
+    n_succ = len(totals)
     if n_succ == 0:
         raise AllTrialsFailedError(
             f"all {n_trials} trials of {schedule.describe()} exhausted "
             f"budget={budget} without success"
         )
-    stderr = (
-        float(np.std(totals, ddof=1) / math.sqrt(n_succ)) if n_succ >= 2 else math.nan
-    )
-    return McResult(
-        mean_epochs=float(np.mean(totals)),
-        stderr=stderr,
-        failure_rate=(n_trials - n_succ) / n_trials,
-        n_trials=n_trials,
-        n_succeeded=int(n_succ),
-    )
+    mean, stddev = mean_and_stddev(n_succ, sum(totals), sum(t * t for t in totals))
+    stderr = stddev / math.sqrt(n_succ)
+    return McResult(mean, stderr, (n_trials - n_succ) / n_trials, n_trials, n_succ)
 
 
 def evaluate_strategy_mc(

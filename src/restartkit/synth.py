@@ -27,6 +27,11 @@ def _ceil_times(x: np.ndarray) -> np.ndarray:
     return np.ceil(np.minimum(x, 2.0**63)).astype(np.uint64)
 
 
+def _saturated(t: int) -> np.uint64:
+    """An integer time as uint64, saturated at 2**63 as `_ceil_times` is."""
+    return np.uint64(min(t, 2**63))
+
+
 class SyntheticLaw:
     """A distribution over positive-integer completion times."""
 
@@ -57,7 +62,7 @@ class Constant(SyntheticLaw):
             raise ValueError(f"constant time must be >= 1, got {self.c}")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        return np.full(len(u), self.c, dtype=np.int64)
+        return np.full(len(u), _saturated(self.c))
 
     def cdf(self, t: int) -> float:
         return 1.0 if t >= self.c else 0.0
@@ -81,7 +86,7 @@ class TwoPoint(SyntheticLaw):
             raise ValueError(f"need 1 <= a < b, got a={self.a}, b={self.b}")
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
-        return np.where(u < self.p, self.a, self.b).astype(np.int64)
+        return np.where(u < self.p, _saturated(self.a), _saturated(self.b))
 
     def cdf(self, t: int) -> float:
         if t < self.a:

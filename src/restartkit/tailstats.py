@@ -4,11 +4,12 @@ Covers the diagnostic chain for deciding whether restarts can pay off:
 empirical CDF and survival table, log-log tail slope, the Hill tail
 index, and the conditional expected remaining time E[T - tau | T > tau].
 
-Every statistic reads one table, `_tabulate`: the distinct converged
+Every statistic reads one table, `runner._tabulate`: the distinct converged
 times and their run counts. The ECDF and the log-log fit read its
 cumulative counts, the Hill estimator its times repeated by their counts,
 and E[T - tau | T > tau] and its standard error at every tau its exact
-integer suffix sums of T and T^2: O(support) after the sort, no overflow.
+integer suffix sums of T and T^2 (`runner._suffix_sums`, whose tau = 0 row
+`summary_stats` reads too): O(support) after the sort, no overflow.
 
 Convention: the CDF is q(t) = Pr(T <= t). Censored runs count in the
 denominator of q (they provably ran past every t up to the cap) but are
@@ -21,13 +22,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import index, mul
+from operator import index
 
 import numpy as np
 
 from .errors import DegenerateTailError, InsufficientDataError
-from .runner import RunSample
+from .runner import RunSample, _suffix_sums, _tabulate, mean_and_stddev
 
 MIN_TAIL_RECORDS = 10
 
@@ -36,9 +36,9 @@ MIN_TAIL_RECORDS = 10
 class Ecdf:
     """Step-function estimate of q(t) = Pr(T <= t).
 
-    `support` holds the distinct observed completion times (strictly
-    increasing); `cum_prob[j]` is q(support[j]). The censored share, the
-    mass that survives past the cap, is 1 - cum_prob[-1].
+    `support` holds the distinct observed completion times (integers, strictly
+    increasing); `cum_prob[j]` is q(support[j]), finite and in (0, 1]. The
+    censored share, the mass that survives past the cap, is 1 - cum_prob[-1].
     """
 
     support: np.ndarray
@@ -49,10 +49,10 @@ class Ecdf:
         s, c = self.support, self.cum_prob
         if len(s) != len(c) or len(s) == 0:
             raise ValueError("support and cum_prob must be equal-length, non-empty")
-        if np.any(np.diff(s) <= 0):
-            raise ValueError("support must be strictly increasing")
-        if np.any(np.diff(c) < 0) or c[0] <= 0.0:
-            raise ValueError("cum_prob must be positive and nondecreasing")
+        if s.dtype.kind not in "iu" or np.any(s[1:] <= s[:-1]):
+            raise ValueError("support must be strictly increasing integers")
+        if not (np.isfinite(c).all() and 0.0 < c[0] and c[-1] <= 1.0) or np.any(np.diff(c) < 0):
+            raise ValueError("cum_prob must be finite, positive, nondecreasing and at most 1")
         if s[-1] > self.cap:
             raise ValueError(f"support exceeds cap={self.cap}")
 
@@ -65,14 +65,6 @@ def empirical_cdf(sample: RunSample) -> Ecdf:
     """
     support, counts = _tabulate(sample)
     return Ecdf(support=support, cum_prob=np.cumsum(counts) / sample.n_runs, cap=sample.cap)
-
-
-def _tabulate(sample: RunSample) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct converged times (increasing, int64) and each one's run count."""
-    epochs = sample.converged_epochs()
-    if epochs.size == 0:
-        raise InsufficientDataError("no converged runs")
-    return np.unique(epochs, return_counts=True)
 
 
 def survival_table(ecdf: Ecdf) -> list[tuple[int, float]]:
@@ -165,14 +157,7 @@ def expected_remaining(sample: RunSample, tau: int) -> float:
 def _conditional_means(sample: RunSample) -> tuple[list, ...]:
     """Each tau, its survivors' count n, sum S1 of T and sum S2 of T^2 (exact
     Python ints), and E[T-tau|T>tau] = (S1 - n*tau) / n as a float."""
-    values, counts = (a.tolist() for a in _tabulate(sample))
-    values.reverse()
-    counts.reverse()
-    # Suffix sums over the distinct times, largest first, then reversed.
-    n = list(accumulate(counts))[::-1]
-    s1 = list(accumulate(map(mul, counts, values)))[::-1]
-    s2 = list(accumulate(c * v * v for c, v in zip(counts, values)))[::-1]
-    taus = [0, *values[:0:-1]]
+    taus, n, s1, s2 = _suffix_sums(sample)
     means = [(s - k * tau) / k for tau, k, s in zip(taus, n, s1)]
     return taus, n, s1, s2, means
 
@@ -186,21 +171,13 @@ def remaining_time_profile(
     and cover every distinct completion time that still has converged runs
     beyond it. stderr is the sample standard deviation (ddof=1) of the
     survivors over sqrt(n); it is NaN when fewer than 2 survivors remain.
+    T - tau has the deviation of T, so `mean_and_stddev` reads the sums of T.
     """
     taus, n, s1, s2, means = _conditional_means(sample)
     return [
-        (tau, mean, k, _stderr(k, s, q) if k >= 2 else math.nan)
+        (tau, mean, k, mean_and_stddev(k, s, q)[1] / math.sqrt(k))
         for tau, k, s, q, mean in zip(taus, n, s1, s2, means)
     ]
-
-
-def _stderr(n: int, s1: int, s2: int) -> float:
-    """sqrt(var / n) of n survivors with sums s1 of T and s2 of T^2.
-
-    n * sum((T - tau - mean)^2) = n*s2 - s1^2 for any tau, so the variance
-    is one exact integer over n(n-1), divided once with correct rounding.
-    """
-    return math.sqrt((n * s2 - s1 * s1) / (n * (n - 1))) / math.sqrt(n)
 
 
 def restart_profitable(sample: RunSample) -> list[int]:

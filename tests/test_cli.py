@@ -102,6 +102,29 @@ class TestCollect:
         assert out == f"n_runs\tconverged\tcensored\tmean\tstddev\tratio\n{row}\n"
         assert load_runs(log).n_runs == int(runs)
 
+    @pytest.mark.parametrize(
+        "stub",
+        [
+            "constant:9223372036854775808",
+            "two-point:0.5:1:9223372036854775808",
+            "two-point:0.5:1:18446744073709551616",
+        ],
+    )
+    def test_times_past_int64_are_censored_at_the_cap(self, capsys, tmp_path, stub):
+        # A time past 2**63 - 1 saturates at 2**63, so its runs are censored
+        # at the cap, as they are when that time is 10.
+        logs = [tmp_path / "huge.jsonl", tmp_path / "ten.jsonl"]
+        outs = []
+        for spec, log in zip([stub, stub.rsplit(":", 1)[0] + ":10"], logs):
+            argv = ["--stub", spec, "--stub-cap", "5", "--runs", "20", "--out", str(log)]
+            code, out, err = run_cli(capsys, "collect", *argv)
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        huge, ten = map(load_runs, logs)
+        assert huge.records == ten.records
+        assert huge.n_censored > 0
+
     def test_zero_runs_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -502,6 +525,31 @@ def test_tail_sums_exact_past_int64(capsys, tmp_path):
     assert rows[1] == "0\t900000000000000000.000000\t12\t1.040833"
     # Survivors 9e17+6..9e17+11 beyond tau = 9e17+5: T - tau is 1..6.
     assert rows[7] == f"{9 * 10**17 + 5}\t3.500000\t6\t0.763763"
+
+
+def test_means_past_2_53_agree_across_commands(capsys, tmp_path):
+    # The converged epochs sum past 2**53, where a float64 sum drops digits.
+    log = tmp_path / "pareto.jsonl"
+    argv = ["--stub", "discrete-pareto:0.1", "--stub-cap", str(2**63 - 1), "--seed", "5"]
+    code, out, err = run_cli(capsys, "collect", *argv, "--runs", "2000", "--out", str(log))
+    assert code == 0, err
+    (collected,) = parse_table(out)
+    code, out, err = run_cli(capsys, "optimize", "--runs-file", str(log))
+    assert code == 0, err
+    (optimized,) = parse_table(out)
+    remaining = tmp_path / "remaining.tsv"
+    code, out, err = run_cli(
+        capsys, "tail", "--runs-file", str(log), "--remaining-out", str(remaining)
+    )
+    assert code == 0, err
+    tau, mean, n, stderr = remaining.read_text(encoding="utf-8").splitlines()[1].split("\t")
+    code, out, err = run_cli(capsys, "sweep", *argv, "--trials", "2000", "--gammas", "2")
+    assert code == 0, err
+    baseline = parse_table(out)[0]
+    assert float(mean) > 2**53 and (tau, n) == ("0", collected["converged"])
+    assert collected["mean"] == optimized["no_restart_mean"] == baseline["mean_epochs"]
+    assert collected["mean"] == f"{float(mean):.3f}"
+    assert baseline["stderr"] == f"{float(stderr):.3f}"
 
 
 def tsv(header: list[str], rows: list[tuple]) -> str:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -30,7 +31,8 @@ from restartkit import (
     save_runs,
     summary_stats,
 )
-from restartkit.strategies import FixedSchedule, run_schedules
+from restartkit.strategies import FixedSchedule, mc_result, run_schedules
+from restartkit.tailstats import remaining_time_profile
 
 from conftest import FormulaStub, make_sample, reference_record_line, sample_of, tiny_dataset
 
@@ -305,6 +307,43 @@ class TestSummaryStats:
     def test_insufficient_converged(self):
         with pytest.raises(InsufficientDataError):
             summary_stats(make_sample([5], censored=4))
+
+
+def fraction_moments(values: list[int]) -> tuple[float, float]:
+    """The mean and the sample standard deviation of `values`, the mean and
+    the variance as exact fractions, each rounded to float once."""
+    mean = Fraction(sum(values), len(values))
+    variance = sum((value - mean) ** 2 for value in values) / (len(values) - 1)
+    return float(mean), math.sqrt(float(variance))
+
+
+class TestMomentsOracle:
+    """Every mean and spread the commands print comes from exact integer sums."""
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 100), st.integers(1, 2**62), st.integers(2**62 - 99, 2**62)),
+            min_size=2,
+            max_size=40,
+        ),
+        st.integers(0, 3),
+    )
+    # Three draws of 1 and seven of 2**53: the sum is past 2**53, the mean
+    # 6305039478318694.7, which float64 sums round down to ...694.
+    @example([1] * 3 + [2**53] * 7, 0)
+    def test_summary_mc_and_profile_match_fractions(self, values, censored):
+        mean, stddev = fraction_moments(values)
+        n = len(values)
+        sample = make_sample(values, cap=2**62, censored=censored)
+        stats = summary_stats(sample)
+        assert (stats.mean, stats.stddev, stats.ratio) == (mean, stddev, stddev / mean)
+        assert (stats.n_converged, stats.n_censored) == (n, censored)
+        outcomes = [(True, value) for value in values] + [(False, 2**62)] * censored
+        res = mc_result(outcomes, FixedSchedule(1), 2**63 - 1)
+        assert (res.mean_epochs, res.stderr) == (mean, stddev / math.sqrt(n))
+        assert (res.n_trials, res.n_succeeded) == (n + censored, n)
+        assert res.failure_rate == censored / (n + censored)
+        assert remaining_time_profile(sample)[0] == (0, mean, n, stddev / math.sqrt(n))
 
 
 class TestRunLog:

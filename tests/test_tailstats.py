@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from restartkit import (
     DegenerateTailError,
     DiscretePareto,
+    Ecdf,
     Geometric,
     InsufficientDataError,
     RunBlock,
@@ -26,6 +27,25 @@ from restartkit import (
 )
 
 from conftest import make_sample, sample_from_times
+
+
+class TestEcdfChecks:
+    @pytest.mark.parametrize(
+        "support, cum_prob",
+        [
+            ([1, 2], [0.5, 1.5]),
+            ([1, 2], [math.nan, math.nan]),
+            ([1.5, 2.5], [0.5, 1.0]),
+        ],
+        ids=["probability-past-1", "nan-probabilities", "fractional-support"],
+    )
+    def test_rejects_what_is_no_distribution(self, support, cum_prob):
+        with pytest.raises(ValueError):
+            Ecdf(np.array(support), np.array(cum_prob), 5)
+
+    def test_accepts_a_distribution_with_censored_mass(self):
+        e = Ecdf(np.array([1, 2], dtype=np.uint64), np.array([0.25, 1.0 - 2**-53]), 5)
+        assert e.support.tolist() == [1, 2]
 
 
 class TestEmpiricalCdf:
