@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import mul
 from typing import NamedTuple, Protocol
@@ -222,24 +222,23 @@ class RunSample:
         """Completion times of converged runs, in record order (int64)."""
         return self.epochs[self.converged]
 
-
-def _tabulate(sample: RunSample) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct converged times (increasing, int64) and each one's run count."""
-    epochs = sample.converged_epochs()
-    if epochs.size == 0:
-        raise InsufficientDataError("no converged runs")
-    return np.unique(epochs, return_counts=True)
-
-
-def _suffix_sums(sample: RunSample) -> tuple[list[int], ...]:
-    """Each tau (0, then every `_tabulate` time but the last) and the count n,
-    sum S1 of T and sum S2 of T^2 of the converged runs with T > tau, as exact
-    Python ints; row 0 (tau = 0) sums every converged run."""
-    values, counts = (a.tolist()[::-1] for a in _tabulate(sample))
-    n = list(accumulate(counts))[::-1]
-    s1 = list(accumulate(map(mul, counts, values)))[::-1]
-    s2 = list(accumulate(c * v * v for c, v in zip(counts, values)))[::-1]
-    return [0, *values[:0:-1]], n, s1, s2
+    @cached_property
+    def table(self) -> tuple:
+        """The converged runs tabulated, once, on the first read: the distinct
+        times (increasing, int64) and each one's run count, both read-only,
+        then the suffix rows as tuples of exact Python ints: each tau (0, then
+        every time but the last) and the count n, sum S1 of T and sum S2 of
+        T^2 of the converged runs with T > tau. Row 0 sums every converged run."""
+        epochs = self.converged_epochs()
+        if epochs.size == 0:
+            raise InsufficientDataError("no converged runs")
+        times, counts = np.unique(epochs, return_counts=True)
+        times.flags.writeable = counts.flags.writeable = False
+        values, runs = times.tolist()[::-1], counts.tolist()[::-1]
+        n = tuple(accumulate(runs))[::-1]
+        s1 = tuple(accumulate(map(mul, runs, values)))[::-1]
+        s2 = tuple(accumulate(c * v * v for c, v in zip(runs, values)))[::-1]
+        return times, counts, (0, *values[:0:-1]), n, s1, s2
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -340,14 +339,14 @@ def mean_and_stddev(n: int, s1: int, s2: int) -> tuple[float, float]:
 
 def summary_stats(sample: RunSample) -> SummaryStats:
     """Mean, sample standard deviation, and their ratio over converged runs,
-    from row 0 of the exact sums that `tail` reads (`_suffix_sums`).
+    from row 0 of the sample's `table`, the exact sums that `tail` reads.
 
     Censored runs are excluded from the moments; their count is reported so
     the exclusion is always visible.
     """
     if (n := sample.n_converged) < 2:
         raise InsufficientDataError(f"need >= 2 converged runs for summary statistics, have {n}")
-    _, _, s1, s2 = _suffix_sums(sample)
+    *_, s1, s2 = sample.table
     mean, stddev = mean_and_stddev(n, s1[0], s2[0])
     return SummaryStats(mean, stddev, stddev / mean, n, sample.n_censored)
 

@@ -46,7 +46,7 @@ class RestartSchedule:
 
     def cutoff(self, attempt: int) -> int:
         """t_i, the i-th cutoff of the walk (O(i))."""
-        _check_attempt(attempt)
+        _check_positive("attempt index", attempt)
         return next(itertools.islice(self.cutoffs(), attempt - 1, None))
 
     def describe(self) -> str:
@@ -60,8 +60,7 @@ class FixedSchedule(RestartSchedule):
     t: int
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"fixed cutoff must be >= 1, got {self.t}")
+        _check_positive("fixed cutoff", self.t)
 
     def cutoffs(self) -> Iterator[int]:
         return itertools.repeat(self.t)
@@ -101,8 +100,7 @@ class LubySchedule(RestartSchedule):
     unit: int
 
     def __post_init__(self) -> None:
-        if self.unit < 1:
-            raise ValueError(f"luby unit must be >= 1, got {self.unit}")
+        _check_positive("luby unit", self.unit)
 
     def cutoffs(self) -> Iterator[int]:
         return (self.unit * luby_term(i) for i in itertools.count(1))
@@ -111,9 +109,13 @@ class LubySchedule(RestartSchedule):
         return f"luby:{self.unit}"
 
 
-def _check_attempt(attempt: int) -> None:
-    if attempt < 1:
-        raise ValueError(f"attempt index must be >= 1, got {attempt}")
+def _check_positive(name: str, value: int) -> None:
+    """Reject a `value` other than a Python int >= 1, as `runner.check_cutoff`
+    rejects a cutoff, but with no upper bound."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def luby_term(i: int) -> int:
@@ -122,7 +124,7 @@ def luby_term(i: int) -> int:
     L_i = 2^(k-1) when i = 2^k - 1, else L_i = L_{i - 2^(k-1) + 1} for
     2^(k-1) <= i < 2^k - 1.
     """
-    _check_attempt(i)
+    _check_positive("attempt index", i)
     k = i.bit_length()
     while i != (1 << k) - 1:
         i = i - (1 << (k - 1)) + 1
@@ -160,8 +162,7 @@ def fixed_cutoff_expected_time(ecdf: Ecdf, t: int) -> float:
     can never succeed and the expectation is infinite; math.inf is
     returned rather than raising.
     """
-    if t < 1:
-        raise ValueError(f"cutoff must be >= 1, got {t}")
+    _check_positive("cutoff", t)
     k = int(np.searchsorted(ecdf.support, t, side="right")) - 1
     if k < 0:
         return math.inf

@@ -4,11 +4,11 @@ Covers the diagnostic chain for deciding whether restarts can pay off:
 empirical CDF and survival table, log-log tail slope, the Hill tail
 index, and the conditional expected remaining time E[T - tau | T > tau].
 
-Every statistic reads one table, `runner._tabulate`: the distinct converged
-times and their run counts. The ECDF and the log-log fit read its
-cumulative counts, the Hill estimator its times repeated by their counts,
-and E[T - tau | T > tau] and its standard error at every tau its exact
-integer suffix sums of T and T^2 (`runner._suffix_sums`, whose tau = 0 row
+Every statistic reads one table, `RunSample.table`, built once per sample:
+the distinct converged times and their run counts. The ECDF and the log-log
+fit read its cumulative counts, the Hill estimator its times repeated by
+their counts, and E[T - tau | T > tau] and its standard error at every tau
+its exact integer suffix sums of T and T^2 (whose tau = 0 row
 `summary_stats` reads too): O(support) after the sort, no overflow.
 
 Convention: the CDF is q(t) = Pr(T <= t). Censored runs count in the
@@ -27,7 +27,7 @@ from operator import index
 import numpy as np
 
 from .errors import DegenerateTailError, InsufficientDataError
-from .runner import RunSample, _suffix_sums, _tabulate, mean_and_stddev
+from .runner import RunSample, mean_and_stddev
 
 MIN_TAIL_RECORDS = 10
 
@@ -63,8 +63,8 @@ def empirical_cdf(sample: RunSample) -> Ecdf:
     q(t) counts converged runs with epochs <= t over all runs, censored
     included.
     """
-    support, counts = _tabulate(sample)
-    return Ecdf(support=support, cum_prob=np.cumsum(counts) / sample.n_runs, cap=sample.cap)
+    times, counts, *_ = sample.table
+    return Ecdf(support=times, cum_prob=np.cumsum(counts) / sample.n_runs, cap=sample.cap)
 
 
 def survival_table(ecdf: Ecdf) -> list[tuple[int, float]]:
@@ -82,7 +82,7 @@ def loglog_tail_slope(sample: RunSample, tail_fraction: float) -> float:
     """
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail_fraction must be in (0,1), got {tail_fraction}")
-    times, counts = _tabulate(sample)
+    times, counts, *_ = sample.table
     cum = np.cumsum(counts)
     m = int(cum[-1])
     n_tail = math.ceil(tail_fraction * m)
@@ -134,12 +134,12 @@ def hill_from_values(values: np.ndarray, r: int) -> float:
 
 def hill_estimator(sample: RunSample, r: int) -> float:
     """Hill tail-index estimate over the converged completion times."""
-    times, counts = _tabulate(sample)
+    times, counts, *_ = sample.table
     return hill_from_values(np.repeat(times.astype(np.float64), counts), r)
 
 
 def expected_remaining(sample: RunSample, tau: int) -> float:
-    """E[T - tau | T > tau] from the `_conditional_means` row of the last tau' <= tau.
+    """E[T - tau | T > tau] from the suffix row of the last tau' <= tau.
 
     Censored runs are excluded even though they also survive past tau, so
     the estimate is biased low: restart profitability is under-, never
@@ -147,19 +147,11 @@ def expected_remaining(sample: RunSample, tau: int) -> float:
     """
     if (tau := index(tau)) < 0:  # an integer: a numpy one would make n * tau int64
         raise ValueError(f"tau must be >= 0, got {tau}")
-    taus, n, s1, _, _ = _conditional_means(sample)
+    _, _, taus, n, s1, _ = sample.table
     i = bisect_right(taus, tau) - 1
     if s1[i] <= n[i] * tau:
         raise InsufficientDataError(f"no converged runs beyond tau={tau}")
     return (s1[i] - n[i] * tau) / n[i]
-
-
-def _conditional_means(sample: RunSample) -> tuple[list, ...]:
-    """Each tau, its survivors' count n, sum S1 of T and sum S2 of T^2 (exact
-    Python ints), and E[T-tau|T>tau] = (S1 - n*tau) / n as a float."""
-    taus, n, s1, s2 = _suffix_sums(sample)
-    means = [(s - k * tau) / k for tau, k, s in zip(taus, n, s1)]
-    return taus, n, s1, s2, means
 
 
 def remaining_time_profile(
@@ -173,10 +165,10 @@ def remaining_time_profile(
     survivors over sqrt(n); it is NaN when fewer than 2 survivors remain.
     T - tau has the deviation of T, so `mean_and_stddev` reads the sums of T.
     """
-    taus, n, s1, s2, means = _conditional_means(sample)
+    _, _, taus, n, s1, s2 = sample.table
     return [
-        (tau, mean, k, mean_and_stddev(k, s, q)[1] / math.sqrt(k))
-        for tau, k, s, q, mean in zip(taus, n, s1, s2, means)
+        (tau, (s - k * tau) / k, k, mean_and_stddev(k, s, q)[1] / math.sqrt(k))
+        for tau, k, s, q in zip(taus, n, s1, s2)
     ]
 
 
@@ -188,5 +180,6 @@ def restart_profitable(sample: RunSample) -> list[int]:
     is not filtered here; callers needing significance should compare
     against the stderr column of `remaining_time_profile`.
     """
-    taus, _, _, _, means = _conditional_means(sample)
-    return [tau for tau, mean in zip(taus[1:], means[1:]) if mean > means[0]]
+    _, _, taus, n, s1, _ = sample.table
+    mean = s1[0] / n[0]
+    return [tau for tau, k, s in zip(taus[1:], n[1:], s1[1:]) if (s - k * tau) / k > mean]

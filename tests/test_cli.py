@@ -3,19 +3,28 @@ import os
 import subprocess
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import astuple
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from restartkit import (
     AllTrialsFailedError,
     collect_runs,
     empirical_cdf,
     evaluate_strategy_mc,
+    expected_remaining,
+    hill_estimator,
     load_runs,
+    loglog_tail_slope,
     mlp,
     remaining_time_profile,
+    restart_profitable,
     runner,
     strategies,
+    summary_stats,
     survival_table,
     tailstats,
 )
@@ -26,6 +35,8 @@ from restartkit.cli import (
     build_parser,
     main,
 )
+
+from conftest import make_sample
 
 DATA_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "thyroidlike-train.data")
 
@@ -630,6 +641,64 @@ def test_tail_without_plot_files_builds_no_ecdf(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(tailstats, "survival_table", refuse)
     assert run_cli(capsys, "tail", "--runs-file", str(log), *remaining) == expect
     assert expect[0] == 0 and "n/a" not in expect[1]
+
+
+# Every statistic and summary that reads a sample's table. Their values are
+# compared as `repr` spells them, so NaN stderrs compare equal.
+TABLE_READERS = [
+    lambda s: [column.tolist() for column in astuple(empirical_cdf(s))[:2]],
+    lambda s: hill_estimator(s, 8),
+    lambda s: loglog_tail_slope(s, 0.3),
+    lambda s: expected_remaining(s, 4),
+    remaining_time_profile,
+    restart_profitable,
+    summary_stats,
+]
+
+
+class TestOneTabulation:
+    @pytest.mark.parametrize(
+        "command, plot_flags",
+        [
+            ("tail", ["--survival-out", "--loglog-out", "--remaining-out"]),
+            ("tail", []),
+            ("optimize", ["--curve-out"]),
+        ],
+        ids=["tail-plots", "tail", "optimize"],
+    )
+    def test_each_command_tabulates_its_sample_once(
+        self, capsys, tmp_path, monkeypatch, command, plot_flags
+    ):
+        log = tmp_path / "runs.jsonl"
+        argv = ["--stub", "discrete-pareto:1.5", "--stub-cap", "1000", "--runs", "400", "--seed", "3"]
+        assert run_cli(capsys, "collect", *argv, "--out", str(log))[0] == 0
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        plots = [arg for i, flag in enumerate(plot_flags) for arg in (flag, str(tmp_path / f"{i}.tsv"))]
+        code, out, _ = run_cli(capsys, command, "--runs-file", str(log), *plots)
+        assert code == 0 and "n/a" not in out
+        assert len(calls) == 1
+
+    @given(st.permutations(range(len(TABLE_READERS))))
+    def test_statistics_read_a_frozen_table_in_any_order(self, order):
+        def sample():
+            times = [1] * 40 + [2] * 30 + [3, 5, 5, 8, 13, 21, 34, 55, 89, 144]
+            return make_sample(times, cap=200, censored=4)
+
+        alone = [repr(read(sample())) for read in TABLE_READERS]
+        shared = sample()
+        for _ in range(2):
+            assert [repr(TABLE_READERS[i](shared)) for i in order] == [alone[i] for i in order]
+        support = empirical_cdf(shared).support
+        with pytest.raises(ValueError, match="read-only"):
+            support[0] = 2
+        assert support.tolist() == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
 
 
 @pytest.mark.parametrize("command", ["tail", "optimize"])

@@ -138,6 +138,26 @@ class TestSchedules:
         with pytest.raises(ValueError):
             FixedSchedule(5).cutoff(0)
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: FixedSchedule(3.7), "fixed cutoff"),
+            (lambda: FixedSchedule(np.int64(4)), "fixed cutoff"),
+            (lambda: FixedSchedule(True), "fixed cutoff"),
+            (lambda: LubySchedule(2.5), "luby unit"),
+            (lambda: fixed_cutoff_expected_time(exact_ecdf(TWO_POINT, cap=10), 3.5), "cutoff"),
+        ],
+        ids=["fixed-float", "fixed-numpy-int", "fixed-bool", "luby-float", "expected-time-float"],
+    )
+    def test_rejects_a_cutoff_no_process_takes(self, build, name):
+        # Every process refuses a cutoff other than a Python int (`check_cutoff`).
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            build()
+
+    def test_walsh_cutoffs_may_pass_the_largest_cap(self):
+        # run_schedules stops before a cutoff past the budget, so none reaches a process.
+        assert WalshSchedule(2.0).cutoff(65) == 2**64 > MAX_CAP
+
     @pytest.mark.parametrize("spec", ["fixed:418", "walsh:2", "luby:32"])
     def test_parse_round_trip(self, spec):
         assert parse_schedule(spec).describe() == spec
