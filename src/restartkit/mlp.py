@@ -7,8 +7,9 @@ random variable: this is the Las Vegas process the rest of the toolkit
 analyzes.
 
 Every epoch runs on one in-place kernel (`_Epoch`) over a stack of runs.
-Run k's weights, gradients and velocity are row k of three flat
-(runs, n_weights) buffers, and its activations, output - y and deltas are
+A run's weights are one row in the `_shapes` layout, from its seed (`_draw`,
+one call) to row k of a flat (runs, n_weights) buffer beside its gradient
+and velocity rows, and its activations, output - y and deltas are
 the contiguous slice [k] of (runs, rows, width) arrays, all allocated once.
 `MlpProcess.attempt_many` trains up to 16 runs of a block side by side
 (fewer when their buffers would pass a fixed byte budget); a run leaves
@@ -32,8 +33,7 @@ that seed alone, whatever the stack around it:
   its size;
 - column sums go through `einsum("kij->kj")`, which adds each slice's rows
   in the same order as `sum(axis=0)`, except at width 1 (`--hidden 1`, or
-  one output), where that reduction is a pairwise sum and each slice stays
-  `np.sum`.
+  one output), where `np.add.reduce` makes that reduction's pairwise sum.
 """
 
 from __future__ import annotations
@@ -74,7 +74,10 @@ class MlpConfig:
     max_epochs: int = 20000
 
     def __post_init__(self) -> None:
-        if min(self.n_inputs, self.n_hidden, self.n_outputs) < 1:
+        sizes = (self.n_inputs, self.n_hidden, self.n_outputs)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+            raise ValueError(f"layer sizes must all be integers, got {sizes}")
+        if min(sizes) < 1:
             raise ValueError("layer sizes must all be >= 1")
         # Written so that NaN fails every range check.
         if not 0.0 < self.learning_rate < math.inf:
@@ -102,25 +105,37 @@ class MlpState:
     b_out: np.ndarray     # (n_outputs,)
 
 
+def _shapes(n_inputs: int, n_hidden: int, n_outputs: int) -> list[tuple[int, ...]]:
+    """The layers of a run's weight row, in order: w_hidden, b_hidden, w_out, b_out."""
+    return [(n_hidden, n_inputs), (n_hidden,), (n_outputs, n_hidden), (n_outputs,)]
+
+
+def _draw(cfg: MlpConfig, seed: int) -> np.ndarray:
+    """A run's initial weight row: every weight uniform on [-w, +w], in one call."""
+    w, shapes = cfg.init_half_width, _shapes(cfg.n_inputs, cfg.n_hidden, cfg.n_outputs)
+    return np.random.default_rng(seed).uniform(-w, w, size=sum(map(math.prod, shapes)))
+
+
+def _layer_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """The last axis of `flat` cut into consecutive layers of the given
+    shapes, as views; each row's slice of each layer is C-contiguous."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[..., start:stop].reshape(*flat.shape[:-1], *shape))
+        start = stop
+    return views
+
+
 def init_weights(cfg: MlpConfig, seed: int) -> MlpState:
     """Draw all weights and biases uniformly on [-w, +w] for the seed.
 
-    Uses numpy's PCG64 generator; the draw order is pinned as w_hidden,
-    b_hidden, w_out, b_out, so identical (cfg, seed) give bitwise-identical
-    states.
+    Uses numpy's PCG64 generator; the draw order is the row order of
+    `_shapes`, drawn in one call (`_draw`), and the four arrays are views
+    of that row, so identical (cfg, seed) give bitwise-identical states.
     """
-    rng = np.random.default_rng(seed)
-    w = cfg.init_half_width
-    return MlpState(
-        w_hidden=rng.uniform(-w, w, size=(cfg.n_hidden, cfg.n_inputs)),
-        b_hidden=rng.uniform(-w, w, size=cfg.n_hidden),
-        w_out=rng.uniform(-w, w, size=(cfg.n_outputs, cfg.n_hidden)),
-        b_out=rng.uniform(-w, w, size=cfg.n_outputs),
-    )
-
-
-def _params(state: MlpState) -> list[np.ndarray]:
-    return [state.w_hidden, state.b_hidden, state.w_out, state.b_out]
+    shapes = _shapes(cfg.n_inputs, cfg.n_hidden, cfg.n_outputs)
+    return MlpState(*_layer_views(_draw(cfg, seed), shapes))
 
 
 def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -129,13 +144,11 @@ def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     For width > 1, einsum adds each slice's rows in the same order as the
     reduction but without its per-row overhead. At width 1 the reduction
     is one contiguous pairwise sum, which einsum's accumulation does not
-    match, so each slice goes through `np.sum`.
+    match and `np.add.reduce` over the rows makes for every slice at once.
     """
     if a.shape[2] > 1:
         return np.einsum("kij->kj", a, out=out)
-    for a_k, out_k in zip(a, out):
-        np.sum(a_k, axis=0, out=out_k)
-    return out
+    return np.add.reduce(a, axis=1, out=out)
 
 
 def _sigmoid_layer(
@@ -161,31 +174,19 @@ def _sigmoid_layer(
     return np.divide(1.0, out, out=out)
 
 
-def _layer_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Each row of `flat` cut into consecutive layers of the given shapes,
-    as views with a leading stack axis; row k's slice of each is C-contiguous."""
-    views, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        views.append(flat[:, start:stop].reshape(len(flat), *shape))
-        start = stop
-    return views
-
-
 class _Epoch:
     """Full-batch epochs for a stack of up to `capacity` runs, on preallocated buffers.
 
-    Run k owns row k of three (capacity, n_weights) buffers: its weights
-    [w_hidden, b_hidden, w_out, b_out] laid end to end, their gradients and
-    their velocity. `params` and `grads` view those rows as the layers, and
-    run k also owns slice [k] of every activation buffer. The features `x`
-    and targets `y` are shared. One epoch is `gradients()`, `descend()`,
-    which steps every run's weights in place, then `error()`, which runs
-    the forward pass at the new weights, caches output - y for the next
-    gradient and returns each run's MSE. `restack` drops finished runs and
-    starts new ones in the freed slots. `x_fwd` and `w_out_t_fwd` are the
-    forward operands, laid out for gemm where numpy calls it (see the
-    module docstring).
+    Run k owns row k of three (capacity, n_weights) buffers: its weights in
+    the `_shapes` layout, their gradients and their velocity. `params` and
+    `grads` view those rows as the layers, and run k also owns slice [k] of
+    every activation buffer. The features `x` and targets `y` are shared.
+    One epoch is `gradients()`, `descend()`, which steps every run's weights
+    in place, then `error()`, which runs the forward pass at the new
+    weights, caches output - y for the next gradient and returns each run's
+    MSE. `restack` drops finished runs and starts new ones in the freed
+    slots. `x_fwd` and `w_out_t_fwd` are the forward operands, laid out for
+    gemm where numpy calls it (see the module docstring).
     """
 
     def __init__(self, n_hidden: int, capacity: int, x: np.ndarray, y: np.ndarray) -> None:
@@ -194,13 +195,11 @@ class _Epoch:
         self.x_fwd = np.asfortranarray(x) if n_hidden > 1 else x
         self.n_cells = n * n_out
         self.scale = 2.0 / self.n_cells
-        shapes = [(n_hidden, n_inputs), (n_hidden,), (n_out, n_hidden), (n_out,)]
-        n_weights = sum(math.prod(shape) for shape in shapes)
+        self.shapes = _shapes(n_inputs, n_hidden, n_out)
+        n_weights = sum(map(math.prod, self.shapes))
         self._weights = np.empty((capacity, n_weights))
         self._gradient = np.empty((capacity, n_weights))
         self._velocity = np.zeros((capacity, n_weights))
-        self._params = _layer_views(self._weights, shapes)
-        self._grads = _layer_views(self._gradient, shapes)
         copy_w_out_t = n > 1 and n_out > 1
         self._w_out_t = np.empty((capacity, n_hidden, n_out)) if copy_w_out_t else None
         self._hidden = np.empty((capacity, n, n_hidden))
@@ -213,8 +212,8 @@ class _Epoch:
         """Point the working views at the first `size` runs."""
         self.weights, self.gradient = self._weights[:size], self._gradient[:size]
         self.velocity = self._velocity[:size]
-        self.params = [p[:size] for p in self._params]
-        self.grads = [g[:size] for g in self._grads]
+        self.params = _layer_views(self.weights, self.shapes)
+        self.grads = _layer_views(self.gradient, self.shapes)
         self.hidden, self.output = self._hidden[:size], self._output[:size]
         self.diff, self.d_out = self._diff[:size], self._d_out[:size]
         self.d_hidden = self._d_hidden[:size]
@@ -227,8 +226,8 @@ class _Epoch:
         self.d_hidden_t = self.d_hidden.transpose(0, 2, 1)
         self.squares = self.d_out.reshape(size, self.n_cells)
 
-    def restack(self, keep: list[int], states: list[MlpState]) -> list[float]:
-        """Keep runs `keep`, in that order, then start one run per state.
+    def restack(self, keep: list[int], rows: list[np.ndarray]) -> list[float]:
+        """Keep runs `keep`, in that order, then start one run per weight row.
 
         New runs start at zero velocity. Returns `error()` of the new stack;
         a kept run's forward pass is recomputed from its unchanged weights,
@@ -238,10 +237,9 @@ class _Epoch:
         index = np.array(keep, dtype=np.intp)
         for full in (self._weights, self._velocity):
             full[:m], full[m:] = full[index], 0.0
-        for k, state in enumerate(states, start=m):
-            for full, p in zip(self._params, _params(state)):
-                full[k] = p
-        self._bind(m + len(states))
+        for k, row in enumerate(rows, start=m):
+            self._weights[k] = row
+        self._bind(m + len(rows))
         return self.error()
 
     def error(self) -> list[float]:
@@ -311,7 +309,8 @@ def backprop_gradients(
     _check_dims(data, state.w_hidden.shape[1], state.w_out.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         epoch = _Epoch(state.w_hidden.shape[0], 1, data.features, data.targets)
-        epoch.restack([], [state])
+        row = np.concatenate([state.w_hidden, state.b_hidden, state.w_out, state.b_out], None)
+        epoch.restack([], [row])
         return tuple(g[0] for g in epoch.gradients())
 
 
@@ -326,7 +325,7 @@ def _stack_width(cfg: MlpConfig, n_rows: int) -> int:
     """Runs per lockstep stack: `_STACK_RUNS`, fewer if their buffers (the
     activations, output - y, the deltas, the weights with their gradients
     and velocities, and the copy of W_outᵀ) would pass `_STACK_BYTES`."""
-    n_weights = cfg.n_hidden * (cfg.n_inputs + 1) + cfg.n_outputs * (cfg.n_hidden + 1)
+    n_weights = sum(map(math.prod, _shapes(cfg.n_inputs, cfg.n_hidden, cfg.n_outputs)))
     n_floats = n_rows * (2 * cfg.n_hidden + 3 * cfg.n_outputs) + 3 * n_weights
     run_bytes = 8 * (n_floats + cfg.n_hidden * cfg.n_outputs)
     return max(1, min(_STACK_RUNS, _STACK_BYTES // run_bytes))
@@ -359,7 +358,7 @@ def _train_runs(cfg: MlpConfig, data: Dataset, seeds: list[int], cutoff: int) ->
             if not slots:
                 return block
             started = [started[k] for k in keep] + [step] * len(new)
-            errors = kernel.restack(keep, [init_weights(cfg, seeds[i]) for i in new])
+            errors = kernel.restack(keep, [_draw(cfg, seeds[i]) for i in new])
             # Train until some run stops or reaches the cutoff.
             deadline = min(started) + cutoff
             while True:

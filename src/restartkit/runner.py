@@ -153,12 +153,17 @@ def format_float(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
+def check_positive(name: str, value: int) -> None:
+    """Reject a `value` other than a Python int >= 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def check_cutoff(cutoff: int) -> None:
     """Reject a cutoff other than a Python int in [1, `MAX_CAP`], as `attempt_many` takes."""
-    if type(cutoff) is not int:
-        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    check_positive("cutoff", cutoff)
     if cutoff > MAX_CAP:
         raise ValueError(f"cutoff must be <= 2**63 - 1, got {cutoff}")
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import AllTrialsFailedError
 from .runner import (
-    MAX_CAP, LasVegasProcess, derive_seed, format_float, mean_and_stddev, parallel_map, worker_count
+    MAX_CAP, LasVegasProcess, check_positive, derive_seed, format_float, mean_and_stddev,
+    parallel_map, worker_count,
 )
 
 if TYPE_CHECKING:
@@ -46,7 +47,7 @@ class RestartSchedule:
 
     def cutoff(self, attempt: int) -> int:
         """t_i, the i-th cutoff of the walk (O(i))."""
-        _check_positive("attempt index", attempt)
+        check_positive("attempt index", attempt)
         return next(itertools.islice(self.cutoffs(), attempt - 1, None))
 
     def describe(self) -> str:
@@ -60,7 +61,7 @@ class FixedSchedule(RestartSchedule):
     t: int
 
     def __post_init__(self) -> None:
-        _check_positive("fixed cutoff", self.t)
+        check_positive("fixed cutoff", self.t)
 
     def cutoffs(self) -> Iterator[int]:
         return itertools.repeat(self.t)
@@ -100,7 +101,7 @@ class LubySchedule(RestartSchedule):
     unit: int
 
     def __post_init__(self) -> None:
-        _check_positive("luby unit", self.unit)
+        check_positive("luby unit", self.unit)
 
     def cutoffs(self) -> Iterator[int]:
         return (self.unit * luby_term(i) for i in itertools.count(1))
@@ -109,22 +110,13 @@ class LubySchedule(RestartSchedule):
         return f"luby:{self.unit}"
 
 
-def _check_positive(name: str, value: int) -> None:
-    """Reject a `value` other than a Python int >= 1, as `runner.check_cutoff`
-    rejects a cutoff, but with no upper bound."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def luby_term(i: int) -> int:
     """i-th term of the Luby universal sequence (always a power of two).
 
     L_i = 2^(k-1) when i = 2^k - 1, else L_i = L_{i - 2^(k-1) + 1} for
     2^(k-1) <= i < 2^k - 1.
     """
-    _check_positive("attempt index", i)
+    check_positive("attempt index", i)
     k = i.bit_length()
     while i != (1 << k) - 1:
         i = i - (1 << (k - 1)) + 1
@@ -162,7 +154,7 @@ def fixed_cutoff_expected_time(ecdf: Ecdf, t: int) -> float:
     can never succeed and the expectation is infinite; math.inf is
     returned rather than raising.
     """
-    _check_positive("cutoff", t)
+    check_positive("cutoff", t)
     k = int(np.searchsorted(ecdf.support, t, side="right")) - 1
     if k < 0:
         return math.inf

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runner import LasVegasProcess, RunBlock, check_cutoff, mix64
+from .runner import LasVegasProcess, RunBlock, check_cutoff, check_positive, mix64
 from .tailstats import Ecdf
 
 
@@ -58,8 +58,7 @@ class Constant(SyntheticLaw):
     c: int
 
     def __post_init__(self) -> None:
-        if self.c < 1:
-            raise ValueError(f"constant time must be >= 1, got {self.c}")
+        check_positive("constant time", self.c)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         return np.full(len(u), _saturated(self.c))
@@ -82,6 +81,8 @@ class TwoPoint(SyntheticLaw):
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0,1), got {self.p}")
+        if type(self.a) is not int or type(self.b) is not int:
+            raise ValueError(f"a and b must be integers, got a={self.a!r}, b={self.b!r}")
         if not 1 <= self.a < self.b:
             raise ValueError(f"need 1 <= a < b, got a={self.a}, b={self.b}")
 

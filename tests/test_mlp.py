@@ -183,6 +183,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="init_half_width"):
             MlpConfig(init_half_width=math.nextafter(top, math.inf))
 
+    # A float size used to construct and fail inside numpy at the first
+    # training run; True trained a one-unit net labelled hidden=True.
+    @pytest.mark.parametrize("field", ["n_inputs", "n_hidden", "n_outputs"])
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, True, np.float64(3.0)],
+        ids=["float", "whole-float", "bool", "numpy-float"],
+    )
+    def test_rejects_non_integer_layer_sizes(self, field, value):
+        with pytest.raises(ValueError, match=r"^layer sizes must all be integers, got \("):
+            MlpConfig(**{field: value})
+
+    def test_layer_size_below_one_keeps_its_message(self):
+        assert MlpConfig(n_hidden=np.int64(2)).n_hidden == 2
+        with pytest.raises(ValueError, match=r"^layer sizes must all be >= 1$"):
+            MlpConfig(n_outputs=0)
+
     @pytest.mark.parametrize(
         "field", ["learning_rate", "momentum", "init_half_width", "target_error"]
     )
@@ -212,6 +228,32 @@ class TestInitWeights:
         assert not np.array_equal(
             init_weights(cfg, 1).w_hidden, init_weights(cfg, 2).w_hidden
         )
+
+    # The initial weights are one row drawn in one call, in the layer order
+    # w_hidden, b_hidden, w_out, b_out: PCG64 spends one uint64 per double
+    # and uniform is low + range * u per element, so this equals the four
+    # per-layer draws laid end to end.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_inputs=st.integers(1, 6),
+        n_hidden=st.integers(1, 6),
+        n_outputs=st.integers(1, 6),
+        init=st.sampled_from([0.0, 0.5, 4.0, 1e300]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n_inputs=21, n_hidden=3, n_outputs=3, init=4.0, seed=0)
+    @example(n_inputs=1, n_hidden=1, n_outputs=1, init=0.0, seed=2**64 - 1)
+    def test_one_draw_per_run(self, n_inputs, n_hidden, n_outputs, init, seed):
+        cfg = MlpConfig(
+            n_inputs=n_inputs, n_hidden=n_hidden, n_outputs=n_outputs, init_half_width=init
+        )
+        state = init_weights(cfg, seed)
+        layers = (state.w_hidden, state.b_hidden, state.w_out, state.b_out)
+        shapes = [(n_hidden, n_inputs), (n_hidden,), (n_outputs, n_hidden), (n_outputs,)]
+        assert [a.shape for a in layers] == shapes
+        n_weights = n_hidden * (n_inputs + 1) + n_outputs * (n_hidden + 1)
+        want = np.random.default_rng(seed).uniform(-init, init, size=n_weights)
+        assert same_bits(np.concatenate([a.ravel() for a in layers]), want)
 
     def test_uniform_law_statistics(self):
         # 10^5 draws at half-width 0.5 in a single weight matrix.

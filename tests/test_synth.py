@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,6 +38,15 @@ class TestConstant:
         with pytest.raises(ValueError):
             Constant(0)
 
+    # `_saturated` would truncate 2.5 to 2 while `cdf` puts the mass at 3.
+    @pytest.mark.parametrize(
+        "c", [2.5, 3.0, True, np.int64(3)], ids=["float", "whole-float", "bool", "numpy-int"]
+    )
+    def test_rejects_non_int_time(self, c):
+        message = f"constant time must be an integer, got {c!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Constant(c)
+
 
 class TestTwoPoint:
     def test_law_of_large_numbers(self):
@@ -57,6 +67,16 @@ class TestTwoPoint:
             TwoPoint(0.0, 1, 10)
         with pytest.raises(ValueError):
             TwoPoint(0.5, 10, 10)
+
+    # `_saturated` would draw 1 for a = 0.5 while `cdf` puts q(2) = 0.5.
+    @pytest.mark.parametrize(
+        "a, b", [(0.5, 3), (1, 3.0), (True, 3), (np.int64(1), 3)],
+        ids=["float-a", "whole-float-b", "bool-a", "numpy-int-a"],
+    )
+    def test_rejects_non_int_times(self, a, b):
+        message = f"a and b must be integers, got a={a!r}, b={b!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TwoPoint(0.5, a, b)
 
 
 class TestGeometric:
