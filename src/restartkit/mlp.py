@@ -11,11 +11,11 @@ A run's weights are one row in the `_shapes` layout, from its seed (`_draw`,
 one call) to row k of a flat (runs, n_weights) buffer beside its gradient
 and velocity rows, and its activations, output - y and deltas are
 the contiguous slice [k] of (runs, rows, width) arrays, all allocated once.
-`MlpProcess.attempt_many` trains up to 16 runs of a block side by side
-(fewer when their buffers would pass a fixed byte budget); a run leaves
-the stack at the epoch it converges, diverges or reaches the cutoff, and
-the next seed takes its slot at zero velocity. `MlpProcess.attempt` (a
-block of one seed) and `backprop_gradients` are the stack of one.
+`MlpProcess.attempt_many` trains up to 16 runs of a block side by side,
+fewer where the kernel finds their buffers would pass a byte budget; a
+run leaves the stack at the epoch it converges, diverges or reaches the
+cutoff, and the next seed takes its slot at zero velocity. The stack of
+one is `MlpProcess.attempt` (one seed) and `backprop_gradients`.
 
 Each run's record is bit-identical to the plain allocating formulas for
 that seed alone, whatever the stack around it:
@@ -174,22 +174,32 @@ def _sigmoid_layer(
     return np.divide(1.0, out, out=out)
 
 
-class _Epoch:
-    """Full-batch epochs for a stack of up to `capacity` runs, on preallocated buffers.
+# At most this many runs train side by side, and their stacked buffers
+# stay within this many bytes. Past about 2 MiB a wider stack costs more
+# per run-epoch, not less (ROADMAP, "Where the epochs go").
+_STACK_RUNS = 16
+_STACK_BYTES = 2 << 20
 
-    Run k owns row k of three (capacity, n_weights) buffers: its weights in
-    the `_shapes` layout, their gradients and their velocity. `params` and
-    `grads` view those rows as the layers, and run k also owns slice [k] of
-    every activation buffer. The features `x` and targets `y` are shared.
-    One epoch is `gradients()`, `descend()`, which steps every run's weights
-    in place, then `error()`, which runs the forward pass at the new
-    weights, caches output - y for the next gradient and returns each run's
-    MSE. `restack` drops finished runs and starts new ones in the freed
-    slots. `x_fwd` and `w_out_t_fwd` are the forward operands, laid out for
-    gemm where numpy calls it (see the module docstring).
+
+class _Epoch:
+    """Full-batch epochs for a stack of `capacity` runs, on preallocated buffers.
+
+    Asked for `runs` runs, it sizes `capacity` from the per-run buffer
+    shapes it allocates: at most `runs` and `_STACK_RUNS`, as many as fit in
+    `_STACK_BYTES`, and at least one when `runs` > 0. Run k owns row k of
+    three (capacity, n_weights) buffers: its weights in the `_shapes`
+    layout, their gradients and their velocity. `params` and `grads` view
+    those rows as the layers, and run k also owns slice [k] of every
+    activation buffer. The features `x` and targets `y` are shared. One
+    epoch is `gradients()`, `descend()`, which steps every run's weights in
+    place, then `error()`, which runs the forward pass at the new weights,
+    caches output - y for the next gradient and returns each run's MSE.
+    `restack` drops finished runs and starts new ones in the freed slots.
+    `x_fwd` and `w_out_t_fwd` are the forward operands, laid out for gemm
+    where numpy calls it (see the module docstring).
     """
 
-    def __init__(self, n_hidden: int, capacity: int, x: np.ndarray, y: np.ndarray) -> None:
+    def __init__(self, n_hidden: int, runs: int, x: np.ndarray, y: np.ndarray) -> None:
         (n, n_inputs), n_out = x.shape, y.shape[1]
         self.x, self.y = x, y
         self.x_fwd = np.asfortranarray(x) if n_hidden > 1 else x
@@ -197,16 +207,16 @@ class _Epoch:
         self.scale = 2.0 / self.n_cells
         self.shapes = _shapes(n_inputs, n_hidden, n_out)
         n_weights = sum(map(math.prod, self.shapes))
-        self._weights = np.empty((capacity, n_weights))
-        self._gradient = np.empty((capacity, n_weights))
-        self._velocity = np.zeros((capacity, n_weights))
-        copy_w_out_t = n > 1 and n_out > 1
-        self._w_out_t = np.empty((capacity, n_hidden, n_out)) if copy_w_out_t else None
-        self._hidden = np.empty((capacity, n, n_hidden))
-        self._output = np.empty((capacity, n, n_out))
-        self._diff = np.empty((capacity, n, n_out))
-        self._d_out = np.empty((capacity, n, n_out))
-        self._d_hidden = np.empty((capacity, n, n_hidden))
+        # Run k's slice of each buffer, in the order they are named below.
+        per_run = [(n_weights,)] * 3 + [(n, n_hidden), *[(n, n_out)] * 3, (n, n_hidden)]
+        if n > 1 and n_out > 1:
+            per_run.append((n_hidden, n_out))
+        run_bytes = 8 * sum(map(math.prod, per_run))
+        self.capacity = min(runs, max(1, min(_STACK_RUNS, _STACK_BYTES // run_bytes)))
+        buffers = [np.empty((self.capacity, *shape)) for shape in per_run]
+        self._weights, self._gradient, self._velocity = buffers[:3]
+        self._hidden, self._output, self._diff, self._d_out, self._d_hidden = buffers[3:8]
+        self._w_out_t = buffers[8] if len(buffers) > 8 else None
 
     def _bind(self, size: int) -> None:
         """Point the working views at the first `size` runs."""
@@ -314,35 +324,18 @@ def backprop_gradients(
         return tuple(g[0] for g in epoch.gradients())
 
 
-# At most this many runs train side by side, and their stacked buffers
-# stay within this many bytes. Past about 2 MiB a wider stack costs more
-# per run-epoch, not less (ROADMAP, "Where the epochs go").
-_STACK_RUNS = 16
-_STACK_BYTES = 2 << 20
-
-
-def _stack_width(cfg: MlpConfig, n_rows: int) -> int:
-    """Runs per lockstep stack: `_STACK_RUNS`, fewer if their buffers (the
-    activations, output - y, the deltas, the weights with their gradients
-    and velocities, and the copy of W_outᵀ) would pass `_STACK_BYTES`."""
-    n_weights = sum(map(math.prod, _shapes(cfg.n_inputs, cfg.n_hidden, cfg.n_outputs)))
-    n_floats = n_rows * (2 * cfg.n_hidden + 3 * cfg.n_outputs) + 3 * n_weights
-    run_bytes = 8 * (n_floats + cfg.n_hidden * cfg.n_outputs)
-    return max(1, min(_STACK_RUNS, _STACK_BYTES // run_bytes))
-
-
 def _train_runs(cfg: MlpConfig, data: Dataset, seeds: list[int], cutoff: int) -> RunBlock:
     """One training run per seed, up to `cutoff` epochs each, in lockstep.
 
-    Up to `_stack_width` runs share one `_Epoch` stack. A run leaves it
-    at the epoch it converges, diverges or reaches the cutoff, and the
-    next seed starts in its place. Row i of the block is seeds[i]'s run.
+    They share one `_Epoch` stack, which sizes itself to `kernel.capacity`
+    runs. A run leaves it at the epoch it converges, diverges or reaches
+    the cutoff, and the next seed starts in its place. Row i of the block
+    is seeds[i]'s run.
     """
     _check_dims(data, cfg.n_inputs, cfg.n_outputs)
     lr, beta, delta = cfg.learning_rate, cfg.momentum, cfg.target_error
     n = len(seeds)
-    width = min(n, _stack_width(cfg, data.n_rows))
-    kernel = _Epoch(cfg.n_hidden, width, data.features, data.targets)
+    kernel = _Epoch(cfg.n_hidden, n, data.features, data.targets)
     block = RunBlock(
         np.empty(n, dtype=np.int64), np.zeros(n, dtype=bool), np.empty(n), np.zeros(n, dtype=bool)
     )
@@ -353,7 +346,7 @@ def _train_runs(cfg: MlpConfig, data: Dataset, seeds: list[int], cutoff: int) ->
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            new = list(itertools.islice(pending, width - len(keep)))
+            new = list(itertools.islice(pending, kernel.capacity - len(keep)))
             slots = [slots[k] for k in keep] + new
             if not slots:
                 return block

@@ -172,14 +172,13 @@ class RunSample:
     """An ordered collection of runs sharing one censoring cap, a Python int.
 
     `seeds[i]`, a Python int, is the seed of row i of `runs`, a `RunBlock`
-    whose epochs are an int64 array (object when a value may not fit int64)
-    and whose other columns may be any sequences. The sample keeps `seeds`
-    as a list, so any non-negative seed round-trips, and `runs` as
-    read-only arrays: `epochs` (int64), `converged` and `diverged` (bool)
-    and `final_error` (float64), also readable by name. It never holds its
-    caller's sequences. `records` builds `RunRecord`s from the columns on
-    each read. Before a sample exists its runs pass `_first_bad`, the one
-    statement of the rules a log's records obey, so every sample's
+    whose columns may be any sequences, its epochs of integers. The sample
+    keeps `seeds` as a list, so any non-negative seed round-trips, and
+    `runs` as read-only arrays: `epochs` (int64), `converged` and `diverged`
+    (bool) and `final_error` (float64), also readable by name. It never
+    holds its caller's sequences. `records` builds `RunRecord`s from the
+    columns on each read. Before a sample exists its runs pass `_first_bad`,
+    the one statement of the rules a log's records obey, so every sample's
     `save_runs` log loads back.
     """
 
@@ -189,11 +188,14 @@ class RunSample:
         if not 1 <= cap <= MAX_CAP:
             raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
         seeds = list(seeds)
+        epochs = np.asarray(runs.epochs)
+        if epochs.dtype.kind == "f":  # ints past int64 beside negative ones, kept exact
+            epochs = np.array(runs.epochs, dtype=object)
         converged, diverged = _frozen(runs.converged, bool), _frozen(runs.diverged, bool)
-        if (problem := _first_bad(seeds, runs.epochs, converged, diverged, cap)) is not None:
+        if (problem := _first_bad(seeds, epochs, converged, diverged, cap)) is not None:
             raise ValueError(problem)
         self.seeds = seeds
-        epochs, final_error = _frozen(runs.epochs, np.int64), _frozen(runs.final_error, float)
+        epochs, final_error = _frozen(epochs, np.int64), _frozen(runs.final_error, float)
         self.runs = RunBlock(epochs, converged, final_error, diverged)
         self.epochs, self.converged, self.final_error, self.diverged = self.runs
         self.cap = cap
@@ -257,8 +259,8 @@ def _first_bad(seeds: list, epochs: np.ndarray, converged, diverged, cap: int) -
     one whose seed is not a Python int (a bool or numpy int either) or is
     negative, epochs outside [1, cap], both converged and diverged, censored
     off the cap, or repeating an earlier seed, checked in that order, as
-    `_parse_record` and `_strict_columns` check a line. `epochs` is int64,
-    or object when a value may not fit int64."""
+    `_parse_record` and `_strict_columns` check a line. `epochs` is an
+    integer array: int64, or uint64 or object when a value does not fit."""
     off_cap = ~(converged | diverged) & (epochs != cap)
     bad = np.flatnonzero((epochs < 1) | (epochs > cap) | (converged & diverged) | off_cap)
     end = int(bad[0]) if bad.size else len(seeds)
@@ -395,9 +397,11 @@ def save_runs(sample: RunSample, path) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the log, not its temp file
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -438,8 +442,8 @@ def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock] | None:
     that `_parse_record` takes as they are.
 
     Every line opens with the only "{" in it, so n rows are the n lines.
-    Epochs are ints in [1, 2**63 - 1] for the int64 column, the flags
-    bools and the errors floats. The sample checks the rest, seeds included.
+    Epochs are ints, the flags bools and the errors floats. The sample
+    checks the rest, the range of epochs and the seeds included.
     """
     n = len(lines)
     array = "[" + ",\n".join(lines) + "]"
@@ -459,10 +463,9 @@ def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock] | None:
         or set(map(type, epochs)) != {int}
         or {*map(type, converged), *map(type, diverged)} != {bool}
         or set(map(type, final_error)) != {float}
-        or not 1 <= min(epochs) <= max(epochs) <= MAX_CAP
     ):
         return None
-    return seeds, RunBlock(np.array(epochs, dtype=np.int64), converged, final_error, diverged)
+    return seeds, RunBlock(epochs, converged, final_error, diverged)
 
 
 def _strict_columns(lines: list[str], cap: int) -> tuple[tuple, RunBlock]:
@@ -486,7 +489,7 @@ def _strict_columns(lines: list[str], cap: int) -> tuple[tuple, RunBlock]:
         seed_lines[row[0]] = lineno
         parsed.append(row)
     seeds, epochs, converged, final_error, diverged = zip(*parsed) if parsed else ((),) * 5
-    return seeds, RunBlock(np.array(epochs, dtype=np.int64), converged, final_error, diverged)
+    return seeds, RunBlock(epochs, converged, final_error, diverged)
 
 
 def load_runs(path) -> RunSample:

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -307,6 +308,22 @@ class TestCollect:
         assert err.startswith(f"restartkit: error: {field} must be") and value in err
         assert not log.exists()
 
+    # The error names the log the user asked for, not the temporary file
+    # beside it that `save_runs` writes first, and leaves neither behind.
+    @pytest.mark.parametrize(
+        "target, code", [("missing/x.jsonl", errno.ENOENT), ("dir", errno.EISDIR)]
+    )
+    def test_failed_write_names_the_log(self, capsys, tmp_path, target, code):
+        (tmp_path / "dir").mkdir()
+        log = tmp_path / target
+        status, out, err = run_cli(
+            capsys, "collect", "--stub", "two-point:0.5:1:10", "--runs", "5", "--out", str(log)
+        )
+        assert (status, out) == (1, "")
+        assert err == f"restartkit: error: [Errno {code}] {os.strerror(code)}: {str(log)!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
     def test_mlp_log_same_for_any_jobs(self, capsys, tmp_path, monkeypatch):
         # 37 runs on 2 workers are blocks of 19 and 18 seeds, both wider
         # than the lockstep stack, so runs leave and join it mid-block.
@@ -314,7 +331,8 @@ class TestCollect:
         argv = ["collect", "--data", DATA_PATH, "--runs", "37", "--max-epochs", "600",
                 "--seed", "5"]
         process = _build_process(build_parser().parse_args([*argv, "--out", "-"]))
-        assert mlp._stack_width(process.cfg, process.data.n_rows) < 18
+        kernel = mlp._Epoch(process.cfg.n_hidden, 37, process.data.features, process.data.targets)
+        assert kernel.capacity < 18
         logs = []
         for jobs in ("1", "2"):
             log = tmp_path / f"runs-{jobs}.jsonl"
@@ -343,7 +361,8 @@ class TestCollect:
     def test_byte_budget_narrows_stack_for_large_hidden(self):
         args = ["collect", "--data", DATA_PATH, "--hidden", "200", "--runs", "4", "--out", "-"]
         process = _build_process(build_parser().parse_args(args))
-        assert mlp._stack_width(process.cfg, process.data.n_rows) == 1
+        kernel = mlp._Epoch(process.cfg.n_hidden, 4, process.data.features, process.data.targets)
+        assert kernel.capacity == 1
         seeds = [5, 6, 5, 7]
         block = process.attempt_many(seeds, 3)
         assert block.records(seeds) == [process.attempt(s, 3) for s in seeds]

@@ -681,6 +681,48 @@ class TestAttemptMany:
                 call()
 
 
+class TestStackWidth:
+    """The kernel sizes its own stack from the buffers it allocates."""
+
+    HIDDEN = (1, 3, 16, 32, 64, 200)
+
+    @staticmethod
+    def kernel(rows, inputs, outputs, n_hidden, runs=100):
+        return mlp._Epoch(n_hidden, runs, np.zeros((rows, inputs)), np.zeros((rows, outputs)))
+
+    # (rows, inputs, outputs) -> widths at each of HIDDEN; the first is the
+    # case study's shape, the second has no copy of W_outᵀ.
+    @pytest.mark.parametrize("shape, widths", [
+        ((1000, 21, 3), [16, 16, 6, 3, 1, 1]),
+        ((1000, 21, 1), [16, 16, 7, 3, 1, 1]),
+        ((5, 4, 2), [16] * 6),
+    ])
+    def test_pinned_widths(self, shape, widths):
+        assert [self.kernel(*shape, h).capacity for h in self.HIDDEN] == widths
+
+    # The stack's own buffers fit the byte budget, and one more run's would
+    # not, unless the stack is full (16) or holds the one run it must.
+    @pytest.mark.parametrize("shape", [(1000, 21, 3), (1000, 21, 1), (1, 4, 2), (300, 40, 5)])
+    def test_capacity_counts_the_allocated_buffers(self, shape):
+        for h in self.HIDDEN:
+            kernel = self.kernel(*shape, h)
+            buffers = [
+                a for name, a in vars(kernel).items() if name.startswith("_") and a is not None
+            ]
+            assert {a.shape[0] for a in buffers} == {kernel.capacity}
+            run_bytes = sum(a.nbytes for a in buffers) // kernel.capacity
+            assert kernel.capacity == max(1, min(16, mlp._STACK_BYTES // run_bytes)), (shape, h)
+
+    def test_capacity_follows_runs_and_hooks(self):
+        assert [self.kernel(6, 4, 2, 3, runs).capacity for runs in (0, 1, 5, 16, 40)] == [
+            0, 1, 5, 16, 16,
+        ]
+        with mock.patch.object(mlp, "_STACK_RUNS", 3):
+            assert self.kernel(6, 4, 2, 3).capacity == 3
+        with mock.patch.object(mlp, "_STACK_BYTES", 1):
+            assert self.kernel(6, 4, 2, 3).capacity == 1
+
+
 class TestBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(

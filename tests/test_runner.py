@@ -714,6 +714,28 @@ class TestColumns:
         problem = sample_problem(partial(sample_of, MIXED_RECORDS[:1], cap))
         assert problem == f"cap must be an integer, got {cap!r}"
 
+    # Epochs come as any integer sequence, like the other columns; an
+    # integer past int64 is still refused by value, not by a TypeError,
+    # and one beside a negative epoch is named exactly.
+    @pytest.mark.parametrize("column", [list, tuple])
+    def test_epochs_may_be_any_integer_sequence(self, column):
+        def sample(epochs):
+            n = len(epochs)
+            runs = runner.RunBlock(column(epochs), column([True] * n), [0.0] * n, [False] * n)
+            return RunSample(range(n), runs, 10)
+
+        assert sample([3, 4]).epochs.tolist() == [3, 4]
+        assert sample([3, 4]).epochs.dtype == np.int64
+        records = [RunRecord(0, 3, True, 0.0), RunRecord(1, 4, True, 0.0)]
+        assert sample([3, 4]) == sample_of(records, 10)
+        for epochs, problem in [
+            ([3, 2**63], f"record 1: epochs {2**63} exceeds cap 10"),
+            ([2**64, 3], f"record 0: epochs {2**64} exceeds cap 10"),
+            ([2**63 + 1, -1], f"record 0: epochs {2**63 + 1} exceeds cap 10"),
+            ([3, 0], "record 1: epochs must be >= 1, got 0"),
+        ]:
+            assert sample_problem(partial(sample, epochs)) == problem
+
     def test_first_bad_record_is_named(self):
         off_cap = RunRecord(seed=1, epochs=4, converged=False, final_error=1.0)
         huge = RunRecord(seed=2, epochs=2**64, converged=True, final_error=0.0)
