@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 # Each command imports the modules it runs, so `tail` and `optimize` never
@@ -402,6 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # One BLAS thread here and in pool workers: wide-layer bits then ignore the core count.
+    if "numpy" not in sys.modules:
+        os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -45,9 +45,8 @@ class Dataset:
         return int(self.targets.shape[1])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """Row subset (used to train on one fold's partition)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(features=self.features[idx].copy(), targets=self.targets[idx].copy())
+        """Row subset (used to train on one fold's partition), as new arrays."""
+        return Dataset(features=self.features[indices], targets=self.targets[indices])
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ def load_thyroid(path) -> Dataset:
     if not features:
         raise InsufficientDataError(f"{path}: no patterns found")
     x = np.array(features, dtype=np.float64)
-    y = np.zeros((len(labels), N_CLASSES), dtype=np.float64)
-    y[np.arange(len(labels)), np.array(labels) - 1] = 1.0
+    y = np.eye(N_CLASSES)[np.array(labels) - 1]
     return Dataset(features=x, targets=y)
 
 
@@ -122,31 +120,24 @@ def scale_min_max(data: Dataset) -> Dataset:
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
     span = maxs - mins
-    scaled = np.zeros_like(x)
-    nonconst = span > 0.0
-    scaled[:, nonconst] = (x[:, nonconst] - mins[nonconst]) / span[nonconst]
+    scaled = np.divide(x - mins, span, out=np.zeros_like(x), where=span > 0.0)
     return Dataset(features=scaled, targets=data.targets.copy())
 
 
 def kfold_split(n_rows: int, k: int, seed: int) -> list[FoldSplit]:
     """Deterministic k-fold partition of row indices.
 
-    Rows are permuted by a generator seeded with `seed` and cut into k
-    folds whose sizes differ by at most one; fold i's test set is
-    partition i. Identical (n_rows, k, seed) always yields identical
-    splits.
+    Rows are permuted by a generator seeded with `seed` and cut by
+    `np.array_split` into k folds, the first n_rows % k one row longer;
+    fold i tests on partition i and trains on the rest, both sorted int64.
+    Identical (n_rows, k, seed) always yields identical splits.
     """
     if k < 2 or k > n_rows:
         raise ValueError(f"need 2 <= k <= n_rows, got k={k}, n_rows={n_rows}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_rows)
-    base, extra = divmod(n_rows, k)
-    splits = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        test = np.sort(perm[start : start + size])
-        train = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
-        splits.append(FoldSplit(train.astype(np.int64), test.astype(np.int64)))
-        start += size
-    return splits
+    perm = rng.permutation(n_rows).astype(np.int64)
+    folds = np.array_split(perm, k)
+    return [
+        FoldSplit(np.sort(np.concatenate(folds[:i] + folds[i + 1 :])), np.sort(test))
+        for i, test in enumerate(folds)
+    ]

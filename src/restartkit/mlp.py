@@ -119,12 +119,9 @@ def _draw(cfg: MlpConfig, seed: int) -> np.ndarray:
 def _layer_views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     """The last axis of `flat` cut into consecutive layers of the given
     shapes, as views; each row's slice of each layer is C-contiguous."""
-    views, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        views.append(flat[..., start:stop].reshape(*flat.shape[:-1], *shape))
-        start = stop
-    return views
+    cuts = list(itertools.accumulate(map(math.prod, shapes[:-1])))
+    parts = np.split(flat, cuts, axis=-1)
+    return [part.reshape(*flat.shape[:-1], *shape) for part, shape in zip(parts, shapes)]
 
 
 def init_weights(cfg: MlpConfig, seed: int) -> MlpState:

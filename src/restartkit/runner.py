@@ -189,7 +189,7 @@ class RunSample:
             raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
         seeds = list(seeds)
         epochs = np.asarray(runs.epochs)
-        if epochs.dtype.kind == "f":  # ints past int64 beside negative ones, kept exact
+        if epochs.dtype.kind not in "iu":  # ints past int64 exact; floats, bools to refuse
             epochs = np.array(runs.epochs, dtype=object)
         converged, diverged = _frozen(runs.converged, bool), _frozen(runs.diverged, bool)
         if (problem := _first_bad(seeds, epochs, converged, diverged, cap)) is not None:
@@ -257,13 +257,17 @@ def _frozen(values, dtype) -> np.ndarray:
 def _first_bad(seeds: list, epochs: np.ndarray, converged, diverged, cap: int) -> str | None:
     """The message for the first run a log's records may not hold, or None:
     one whose seed is not a Python int (a bool or numpy int either) or is
-    negative, epochs outside [1, cap], both converged and diverged, censored
-    off the cap, or repeating an earlier seed, checked in that order, as
-    `_parse_record` and `_strict_columns` check a line. `epochs` is an
-    integer array: int64, or uint64 or object when a value does not fit."""
-    off_cap = ~(converged | diverged) & (epochs != cap)
-    bad = np.flatnonzero((epochs < 1) | (epochs > cap) | (converged & diverged) | off_cap)
-    end = int(bad[0]) if bad.size else len(seeds)
+    negative, epochs not a Python int or outside [1, cap], both converged and
+    diverged, censored off the cap, or repeating an earlier seed, checked in
+    that order, as `_parse_record` and `_strict_columns` check a line. Only
+    an object `epochs` column has its elements' types checked, one by one."""
+    typed = len(seeds)
+    if epochs.dtype == object:
+        typed = next((i for i, e in enumerate(epochs) if type(e) is not int), typed)
+    ep, conv, div = epochs[:typed], converged[:typed], diverged[:typed]
+    off_cap = ~(conv | div) & (ep != cap)
+    bad = np.flatnonzero((ep < 1) | (ep > cap) | (conv & div) | off_cap)
+    end = int(bad[0]) if bad.size else typed
     if set(map(type, seeds)) - {int} or (seeds and min(seeds) < 0):
         end = min(end, next(i for i, seed in enumerate(seeds) if type(seed) is not int or seed < 0))
     if len(set(seeds[:end])) < end:
@@ -277,6 +281,8 @@ def _first_bad(seeds: list, epochs: np.ndarray, converged, diverged, cap: int) -
         return f"record {end}: seed must be an integer, got {seeds[end]!r}"
     if seeds[end] < 0:
         return f"record {end}: seed must be >= 0, got {seeds[end]}"
+    if end == typed:
+        return f"record {end}: epochs must be an integer, got {epochs[end]!r}"
     e = int(epochs[end])
     if e < 1:
         return f"record {end}: epochs must be >= 1, got {e}"

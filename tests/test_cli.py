@@ -367,6 +367,28 @@ class TestCollect:
         block = process.attempt_many(seeds, 3)
         assert block.records(seeds) == [process.attempt(s, 3) for s in seeds]
 
+    def test_wide_layer_log_ignores_the_blas_thread_count(self, tmp_path):
+        # At --hidden 200 OpenBLAS splits a product over its threads, which
+        # changes a run's bits; the command pins one thread before numpy
+        # loads, whatever the caller set. Needs 2 or more cores to fail
+        # without the pin.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        logs = []
+        for threads in ("2", "1"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+            log = tmp_path / f"threads-{threads}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-m", "restartkit.cli", "collect", "--data", DATA_PATH,
+                 "--hidden", "200", "--runs", "4", "--max-epochs", "300", "--seed", "7",
+                 "--out", str(log)],
+                capture_output=True, text=True, env=env,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_data_field_fails_cleanly(self, capsys, tmp_path, token):
         # Before the check, a NaN column was zeroed by scaling and the runs

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartkit import (
@@ -161,6 +161,37 @@ class TestScaleMinMax:
         with pytest.raises(InsufficientDataError):
             scale_min_max(d)
 
+    # The masked formula `scale_min_max` once spelled out, as the oracle of
+    # its bits: constant columns stay +0.0, the others are (x - min) / span.
+    @staticmethod
+    def masked_formula(x):
+        mins = x.min(axis=0)
+        span = x.max(axis=0) - mins
+        scaled = np.zeros_like(x)
+        nonconst = span > 0.0
+        scaled[:, nonconst] = (x[:, nonconst] - mins[nonconst]) / span[nonconst]
+        return scaled
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n_rows", [1, 2, 17])
+    def test_bits_equal_masked_formula(self, seed, n_rows):
+        rng = np.random.default_rng(seed)
+        signed_zeros = rng.choice([0.0, -0.0], size=n_rows)
+        columns = [
+            rng.normal(0.0, 50.0, n_rows),
+            np.full(n_rows, 3.25),  # constant
+            np.full(n_rows, -0.0),  # constant at -0.0
+            signed_zeros,  # +0.0 and -0.0 are one value: constant
+            np.where(rng.random(n_rows) < 0.5, signed_zeros, 1.0),  # min may be -0.0
+            -rng.uniform(1.0, 1e6, n_rows),  # negative
+            rng.uniform(-1e307, 1e307, n_rows),  # huge magnitude
+            rng.uniform(0.0, 1.0, n_rows) * 5e-324,  # subnormal
+            rng.integers(-3, 3, n_rows).astype(float),  # ties
+        ]
+        x = np.column_stack(columns)
+        d = Dataset(features=x, targets=np.ones((n_rows, 1)))
+        assert scale_min_max(d).features.tobytes() == self.masked_formula(x).tobytes()
+
 
 class TestKfoldSplit:
     def test_leave_one_out_structure(self):
@@ -200,6 +231,43 @@ class TestKfoldSplit:
         sizes = [len(s.test_indices) for s in splits]
         assert max(sizes) - min(sizes) <= 1
 
+    # The loop `kfold_split` once cut its permutation with, as the oracle of
+    # the indices that `--folds/--fold` trains on.
+    @staticmethod
+    def hand_cut(n_rows, k, seed):
+        perm = np.random.default_rng(seed).permutation(n_rows)
+        base, extra = divmod(n_rows, k)
+        splits = []
+        start = 0
+        for i in range(k):
+            size = base + (1 if i < extra else 0)
+            test = np.sort(perm[start : start + size])
+            train = np.sort(np.concatenate([perm[:start], perm[start + size :]]))
+            splits.append((train.astype(np.int64), test.astype(np.int64)))
+            start += size
+        return splits
+
+    @given(
+        st.integers(min_value=2, max_value=500).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=2, max_value=n))
+        ),
+        st.sampled_from([0, 2**64 - 1]) | st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example((2, 2), 0)
+    @example((500, 500), 2**64 - 1)
+    @example((500, 7), 0)
+    @example((1000, 5), 5)
+    def test_indices_equal_hand_cut(self, shape, seed):
+        n_rows, k = shape
+        splits = kfold_split(n_rows, k, seed)
+        assert len(splits) == k
+        for split, (train, test) in zip(splits, self.hand_cut(n_rows, k, seed)):
+            for got, want in ((split.train_indices, train), (split.test_indices, test)):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
+                assert np.all(np.diff(got) > 0)
+
     @pytest.mark.parametrize("n_rows,k", [(10, 1), (10, 11), (5, 0)])
     def test_rejects_bad_k(self, n_rows, k):
         with pytest.raises(ValueError):
@@ -213,3 +281,5 @@ class TestSubset:
         assert sub.n_rows == 3
         assert np.array_equal(sub.features, d.features[[0, 2, 4]])
         assert np.array_equal(sub.targets, d.targets[[0, 2, 4]])
+        assert not np.shares_memory(sub.features, d.features)
+        assert not np.shares_memory(sub.targets, d.targets)

@@ -267,6 +267,30 @@ class TestInitWeights:
         assert 0.49 <= draws.max() <= 0.5
 
 
+class TestLayerViews:
+    """`_layer_views` cuts a weight row, or each row of a stack, into views
+    that `init_weights` and the kernel train in place."""
+
+    @pytest.mark.parametrize("sizes", [(21, 3, 3), (4, 1, 2), (1, 1, 1), (5, 16, 1)])
+    def test_views_write_through_to_a_row_and_a_stack(self, sizes):
+        shapes = mlp._shapes(*sizes)
+        n_weights = sum(map(math.prod, shapes))
+        stack = np.zeros((5, n_weights))
+        # Each layer's cells in row order, marked with the layer's number.
+        marks = np.concatenate([np.full(math.prod(s), j + 1.0) for j, s in enumerate(shapes)])
+        for flat, rows in [(np.zeros(n_weights), ()), (stack[2], ()), (stack[:4], (4,))]:
+            flat[...] = 0.0
+            views = mlp._layer_views(flat, shapes)
+            assert [v.shape for v in views] == [(*rows, *s) for s in shapes]
+            for j, view in enumerate(views):
+                assert np.shares_memory(view, flat)
+                for r in np.ndindex(*rows):
+                    assert view[r].flags.c_contiguous
+                view[...] = j + 1.0
+            assert np.array_equal(flat, np.broadcast_to(marks, flat.shape))
+        assert np.array_equal(stack[4], np.zeros(n_weights))
+
+
 class TestForward:
     """The allocating reference's forward pass, which the kernel matches bit
     for bit (TestBitIdentity, TestAttemptMany)."""

@@ -605,6 +605,8 @@ def reference_first_bad(rows: list[tuple], cap: int) -> str | None:
             return f"record {i}: seed must be an integer, got {seed!r}"
         if seed < 0:
             return f"record {i}: seed must be >= 0, got {seed}"
+        if type(epochs) is not int:
+            return f"record {i}: epochs must be an integer, got {epochs!r}"
         if epochs < 1:
             return f"record {i}: epochs must be >= 1, got {epochs}"
         if epochs > cap:
@@ -736,6 +738,40 @@ class TestColumns:
         ]:
             assert sample_problem(partial(sample, epochs)) == problem
 
+    # A float or bool epoch is refused by type, not truncated to an int; an
+    # int64 column needs no element-wise check, an object column gets one.
+    @pytest.mark.parametrize(
+        "epochs, shown",
+        [
+            (np.array([3.5]), "3.5"),
+            ([3.5], "3.5"),
+            (np.array([3.0]), "3.0"),
+            (np.array([True]), "True"),
+            ([True], "True"),
+        ],
+        ids=["float-array", "float-list", "whole-float-array", "bool-array", "bool-list"],
+    )
+    def test_refuses_epochs_that_are_not_integers(self, epochs, shown):
+        runs = runner.RunBlock(epochs, [True], [0.0], [False])
+        problem = sample_problem(partial(RunSample, [1], runs, 10))
+        assert problem == f"record 0: epochs must be an integer, got {shown}"
+
+    def test_epoch_type_is_checked_in_record_order(self):
+        def problem(seeds, epochs):
+            n = len(seeds)
+            runs = runner.RunBlock(epochs, [True] * n, [0.0] * n, [False] * n)
+            return sample_problem(partial(RunSample, seeds, runs, 10))
+
+        assert problem([1, 2, 3], [3, 2.5, 11]) == "record 1: epochs must be an integer, got 2.5"
+        assert problem([1, 2, 3], [3, 11, 2.5]) == "record 1: epochs 11 exceeds cap 10"
+        assert problem([1, -2], [3, 2.5]) == "record 1: seed must be >= 0, got -2"
+        assert problem([1, 1], [3, 2.5]) == "record 1: epochs must be an integer, got 2.5"
+        assert problem([1, 1, 2], [3, 4, 2.5]) == "record 1: seed 1 repeats record 0"
+        big = np.array([3, 2**63], dtype=object)
+        assert problem([1, 2], big) == f"record 1: epochs {2**63} exceeds cap 10"
+        numpy_int = np.array([3, np.int64(4)], dtype=object)  # its repr varies with numpy
+        assert problem([1, 2], numpy_int).startswith("record 1: epochs must be an integer, got ")
+
     def test_first_bad_record_is_named(self):
         off_cap = RunRecord(seed=1, epochs=4, converged=False, final_error=1.0)
         huge = RunRecord(seed=2, epochs=2**64, converged=True, final_error=0.0)
@@ -753,7 +789,7 @@ class TestColumns:
         st.lists(
             st.tuples(
                 st.integers(-1, 3) | st.sampled_from([1.5, True, np.uint64(2)]),
-                st.sampled_from([0, 1, 2, 3, 4, 5, 2**64]),
+                st.sampled_from([0, 1, 2, 3, 4, 5, 2**64, 3.0, 4.5, True]),
                 st.booleans(),
                 st.booleans(),
             ),
@@ -779,7 +815,7 @@ class TestColumns:
         # derives its own seeds, so it takes the rows it can carry.
         cap = 4
         assert sample_problem(lambda: sample_of_rows(rows, cap)) == reference_first_bad(rows, cap)
-        if all(epochs < 2**63 for _, epochs, _, _ in rows):
+        if all(type(epochs) is int and epochs < 2**63 for _, epochs, _, _ in rows):
 
             class Rows(FormulaStub):
                 def attempt_many(self, seeds, cutoff):
