@@ -172,14 +172,14 @@ class RunSample:
     """An ordered collection of runs sharing one censoring cap, a Python int.
 
     `seeds[i]`, a Python int, is the seed of row i of `runs`, a `RunBlock`
-    whose columns may be any sequences, its epochs of integers. The sample
-    keeps `seeds` as a list, so any non-negative seed round-trips, and
-    `runs` as read-only arrays: `epochs` (int64), `converged` and `diverged`
-    (bool) and `final_error` (float64), also readable by name. It never
-    holds its caller's sequences. `records` builds `RunRecord`s from the
-    columns on each read. Before a sample exists its runs pass `_first_bad`,
-    the one statement of the rules a log's records obey, so every sample's
-    `save_runs` log loads back.
+    of 1-D columns with one row per seed, its epochs an integer array or
+    Python ints. The sample keeps `seeds` as a list, so any non-negative
+    seed round-trips, and `runs` as read-only arrays: `epochs` (int64),
+    `converged` and `diverged` (bool) and `final_error` (float64), also
+    readable by name. It never holds its caller's sequences. `records`
+    builds `RunRecord`s from the columns on each read. Before a sample
+    exists its runs pass `_first_bad`, the one statement of the rules a
+    log's records obey, so every sample's `save_runs` log loads back.
     """
 
     def __init__(self, seeds, runs: RunBlock, cap: int, metadata: str = "") -> None:
@@ -188,15 +188,19 @@ class RunSample:
         if not 1 <= cap <= MAX_CAP:
             raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
         seeds = list(seeds)
-        epochs = np.asarray(runs.epochs)
-        if epochs.dtype.kind not in "iu":  # ints past int64 exact; floats, bools to refuse
-            epochs = np.array(runs.epochs, dtype=object)
+        epochs = runs.epochs
+        if not (isinstance(epochs, np.ndarray) and epochs.dtype.kind in "iu"):
+            epochs = np.array(epochs, dtype=object)  # each element's type is judged
         converged, diverged = _frozen(runs.converged, bool), _frozen(runs.diverged, bool)
+        final_error = _frozen(runs.final_error, float)
+        for name, column in zip(RunBlock._fields, (epochs, converged, final_error, diverged)):
+            if column.shape != (len(seeds),):
+                shape = f"shape {column.shape} for {len(seeds)} seeds"
+                raise ValueError(f"{name} must be 1-D with one row per seed, got {shape}")
         if (problem := _first_bad(seeds, epochs, converged, diverged, cap)) is not None:
             raise ValueError(problem)
         self.seeds = seeds
-        epochs, final_error = _frozen(epochs, np.int64), _frozen(runs.final_error, float)
-        self.runs = RunBlock(epochs, converged, final_error, diverged)
+        self.runs = RunBlock(_frozen(epochs, np.int64), converged, final_error, diverged)
         self.epochs, self.converged, self.final_error, self.diverged = self.runs
         self.cap = cap
         self.metadata = metadata
@@ -262,8 +266,8 @@ def _first_bad(seeds: list, epochs: np.ndarray, converged, diverged, cap: int) -
     that order, as `_parse_record` and `_strict_columns` check a line. Only
     an object `epochs` column has its elements' types checked, one by one."""
     typed = len(seeds)
-    if epochs.dtype == object:
-        typed = next((i for i, e in enumerate(epochs) if type(e) is not int), typed)
+    if epochs.dtype == object and set(map(type, epochs)) - {int}:
+        typed = next(i for i, e in enumerate(epochs) if type(e) is not int)
     ep, conv, div = epochs[:typed], converged[:typed], diverged[:typed]
     off_cap = ~(conv | div) & (ep != cap)
     bad = np.flatnonzero((ep < 1) | (ep > cap) | (conv & div) | off_cap)
@@ -442,35 +446,30 @@ def _parse_record(obj: dict, lineno: int, cap: int) -> tuple:
     return seed, epochs, conv, err, diverged
 
 
-def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock] | None:
+def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock]:
     """The seeds and runs from one `json.loads` over the lines joined into
-    an array, or None unless each row must be one line's record, in types
-    that `_parse_record` takes as they are.
+    an array, when each row must be one line's record with its flags and
+    error in types `_parse_record` takes as they are. Otherwise it raises
+    a ValueError, json's RecursionError, or a row's KeyError or TypeError.
 
     Every line opens with the only "{" in it, so n rows are the n lines.
-    Epochs are ints, the flags bools and the errors floats. The sample
-    checks the rest, the range of epochs and the seeds included.
+    `RunSample` judges the rest, the seeds and the epochs' types included.
     """
     n = len(lines)
     array = "[" + ",\n".join(lines) + "]"
     if not array.startswith("[{") or array.count(",\n{") != n - 1 or array.count("{") != n:
-        return None
-    try:
-        rows = json.loads(array)
-        seeds, epochs, converged, final_error = (
-            [row[key] for row in rows] for key in ("seed", "epochs", "converged", "final_error")
-        )
-    # Invalid JSON, nesting past the recursion limit, or a row that is no record.
-    except (ValueError, RecursionError, KeyError, TypeError):
-        return None
+        raise ValueError("a record line is not one object holding the line's only '{'")
+    rows = json.loads(array)
+    seeds, epochs, converged, final_error = (
+        [row[key] for row in rows] for key in ("seed", "epochs", "converged", "final_error")
+    )
     diverged = [row.get("diverged", False) for row in rows]
     if (
         len(rows) != n
-        or set(map(type, epochs)) != {int}
         or {*map(type, converged), *map(type, diverged)} != {bool}
         or set(map(type, final_error)) != {float}
     ):
-        return None
+        raise ValueError("a row is not one line's record in the types the line reader keeps")
     return seeds, RunBlock(epochs, converged, final_error, diverged)
 
 
@@ -502,12 +501,11 @@ def load_runs(path) -> RunSample:
     """Read a run log written by `save_runs` (lossless round trip).
 
     The log is split into lines once. The record lines are decoded as one
-    JSON array into columns, which `RunSample` checks once (`_first_bad`),
-    when `_one_pass_columns` can tell that each array element is one line's
-    record. Any other log, and one whose runs that check refuses, goes line
-    by line through `json`, so it is accepted or rejected, with the same
-    message and line, exactly as that decoder and `_parse_record` decide.
-    JSON nested past the recursion limit is refused on its line too.
+    JSON array into columns (`_one_pass_columns`), which `RunSample` judges
+    once. A log that either step refuses goes line by line through `json`,
+    the one fallback, so it is accepted or rejected, with the same message
+    and line, exactly as that decoder and `_parse_record` decide. JSON
+    nested past the recursion limit is refused on its line too.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -526,12 +524,12 @@ def load_runs(path) -> RunSample:
     if not isinstance(metadata, str):
         raise RunLogFormatError("line 1: 'metadata' must be a string")
     body = lines[1:]
-    columns = _one_pass_columns(body)
-    if columns is not None:
-        try:
-            return RunSample(*columns, cap, metadata)
-        except ValueError:
-            pass  # the strict reader names the line
+    try:
+        return RunSample(*_one_pass_columns(body), cap, metadata)
+    # Invalid JSON, nesting past the recursion limit, a row that is no
+    # record, or runs the sample refuses: the strict reader names the line.
+    except (ValueError, RecursionError, KeyError, TypeError):
+        pass
     seeds, runs = _strict_columns(body, cap)
     if not seeds:
         raise InsufficientDataError(f"run log {path} has no records")

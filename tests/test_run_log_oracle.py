@@ -381,6 +381,30 @@ class TestCanonicalReader:
                 record_key(r) for r in sample.records
             ]
 
+    # Canonical lines but for epochs that only their type, or a range past
+    # int64, puts out of bounds. The one-pass columns take them, so it is
+    # `RunSample` that must refuse them and leave the line to the strict
+    # reader. A nested epoch on every line makes a 2-D column.
+    @pytest.mark.parametrize("epochs", ["true", "3.0", "[3]", str(2**63)])
+    @pytest.mark.parametrize("bad", [[2], [4], [2, 3, 4]], ids=["first", "last", "every"])
+    def test_bad_epochs_name_their_line(self, tmp_path, epochs, bad):
+        lines = [
+            reference_record_line(RunRecord(seed, 3, converged=False, final_error=1.0))
+            for seed in range(3)
+        ]
+        for lineno in bad:
+            lines[lineno - 2] = lines[lineno - 2].replace('"epochs":3', f'"epochs":{epochs}')
+        message = (
+            f"line {bad[0]}: 'epochs' must be an integer in [1, cap=3], "
+            f"got {json.loads(epochs)!r}"
+        )
+        assert outcome(lambda: reference_load_body(lines, CAP)) == f"RunLogFormatError: {message}"
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join([HEADER, *lines, ""]), encoding="utf-8")
+        with pytest.raises(RunLogFormatError) as error:
+            load_runs(path)
+        assert str(error.value) == message
+
 
 # ------------------------------------------------------ re-spelled whole logs
 

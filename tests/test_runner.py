@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from restartkit import mlp, runner
@@ -866,3 +866,67 @@ class TestColumns:
         assert (sample is None) == (loaded is None)
         if sample is not None:
             assert loaded.records == sample.records
+
+
+# Epochs as callers may pass them: mostly Python ints in [1, 4], and now and
+# then a bool, a float, a numpy int or a nested list.
+epoch_values = st.sampled_from([1, 2, 3, 4] * 4 + [True, 2.0, 3.5, np.int64(2), [2], [[3]]])
+
+
+@st.composite
+def epochs_columns(draw):
+    """An epochs column: a list, a tuple, or an int64, uint64 or object array."""
+    values = draw(st.lists(epoch_values, min_size=1, max_size=4))
+    kind = draw(st.sampled_from([list, tuple, np.int64, np.uint64, object]))
+    if kind in (list, tuple):
+        return kind(values)
+    try:
+        return np.array(values, dtype=kind)
+    except (ValueError, TypeError):  # a ragged list no integer array holds
+        assume(False)
+
+
+lengthen = st.sampled_from([0] * 10 + [-1, 1])
+
+
+class TestSampleRoundTrip:
+    # The columns a sample must refuse: a bool among ints, a nested column,
+    # more seeds than rows, and a diverged column of one row on two runs.
+    @given(epochs=epochs_columns(), extra=st.lists(lengthen, min_size=4, max_size=4))
+    @example(epochs=[3, True], extra=[0, 0, 0, 0])
+    @example(epochs=[[1], [2]], extra=[0, 0, 0, 0])
+    @example(epochs=[3, 4], extra=[1, 0, 0, 0])
+    @example(epochs=[3, 4], extra=[0, 0, 0, -1])
+    def test_sample_exists_only_if_its_log_loads_back(self, tmp_path_factory, epochs, extra):
+        # `extra` lengthens or shortens the seeds and the other three columns.
+        rows = len(epochs)
+        seeds, converged, errors, diverged = (rows + more for more in extra)
+        runs = runner.RunBlock(epochs, [True] * converged, [0.5] * errors, [False] * diverged)
+        try:
+            sample = RunSample(range(seeds), runs, 4)
+        except ValueError:
+            return
+        # A sample holds its epochs as given, each a Python int.
+        typed = isinstance(epochs, np.ndarray) and epochs.dtype != object
+        expected = epochs.tolist() if typed else list(epochs)
+        assert list(map(repr, sample.epochs.tolist())) == list(map(repr, expected))
+        path = tmp_path_factory.mktemp("log") / "runs.jsonl"
+        save_runs(sample, path)
+        assert load_runs(path) == sample
+
+    @pytest.mark.parametrize(
+        "seeds, epochs, diverged, message",
+        [
+            ([1, 2], [3, True], [False] * 2, "record 1: epochs must be an integer, got True"),
+            ([1, 2], [[1], [2]], [False] * 2, "epochs must be 1-D with one row per seed, "
+             "got shape (2, 1) for 2 seeds"),
+            ([1, 2, 3], [3, 4], [False] * 2, "epochs must be 1-D with one row per seed, "
+             "got shape (2,) for 3 seeds"),
+            ([1, 2], [3, 4], [False], "diverged must be 1-D with one row per seed, "
+             "got shape (1,) for 2 seeds"),
+        ],
+        ids=["bool-among-ints", "nested", "more-seeds-than-rows", "short-diverged"],
+    )
+    def test_refuses_columns_its_log_cannot_hold(self, seeds, epochs, diverged, message):
+        runs = runner.RunBlock(epochs, [True, True], [0.0, 0.0], diverged)
+        assert sample_problem(partial(RunSample, seeds, runs, 10)) == message
