@@ -192,7 +192,10 @@ class RunSample:
         if not (isinstance(epochs, np.ndarray) and epochs.dtype.kind in "iu"):
             epochs = np.array(epochs, dtype=object)  # each element's type is judged
         converged, diverged = _frozen(runs.converged, bool), _frozen(runs.diverged, bool)
-        final_error = _frozen(runs.final_error, float)
+        try:
+            final_error = _frozen(runs.final_error, float)
+        except OverflowError:  # an int past float range, which no log line holds
+            raise ValueError("final_error holds an integer beyond float range") from None
         for name, column in zip(RunBlock._fields, (epochs, converged, final_error, diverged)):
             if column.shape != (len(seeds),):
                 shape = f"shape {column.shape} for {len(seeds)} seeds"
@@ -368,8 +371,11 @@ def summary_stats(sample: RunSample) -> SummaryStats:
     return SummaryStats(mean, stddev, stddev / mean, n, sample.n_censored)
 
 
-# Record-line pieces as `json.dumps` spells them: booleans, the optional
-# diverged flag, and the non-finite errors that `float.__repr__` spells otherwise.
+# Record-line pieces as `json.dumps` spells them: each key with the comma
+# before it, booleans, the end with or without the diverged flag, and the
+# non-finite errors that `float.__repr__` spells otherwise. `_record_lines`
+# writes them and `_canonical_columns` finds them at their offsets.
+_RECORD_KEYS = ('{"seed":', ',"epochs":', ',"converged":', ',"final_error":')
 _JSON_BOOL = ("false", "true")
 _RECORD_END = ("}", ',"diverged":true}')
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -378,6 +384,7 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _record_lines(sample: RunSample) -> list[str]:
     """Each run's log line, as `json.dumps` with compact separators spells
     its record, the error in `float.__repr__` form or as `NaN`/`[-]Infinity`."""
+    seed_key, epochs_key, converged_key, error_key = _RECORD_KEYS
     rows = zip(
         sample.seeds,
         sample.epochs.tolist(),
@@ -386,8 +393,8 @@ def _record_lines(sample: RunSample) -> list[str]:
         sample.diverged.tolist(),
     )
     return [
-        f'{{"seed":{seed},"epochs":{epochs},"converged":{_JSON_BOOL[converged]},'
-        f'"final_error":{_JSON_NON_FINITE.get(error, error)}{_RECORD_END[diverged]}'
+        f"{seed_key}{seed}{epochs_key}{epochs}{converged_key}{_JSON_BOOL[converged]}"
+        f"{error_key}{_JSON_NON_FINITE.get(error, error)}{_RECORD_END[diverged]}"
         for seed, epochs, converged, error, diverged in rows
     ]
 
@@ -446,33 +453,6 @@ def _parse_record(obj: dict, lineno: int, cap: int) -> tuple:
     return seed, epochs, conv, err, diverged
 
 
-def _one_pass_columns(lines: list[str]) -> tuple[list, RunBlock]:
-    """The seeds and runs from one `json.loads` over the lines joined into
-    an array, when each row must be one line's record with its flags and
-    error in types `_parse_record` takes as they are. Otherwise it raises
-    a ValueError, json's RecursionError, or a row's KeyError or TypeError.
-
-    Every line opens with the only "{" in it, so n rows are the n lines.
-    `RunSample` judges the rest, the seeds and the epochs' types included.
-    """
-    n = len(lines)
-    array = "[" + ",\n".join(lines) + "]"
-    if not array.startswith("[{") or array.count(",\n{") != n - 1 or array.count("{") != n:
-        raise ValueError("a record line is not one object holding the line's only '{'")
-    rows = json.loads(array)
-    seeds, epochs, converged, final_error = (
-        [row[key] for row in rows] for key in ("seed", "epochs", "converged", "final_error")
-    )
-    diverged = [row.get("diverged", False) for row in rows]
-    if (
-        len(rows) != n
-        or {*map(type, converged), *map(type, diverged)} != {bool}
-        or set(map(type, final_error)) != {float}
-    ):
-        raise ValueError("a row is not one line's record in the types the line reader keeps")
-    return seeds, RunBlock(epochs, converged, final_error, diverged)
-
-
 def _strict_columns(lines: list[str], cap: int) -> tuple[tuple, RunBlock]:
     """The seeds and runs, decoding each line with `json` and checking it."""
     parsed = []
@@ -497,22 +477,115 @@ def _strict_columns(lines: list[str], cap: int) -> tuple[tuple, RunBlock]:
     return seeds, RunBlock(epochs, converged, final_error, diverged)
 
 
-def load_runs(path) -> RunSample:
-    """Read a run log written by `save_runs` (lossless round trip).
+_DIGITS = 20  # the decimal digits of 2**64 - 1, the largest seed a uint64 holds
+_ERROR_WIDTH = 24  # the longest `float.__repr__`, as of -2.2250738585072014e-308
+_windows = np.lib.stride_tricks.sliding_window_view
 
-    The log is split into lines once. The record lines are decoded as one
-    JSON array into columns (`_one_pass_columns`), which `RunSample` judges
-    once. A log that either step refuses goes line by line through `json`,
-    the one fallback, so it is accepted or rejected, with the same message
-    and line, exactly as that decoder and `_parse_record` decide. JSON
-    nested past the recursion limit is refused on its line too.
+
+def _spelled(body: np.ndarray, at: np.ndarray, literal: str) -> bool:
+    """Whether `literal` is spelled at each offset `at` of `body`."""
+    rows = _windows(body, len(literal))[at]
+    return bool((rows == np.frombuffer(literal.encode(), np.uint8)).all())
+
+
+def _decimals(body: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The uint64 value of each body[start:end], a decimal with no leading
+    zero, or a ValueError for any other spelling or a value past 2**64 - 1."""
+    width = end - start
+    if not ((width >= 1) & (width <= _DIGITS)).all():
+        raise ValueError("a seed or epochs has no digit or too many")
+    span = int(width.max())
+    digits = _windows(body, span)[end - span] - ord("0")  # right-aligned; bytes below "0" wrap
+    before = np.arange(span) < span - width[:, None]
+    if not (((digits <= 9) | before).all() and ((body[start] != ord("0")) | (width == 1)).all()):
+        raise ValueError("a seed or epochs is not a plain decimal")
+    digits *= ~before
+    values = np.zeros(len(start), np.uint64)
+    for k, column in enumerate(digits.T):
+        if k == _DIGITS - 1:  # the one digit that can carry past 2**64 - 1
+            top, last = divmod(_MASK64, 10)
+            if ((values > top) | ((values == top) & (column > last))).any():
+                raise ValueError("a seed or epochs is past 2**64 - 1")
+        values *= 10
+        values += column
+    return values
+
+
+def _floats(body: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The float64 value of each body[start:end], spelled as `_record_lines`
+    spells it, or a ValueError for any other spelling."""
+    width = end - start
+    if not ((width >= 1) & (width <= _ERROR_WIDTH)).all():
+        raise ValueError("an error is empty or longer than any float's")
+    rows = _windows(body, _ERROR_WIDTH)[start]
+    rows *= np.arange(_ERROR_WIDTH) < width[:, None]
+    spelled = rows.view(f"S{_ERROR_WIDTH}").ravel()
+    values = spelled.astype(np.float64)
+    # One spelling per distinct value, told apart by its bits: -0.0 is not 0.0.
+    bits = values.view(np.uint64)
+    distinct = np.sort(np.fromiter(set(bits.tolist()), np.uint64))
+    reprs = map(float.__repr__, distinct.view(np.float64).tolist())
+    reprs = [_JSON_NON_FINITE.get(r, r) for r in reprs]
+    index = np.searchsorted(distinct, bits)
+    canonical = np.array(reprs, dtype=spelled.dtype)[index]
+    lengths = np.array(list(map(len, reprs)))[index]  # an S view drops trailing NUL bytes
+    if not ((canonical == spelled) & (lengths == width)).all():
+        raise ValueError("an error is not spelled as float.__repr__ spells it")
+    return values
+
+
+def _canonical_columns(body: np.ndarray) -> tuple[list, RunBlock]:
+    """The seeds and runs of record lines spelled byte for byte as
+    `_record_lines` spells them, each ended by "\\n", or a ValueError.
+
+    `body` holds `_ERROR_WIDTH` NUL bytes, the lines, then as many NUL bytes
+    again. No record holds a NUL, and every window read from an offset in
+    the lines fits. Keys and ends are matched first, so each field lies
+    inside its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise InsufficientDataError(f"run log {path} is empty")
+    ends = np.flatnonzero(body == ord("\n"))
+    if ends.size == 0 or ends[-1] != body.size - _ERROR_WIDTH - 1:
+        raise ValueError("no record line, or the last one has no end")
+    starts = np.concatenate(([_ERROR_WIDTH], ends[:-1] + 1))
+    commas = np.flatnonzero(body == ord(","))
+    past = np.searchsorted(commas, ends)  # the commas before each line's end
+    first = np.concatenate(([0], past[:-1]))
+    n_commas = past - first
+    if not ((n_commas == 3) | (n_commas == 4)).all():
+        raise ValueError("a record line has neither 3 nor 4 commas")
+    diverged = n_commas == 4
+    # Each key starts at its line's start or at one of the line's first three commas.
+    keys = [starts, *(commas[first + i] for i in range(3))]
+    error_end = ends - np.where(diverged, len(_RECORD_END[True]), len(_RECORD_END[False]))
+    if not (
+        all(map(partial(_spelled, body), keys, _RECORD_KEYS))
+        and _spelled(body, error_end[diverged], _RECORD_END[True])
+        and _spelled(body, error_end[~diverged], _RECORD_END[False])
+    ):
+        raise ValueError("a record line's keys or end are spelled otherwise")
+    fields = [at + len(key) for at, key in zip(keys, _RECORD_KEYS)]
+    flag_width = keys[3] - fields[2]
+    converged = flag_width == len(_JSON_BOOL[True])
+    if not (
+        (converged | (flag_width == len(_JSON_BOOL[False]))).all()
+        and _spelled(body, fields[2][converged], _JSON_BOOL[True])
+        and _spelled(body, fields[2][~converged], _JSON_BOOL[False])
+    ):
+        raise ValueError("a converged flag is neither true nor false")
+    seeds = _decimals(body, fields[0], keys[1])
+    runs = RunBlock(
+        _decimals(body, fields[1], keys[2]),
+        converged,
+        _floats(body, fields[3], error_end),
+        diverged,
+    )
+    return seeds.tolist(), runs
+
+
+def _header(line: str) -> tuple[int, str]:
+    """The cap and metadata of a log's first line."""
     try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also int's digit limit
         raise RunLogFormatError(f"line 1: invalid header: {exc}") from exc
     if not isinstance(header, dict) or "cap" not in header:
@@ -523,14 +596,43 @@ def load_runs(path) -> RunSample:
     metadata = header.get("metadata", "")
     if not isinstance(metadata, str):
         raise RunLogFormatError("line 1: 'metadata' must be a string")
-    body = lines[1:]
-    try:
-        return RunSample(*_one_pass_columns(body), cap, metadata)
-    # Invalid JSON, nesting past the recursion limit, a row that is no
-    # record, or runs the sample refuses: the strict reader names the line.
-    except (ValueError, RecursionError, KeyError, TypeError):
-        pass
-    seeds, runs = _strict_columns(body, cap)
+    return cap, metadata
+
+
+def load_runs(path) -> RunSample:
+    """Read a run log written by `save_runs` (lossless round trip).
+
+    The file is read once, as bytes. When its header is one line of
+    printable ASCII and its record lines are byte for byte what
+    `save_runs` writes, as every log it writes is, numpy takes the columns
+    straight from the bytes (`_canonical_columns`) and `RunSample` judges
+    them once. Any other log (other key orders, spaces, `\\r\\n` ends), or
+    one whose runs the sample refuses, is decoded as UTF-8 and read line by
+    line through `json`, the one fallback, so it is accepted or rejected,
+    with the same message and line, exactly as that decoder and
+    `_parse_record` decide. JSON nested past the recursion limit is
+    refused on its line too.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head_end = data.find(b"\n")
+    head = data[: max(head_end, 0)]
+    # A header of printable ASCII is the whole first line `splitlines` cuts.
+    if head_end >= 0 and head.isascii() and head.decode().isprintable():
+        try:
+            cap, metadata = _header(head.decode())
+            pad = bytes(_ERROR_WIDTH)
+            body = np.frombuffer(b"".join((pad, memoryview(data)[head_end + 1 :], pad)), np.uint8)
+            return RunSample(*_canonical_columns(body), cap, metadata)
+        # A header or line spelled otherwise, or runs the sample refuses: the
+        # strict path names the line.
+        except ValueError:
+            pass
+    lines = data.decode("utf-8").splitlines()
+    if not lines:
+        raise InsufficientDataError(f"run log {path} is empty")
+    cap, metadata = _header(lines[0])
+    seeds, runs = _strict_columns(lines[1:], cap)
     if not seeds:
         raise InsufficientDataError(f"run log {path} has no records")
     return RunSample(seeds, runs, cap, metadata)

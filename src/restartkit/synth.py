@@ -138,8 +138,7 @@ class DiscretePareto(SyntheticLaw):
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.x_min < 1:
-            raise ValueError(f"x_min must be >= 1, got {self.x_min}")
+        check_positive("x_min", self.x_min)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):  # u == 1 gives inf

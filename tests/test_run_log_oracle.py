@@ -4,7 +4,9 @@ the same error on the same line."""
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,6 +100,21 @@ def outcome(load):
         if isinstance(exc, InsufficientDataError):
             return "InsufficientDataError"
         return f"RunLogFormatError: {exc}"
+
+
+@contextmanager
+def strict_reads():
+    """Count the logs `load_runs` reads line by line: yields the list that
+    `runner._strict_columns`, still called through, appends each call to."""
+    calls = []
+    strict_columns = runner._strict_columns
+
+    def counted(lines, cap):
+        calls.append(len(lines))
+        return strict_columns(lines, cap)
+
+    with mock.patch.object(runner, "_strict_columns", counted):
+        yield calls
 
 
 def check_same(tmp_path, lines: list[str]) -> None:
@@ -326,6 +343,20 @@ def mixed_lines(draw):
     return "".join(line + end for line, end in zip(lines, endings))
 
 
+@st.composite
+def byte_path_records(draw):
+    """A run as `collect_runs` may record it: any seed a uint64 holds, any
+    epochs up to 2**63 - 1, any error, diverged now and then."""
+    converged = draw(st.booleans())
+    return RunRecord(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        epochs=draw(st.integers(1, 2**63 - 1)),
+        converged=converged,
+        final_error=draw(finals),
+        diverged=not converged and draw(st.booleans()),
+    )
+
+
 class TestCanonicalReader:
     @settings(max_examples=300)
     @given(body=mixed_lines())
@@ -352,7 +383,7 @@ class TestCanonicalReader:
             lambda: reference_load_body(lines, CAP)
         )
 
-    def test_save_runs_output_takes_the_canonical_path(self, tmp_path, monkeypatch):
+    def test_save_runs_output_takes_the_canonical_path(self, tmp_path):
         # `analyze-stub`'s law and cap: a log with censored runs.
         pareto = SyntheticProcess(parse_law("discrete-pareto:0.5:50"), cap_epochs=5000)
         logs = [
@@ -369,17 +400,42 @@ class TestCanonicalReader:
             collect_runs(pareto, n_runs=2000, base_seed=11),
         ]
         assert logs[1].n_censored > 0
-
-        def no_strict(lines, cap):
-            raise AssertionError("a save_runs log was read line by line")
-
-        monkeypatch.setattr(runner, "_strict_columns", no_strict)
         for i, sample in enumerate(logs):
             path = tmp_path / f"runs{i}.jsonl"
             save_runs(sample, path)
-            assert [record_key(r) for r in load_runs(path).records] == [
+            with strict_reads() as calls:
+                loaded = load_runs(path)
+            assert calls == []
+            assert [record_key(r) for r in loaded.records] == [
                 record_key(r) for r in sample.records
             ]
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 2**63 - 1) | st.just(2**63 - 1),
+        st.lists(st.tuples(byte_path_records(), st.integers(0, 19)), min_size=1, max_size=30),
+        st.text(max_size=10),
+    )
+    @example(2**63 - 1, [(RunRecord(2**64 - 1, 2**63 - 1, False, math.nan, True), 0)], "")
+    @example(5, [(RunRecord(0, 5, False, -0.0), 1), (RunRecord(2**64, 1, True, 5e-324), 0)], "")
+    def test_save_runs_logs_take_the_byte_path(self, tmp_path_factory, cap, rows, metadata):
+        # Each record's epochs are scaled into [1, cap], to the cap if it is
+        # censored; now and then (draw 0) its seed moves past 2**64 - 1,
+        # which only the line reader reads.
+        records, seeds = [], set()
+        for record, draw in rows:
+            seed = record.seed + 2**64 if draw == 0 else record.seed
+            epochs = cap if not (record.converged or record.diverged) else record.epochs % cap + 1
+            if seed not in seeds:
+                seeds.add(seed)
+                records.append(replace(record, seed=seed, epochs=epochs))
+        sample = sample_of(records, cap=cap, metadata=metadata)
+        path = tmp_path_factory.mktemp("b") / "runs.jsonl"
+        save_runs(sample, path)
+        with strict_reads() as calls:
+            loaded = load_runs(path)
+        assert loaded == sample
+        assert bool(calls) == any(r.seed > 2**64 - 1 for r in records)
 
     # Canonical lines but for epochs that only their type, or a range past
     # int64, puts out of bounds. The one-pass columns take them, so it is
@@ -465,6 +521,57 @@ def inside_line(char: str, where: str):
     return lambda text: text.replace('"epochs":5,', f'"epochs":5,{char}', 1)
 
 
+EDITED_RECORDS = [
+    RunRecord(seed=2**64 - 1, epochs=3, converged=True, final_error=0.1),
+    RunRecord(seed=0, epochs=2**63 - 1, converged=False, final_error=-0.0),
+    RunRecord(seed=9, epochs=2, converged=False, final_error=math.nan, diverged=True),
+    RunRecord(seed=4, epochs=1, converged=True, final_error=5e-324),
+]
+
+
+def edit(old: str, new: str):
+    """Replace the first `old` in a log with `new`."""
+    return lambda text: text.replace(old, new, 1)
+
+
+def any_outcome(load):
+    """`log_outcome`, or the error of a file that is no UTF-8."""
+    try:
+        return log_outcome(load)
+    except UnicodeDecodeError as exc:
+        return f"UnicodeDecodeError: {exc}"
+
+
+# One edit each to a `save_runs` log, none of which the byte path may take.
+ONE_EDITS = {
+    "leading-zero-seed": edit('"seed":9,', '"seed":09,'),
+    "leading-zero-epochs": edit('"epochs":3,', '"epochs":03,'),
+    "plus-epochs": edit('"epochs":3,', '"epochs":+3,'),
+    "plus-error": edit('"final_error":0.1', '"final_error":+0.1'),
+    "bare-fraction": edit('"final_error":0.1', '"final_error":.5'),
+    "trailing-zero": edit('"final_error":0.1', '"final_error":0.10'),
+    "upper-exponent": edit('"final_error":5e-324', '"final_error":1E-05'),
+    "integer-error": edit('"final_error":0.1', '"final_error":7'),
+    "error-past-float": edit('"final_error":0.1', '"final_error":1e400'),
+    "lower-nan": edit('"final_error":NaN', '"final_error":nan'),
+    "nul-after-error": edit('"final_error":0.1', '"final_error":0.1\x00'),
+    "space": edit('"epochs":3,', '"epochs": 3,'),
+    "swapped-keys": edit(f'{{"seed":{2**64 - 1},"epochs":3,', f'{{"epochs":3,"seed":{2**64 - 1},'),
+    "duplicate-key": edit('"epochs":3,', '"epochs":3,"epochs":3,'),
+    "extra-key": edit('"final_error":0.1}', '"final_error":0.1,"note":1}'),
+    "diverged-false": edit('"diverged":true', '"diverged":false'),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr-in-header": edit(',"metadata":', ',\r"metadata":'),
+    "no-final-newline": lambda text: text[:-1],
+    "blank-line": edit("}\n", "}\n\n"),
+    "seed-2**64": edit(f'"seed":{2**64 - 1}', f'"seed":{2**64}'),
+    "epochs-2**63": edit(f'"epochs":{2**63 - 1}', f'"epochs":{2**63}'),
+    "converged-1": edit('"converged":true', '"converged":1'),
+    "non-ascii": edit('"final_error":0.1', '"final_error":0.1\u00e9'),
+    "no-utf-8": lambda text: text.replace("0.1", "0.1\udcff", 1),
+}
+
+
 class TestRespelledLogs:
     """A `save_runs` log re-spelled so that the one-pass reader may not take
     it: the reader gives the sample or the error (message and line) that the
@@ -502,3 +609,17 @@ class TestRespelledLogs:
         assert (got == plain) == loads
         if not loads:
             assert got.startswith("RunLogFormatError: line ")
+
+    @pytest.mark.parametrize("name", ONE_EDITS)
+    def test_one_edit_as_whole_json_reader(self, tmp_path, name):
+        # The error or sample, message and line included, that the whole
+        # `json.loads` reader gives, read line by line.
+        path = tmp_path / "runs.jsonl"
+        save_runs(sample_of(EDITED_RECORDS, cap=2**63 - 1, metadata=METADATA), path)
+        text = ONE_EDITS[name](path.read_text(encoding="utf-8"))
+        assert text != path.read_text(encoding="utf-8")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with strict_reads() as calls:
+            got = any_outcome(lambda: loaded_parts(path))
+        assert got == any_outcome(lambda: reference_load(path))
+        assert calls or isinstance(got, str)  # a log that loads was read line by line

@@ -930,3 +930,10 @@ class TestSampleRoundTrip:
     def test_refuses_columns_its_log_cannot_hold(self, seeds, epochs, diverged, message):
         runs = runner.RunBlock(epochs, [True, True], [0.0, 0.0], diverged)
         assert sample_problem(partial(RunSample, seeds, runs, 10)) == message
+
+    def test_refuses_an_error_beyond_float_range(self):
+        # The line reader refuses the same record: "'final_error' is an
+        # integer beyond float range".
+        runs = runner.RunBlock([3], [True], [10**400], [False])
+        message = "final_error holds an integer beyond float range"
+        assert sample_problem(partial(RunSample, [1], runs, 10)) == message

@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from restartkit import (
     Constant,
@@ -21,6 +23,10 @@ from restartkit import (
 )
 from restartkit.cli import main
 from restartkit.runner import mix64
+
+
+NUMBER_PARAMS = st.integers(-1, 12) | st.integers() | st.sampled_from([1.0, 2.5, True, False])
+FLOAT_PARAMS = st.floats(0, 3) | st.floats()
 
 
 def seeds(n, offset=0):
@@ -333,6 +339,31 @@ class TestParseLaw:
     )
     def test_round_trip(self, spec):
         assert parse_law(spec).describe() == spec
+
+    # Each law's constructor and its parameters: an int parameter may come as
+    # any number, a bool among them, and a float parameter as any float.
+    @given(
+        st.sampled_from(
+            [(Constant, "i"), (TwoPoint, "fii"), (Geometric, "f"), (DiscretePareto, "fi")]
+        ).flatmap(
+            lambda law: st.tuples(
+                st.just(law[0]),
+                st.tuples(*(FLOAT_PARAMS if kind == "f" else NUMBER_PARAMS for kind in law[1])),
+            )
+        )
+    )
+    @example((DiscretePareto, (1.5, 2.5)))
+    @example((DiscretePareto, (1.5, True)))
+    @example((DiscretePareto, (1.5, 1.0)))
+    def test_describe_parses_back(self, law_and_params):
+        # `describe` labels run-log metadata, so every law that builds must
+        # read back from its label as the same law.
+        law, params = law_and_params
+        try:
+            built = law(*params)
+        except ValueError:
+            return
+        assert parse_law(built.describe()) == built
 
     def test_pareto_default_xmin(self):
         law = parse_law("discrete-pareto:1.5")
