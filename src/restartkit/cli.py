@@ -18,7 +18,8 @@ import os
 import sys
 
 # Each command imports the modules it runs, so `tail` and `optimize` never
-# load the MLP, and `--help` and argparse errors load no numpy.
+# load the MLP, and `--help` and argparse errors load no numpy. The one
+# exception is an error after `--gammas`, whose type builds Walsh schedules.
 from . import MAX_CAP
 from .errors import AllTrialsFailedError, InsufficientDataError
 
@@ -47,17 +48,19 @@ _positive_float = _checked(float, lambda v: v > 0.0, "> 0", "a number")
 _fraction = _checked(float, lambda v: 0.0 < v < 1.0, "in (0,1)", "a number")
 
 
-def _gamma_list(text: str) -> list[float]:
+def _walsh_schedules(text: str) -> list[strategies.RestartSchedule]:
+    from . import strategies
+
     try:
         gammas = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad gamma list: {text!r}") from None
     if not gammas:
         raise argparse.ArgumentTypeError("gamma list is empty")
-    for g in gammas:
-        if not 1.0 < g < math.inf:
-            raise argparse.ArgumentTypeError(f"gamma must be > 1 and finite, got {g}")
-    return gammas
+    try:
+        return [strategies.WalshSchedule(gamma=g) for g in gammas]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _STUB_CAP = 1_000_000
@@ -204,6 +207,11 @@ def _summary_or_none(sample: runner.RunSample) -> runner.SummaryStats | None:
         return None
 
 
+def _reduction(baseline: runner.SummaryStats | None, expected: float) -> str:
+    """How far `expected` epochs cut the no-restart mean, or "-" without one."""
+    return "-" if baseline is None else f"{100.0 * (baseline.mean - expected) / baseline.mean:.1f}%"
+
+
 def cmd_tail(args: argparse.Namespace) -> int:
     from . import runner, tailstats
 
@@ -256,13 +264,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     ecdf = tailstats.empirical_cdf(sample)
     stats = _summary_or_none(sample)
     t_star, expected = strategies.optimal_cutoff(ecdf)
-    baseline = (
-        "n/a\t-"
-        if stats is None
-        else f"{stats.mean:.3f}\t{100.0 * (stats.mean - expected) / stats.mean:.1f}%"
-    )
+    mean = "n/a" if stats is None else f"{stats.mean:.3f}"
     print("t_star\texpected_epochs\tno_restart_mean\treduction")
-    print(f"{t_star}\t{expected:.3f}\t{baseline}")
+    print(f"{t_star}\t{expected:.3f}\t{mean}\t{_reduction(stats, expected)}")
     if args.curve_out:
         lines = [f"{t}\t{e:.6f}" for t, e in strategies.expected_time_curve(ecdf)]
         _write_table(args.curve_out, "t\texpected_epochs", lines)
@@ -272,9 +276,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def _sweep_schedules(args: argparse.Namespace) -> list[strategies.RestartSchedule]:
     from . import strategies
 
-    scheds: list[strategies.RestartSchedule] = [
-        strategies.WalshSchedule(gamma=g) for g in args.gammas
-    ]
+    scheds = args.gammas or [strategies.WalshSchedule(gamma=g) for g in range(2, 11)]
     if args.luby_unit is not None:
         scheds.append(strategies.LubySchedule(unit=args.luby_unit))
     if args.fixed is not None:
@@ -308,7 +310,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(
             f"none\t{baseline.mean:.3f}\t"
             f"{baseline.stddev / math.sqrt(baseline.n_converged):.3f}\t"
-            f"{failure_rate}\t0.0%"
+            f"{failure_rate}\t{_reduction(baseline, baseline.mean)}"
         )
     for sched, outcomes in zip(schedules, trials):
         try:
@@ -317,14 +319,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"{sched.describe()}\tall-failed\t-\t1.0000\t-")
             continue
         stderr = "n/a" if math.isnan(res.stderr) else f"{res.stderr:.3f}"
-        reduction = (
-            "-"
-            if baseline is None
-            else f"{100.0 * (baseline.mean - res.mean_epochs) / baseline.mean:.1f}%"
-        )
         print(
             f"{sched.describe()}\t{res.mean_epochs:.3f}\t{stderr}"
-            f"\t{res.failure_rate:.4f}\t{reduction}"
+            f"\t{res.failure_rate:.4f}\t{_reduction(baseline, res.mean_epochs)}"
         )
     return 0
 
@@ -380,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process_flags(p)
     p.add_argument(
         "--gammas",
-        type=_gamma_list,
-        default=[float(g) for g in range(2, 11)],
+        type=_walsh_schedules,
         help="comma-separated Walsh gammas (default 2..10)",
     )
     p.add_argument("--luby-unit", type=_positive_int, default=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, partial
 from itertools import accumulate
 from operator import mul
@@ -151,6 +151,56 @@ def format_float(x: float) -> str:
     """`x` for a label or a header: `:g` where it reads back as `x`, else `repr`."""
     short = f"{x:g}"
     return short if float(short) == x else repr(x)
+
+
+class Labelled:
+    """A frozen dataclass that travels as its `label`, then its fields in order.
+
+    A subclass names its `label` and checks its fields in `_check`. Float
+    fields are judged first, here: a bool is refused and an int is stored
+    as its float, so every object that builds describes a label that
+    `parse_label` reads back as an equal object.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, "float"):
+                if type(value) is bool or not isinstance(value, (int, float)):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise ValueError(f"{f.name} is an integer beyond float range") from None
+        self._check()
+
+    def describe(self) -> str:
+        """`label:field:...`: an int field as `str`, a float one as `format_float`."""
+        values = (getattr(self, f.name) for f in fields(self))
+        texts = (format_float(v) if type(v) is float else str(v) for v in values)
+        return ":".join([self.label, *texts])
+
+
+def parse_label(spec: str, kinds: tuple[type[Labelled], ...], what: str) -> Labelled:
+    """The object of one of the `Labelled` `kinds` that `spec` labels. Each
+    parameter is converted by its field's type; trailing fields with
+    defaults may be left out. A bad spec raises `bad <what> spec ...`."""
+    name, *texts = spec.split(":")
+    grammar = []
+    for kind in kinds:
+        params = fields(kind)
+        required = sum(f.default is MISSING for f in params)
+        if name == kind.label and required <= len(texts) <= len(params):
+            convert = [float if f.type in (float, "float") else int for f in params]
+            try:
+                return kind(*(to(text) for to, text in zip(convert, texts)))
+            except ValueError as exc:
+                raise ValueError(f"bad {what} spec '{spec}': {exc}") from exc
+        grammar.append(kind.label + "".join(
+            f":{f.name}" if f.default is MISSING else f"[:{f.name}]" for f in params
+        ))
+    expected = f"{', '.join(grammar[:-1])}, or {grammar[-1]}"
+    raise ValueError(f"bad {what} spec '{spec}': expected {expected}")
 
 
 def check_positive(name: str, value: int) -> None:

@@ -30,15 +30,15 @@ import numpy as np
 
 from .errors import AllTrialsFailedError
 from .runner import (
-    MAX_CAP, LasVegasProcess, check_positive, derive_seed, format_float, mean_and_stddev,
-    parallel_map, worker_count,
+    MAX_CAP, LasVegasProcess, Labelled, check_positive, derive_seed, mean_and_stddev,
+    parallel_map, parse_label, worker_count,
 )
 
 if TYPE_CHECKING:
     from .tailstats import Ecdf
 
 
-class RestartSchedule:
+class RestartSchedule(Labelled):
     """A restart schedule: the cutoffs t_1, t_2, ... of its attempts."""
 
     def cutoffs(self) -> Iterator[int]:
@@ -50,33 +50,29 @@ class RestartSchedule:
         check_positive("attempt index", attempt)
         return next(itertools.islice(self.cutoffs(), attempt - 1, None))
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FixedSchedule(RestartSchedule):
     """t_i = t for every attempt."""
 
+    label = "fixed"
     t: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_positive("fixed cutoff", self.t)
 
     def cutoffs(self) -> Iterator[int]:
         return itertools.repeat(self.t)
-
-    def describe(self) -> str:
-        return f"fixed:{self.t}"
 
 
 @dataclass(frozen=True)
 class WalshSchedule(RestartSchedule):
     """Geometric cutoffs t_i = ceil(gamma^(i-1)), 1 < gamma < inf, exact at any size."""
 
+    label = "walsh"
     gamma: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 1.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be > 1 and finite, got {self.gamma}")
 
@@ -90,24 +86,19 @@ class WalshSchedule(RestartSchedule):
             power_num *= num
             power_den *= den
 
-    def describe(self) -> str:
-        return f"walsh:{format_float(self.gamma)}"
-
 
 @dataclass(frozen=True)
 class LubySchedule(RestartSchedule):
     """t_i = unit * L_i where L is the universal sequence 1,1,2,1,1,2,4,..."""
 
+    label = "luby"
     unit: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_positive("luby unit", self.unit)
 
     def cutoffs(self) -> Iterator[int]:
         return (self.unit * luby_term(i) for i in itertools.count(1))
-
-    def describe(self) -> str:
-        return f"luby:{self.unit}"
 
 
 def luby_term(i: int) -> int:
@@ -126,19 +117,7 @@ def luby_term(i: int) -> int:
 
 def parse_schedule(spec: str) -> RestartSchedule:
     """Parse `fixed:t`, `walsh:gamma`, or `luby:unit`."""
-    parts = spec.split(":")
-    try:
-        if parts[0] == "fixed" and len(parts) == 2:
-            return FixedSchedule(t=int(parts[1]))
-        if parts[0] == "walsh" and len(parts) == 2:
-            return WalshSchedule(gamma=float(parts[1]))
-        if parts[0] == "luby" and len(parts) == 2:
-            return LubySchedule(unit=int(parts[1]))
-    except ValueError as exc:
-        raise ValueError(f"bad schedule spec '{spec}': {exc}") from exc
-    raise ValueError(
-        f"bad schedule spec '{spec}': expected fixed:t, walsh:gamma, or luby:unit"
-    )
+    return parse_label(spec, (FixedSchedule, WalshSchedule, LubySchedule), "schedule")
 
 
 def _numerators(ecdf: Ecdf) -> np.ndarray:

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runner import LasVegasProcess, RunBlock, check_cutoff, check_positive, mix64
+from .runner import (
+    LasVegasProcess, Labelled, RunBlock, check_cutoff, check_positive, mix64, parse_label,
+)
 from .tailstats import Ecdf
 
 
@@ -32,7 +34,7 @@ def _saturated(t: int) -> np.uint64:
     return np.uint64(min(t, 2**63))
 
 
-class SyntheticLaw:
+class SyntheticLaw(Labelled):
     """A distribution over positive-integer completion times."""
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
@@ -47,17 +49,15 @@ class SyntheticLaw:
         """Closed-form Pr(T <= t)."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Constant(SyntheticLaw):
     """T = c with probability 1."""
 
+    label = "constant"
     c: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_positive("constant time", self.c)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
@@ -66,19 +66,17 @@ class Constant(SyntheticLaw):
     def cdf(self, t: int) -> float:
         return 1.0 if t >= self.c else 0.0
 
-    def describe(self) -> str:
-        return f"constant:{self.c}"
-
 
 @dataclass(frozen=True)
 class TwoPoint(SyntheticLaw):
     """T = a with probability p, else b (a < b)."""
 
+    label = "two-point"
     p: float
     a: int
     b: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0,1), got {self.p}")
         if type(self.a) is not int or type(self.b) is not int:
@@ -96,17 +94,15 @@ class TwoPoint(SyntheticLaw):
             return self.p
         return 1.0
 
-    def describe(self) -> str:
-        return f"two-point:{self.p}:{self.a}:{self.b}"
-
 
 @dataclass(frozen=True)
 class Geometric(SyntheticLaw):
     """Memoryless law on {1, 2, ...}: Pr(T <= t) = 1 - (1-p)^t."""
 
+    label = "geometric"
     p: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0,1), got {self.p}")
 
@@ -120,9 +116,6 @@ class Geometric(SyntheticLaw):
             return 0.0
         return float(-np.expm1(t * np.log1p(-self.p)))
 
-    def describe(self) -> str:
-        return f"geometric:{self.p}"
-
 
 @dataclass(frozen=True)
 class DiscretePareto(SyntheticLaw):
@@ -132,10 +125,11 @@ class DiscretePareto(SyntheticLaw):
     Pr(T <= t) = 1 - (x_min / t)^alpha at integer t >= x_min.
     """
 
+    label = "discrete-pareto"
     alpha: float
     x_min: int = 1
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         check_positive("x_min", self.x_min)
@@ -149,9 +143,6 @@ class DiscretePareto(SyntheticLaw):
         if t < self.x_min:
             return 0.0
         return 1.0 - (self.x_min / t) ** self.alpha
-
-    def describe(self) -> str:
-        return f"discrete-pareto:{self.alpha}:{self.x_min}"
 
 
 def exact_ecdf(law: SyntheticLaw, cap: int) -> Ecdf:
@@ -216,26 +207,6 @@ class SyntheticProcess(LasVegasProcess):
 
 
 def parse_law(spec: str) -> SyntheticLaw:
-    """Parse the CLI stub grammar `name:param:param...` into a law.
-
-    Grammar: `constant:c`, `two-point:p:a:b`, `geometric:p`,
-    `discrete-pareto:alpha[:x_min]`.
-    """
-    parts = spec.split(":")
-    name, args = parts[0], parts[1:]
-    try:
-        if name == "constant" and len(args) == 1:
-            return Constant(c=int(args[0]))
-        if name == "two-point" and len(args) == 3:
-            return TwoPoint(p=float(args[0]), a=int(args[1]), b=int(args[2]))
-        if name == "geometric" and len(args) == 1:
-            return Geometric(p=float(args[0]))
-        if name == "discrete-pareto" and len(args) in (1, 2):
-            x_min = int(args[1]) if len(args) == 2 else 1
-            return DiscretePareto(alpha=float(args[0]), x_min=x_min)
-    except ValueError as exc:
-        raise ValueError(f"bad stub spec '{spec}': {exc}") from exc
-    raise ValueError(
-        f"bad stub spec '{spec}': expected constant:c, two-point:p:a:b, "
-        f"geometric:p, or discrete-pareto:alpha[:x_min]"
-    )
+    """Parse the CLI stub grammar `constant:c`, `two-point:p:a:b`,
+    `geometric:p`, `discrete-pareto:alpha[:x_min]` into a law."""
+    return parse_label(spec, (Constant, TwoPoint, Geometric, DiscretePareto), "stub")

@@ -6,7 +6,6 @@ import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import astuple
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -714,13 +713,10 @@ class TestOneTabulation:
         argv = ["--stub", "discrete-pareto:1.5", "--stub-cap", "1000", "--runs", "400", "--seed", "3"]
         assert run_cli(capsys, "collect", *argv, "--out", str(log))[0] == 0
         calls = []
-        unique = np.unique
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return unique(*args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", counted)
+        table = runner.RunSample.table.func
+        monkeypatch.setattr(
+            runner.RunSample.table, "func", lambda sample: calls.append(sample) or table(sample)
+        )
         plots = [arg for i, flag in enumerate(plot_flags) for arg in (flag, str(tmp_path / f"{i}.tsv"))]
         code, out, _ = run_cli(capsys, command, "--runs-file", str(log), *plots)
         assert code == 0 and "n/a" not in out

@@ -169,22 +169,29 @@ class TestSchedules:
         assert parse_schedule(schedule.describe()) == schedule
 
     # Each schedule's constructor and its parameter: an int one may come as
-    # any number, a bool among them, and gamma as any float.
+    # any number, a bool among them, and gamma as any float, any int or a bool.
     @given(
         st.one_of(
             st.tuples(
                 st.sampled_from([FixedSchedule, LubySchedule]),
                 st.integers(-1, 12) | st.integers() | st.sampled_from([1.0, 2.5, True]),
             ),
-            st.tuples(st.just(WalshSchedule), st.floats(1, 3) | st.floats()),
+            st.tuples(
+                st.just(WalshSchedule),
+                st.floats(1, 3) | st.floats() | st.integers(-1, 12) | st.integers() | st.booleans(),
+            ),
         )
     )
+    @example((WalshSchedule, 2**53 + 1))
+    @example((WalshSchedule, 10**400))
+    @example((WalshSchedule, True))
     def test_describe_parses_back(self, schedule_and_param):
         schedule, param = schedule_and_param
         try:
             built = schedule(param)
         except ValueError:
             return
+        assert not (schedule is WalshSchedule and type(param) is bool)
         assert parse_schedule(built.describe()) == built
 
     def test_close_gammas_get_distinct_labels(self):

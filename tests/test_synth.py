@@ -26,7 +26,9 @@ from restartkit.runner import mix64
 
 
 NUMBER_PARAMS = st.integers(-1, 12) | st.integers() | st.sampled_from([1.0, 2.5, True, False])
-FLOAT_PARAMS = st.floats(0, 3) | st.floats()
+FLOAT_PARAMS = st.floats(0, 3) | st.floats() | st.integers(-1, 12) | st.integers() | st.booleans()
+# Each law's constructor and the kind of each parameter: "i" int, "f" float.
+LAW_PARAMS = {Constant: "i", TwoPoint: "fii", Geometric: "f", DiscretePareto: "fi"}
 
 
 def seeds(n, offset=0):
@@ -341,28 +343,33 @@ class TestParseLaw:
         assert parse_law(spec).describe() == spec
 
     # Each law's constructor and its parameters: an int parameter may come as
-    # any number, a bool among them, and a float parameter as any float.
+    # any number, a bool among them, and a float parameter as any float, any
+    # int or a bool.
     @given(
-        st.sampled_from(
-            [(Constant, "i"), (TwoPoint, "fii"), (Geometric, "f"), (DiscretePareto, "fi")]
-        ).flatmap(
+        st.sampled_from(list(LAW_PARAMS)).flatmap(
             lambda law: st.tuples(
-                st.just(law[0]),
-                st.tuples(*(FLOAT_PARAMS if kind == "f" else NUMBER_PARAMS for kind in law[1])),
+                st.just(law),
+                st.tuples(*(FLOAT_PARAMS if k == "f" else NUMBER_PARAMS for k in LAW_PARAMS[law])),
             )
         )
     )
     @example((DiscretePareto, (1.5, 2.5)))
     @example((DiscretePareto, (1.5, True)))
     @example((DiscretePareto, (1.5, 1.0)))
+    @example((DiscretePareto, (2**53 + 1,)))
+    @example((DiscretePareto, (True,)))
+    @example((DiscretePareto, (10**400,)))
+    @example((TwoPoint, (True, 1, 2)))
     def test_describe_parses_back(self, law_and_params):
         # `describe` labels run-log metadata, so every law that builds must
-        # read back from its label as the same law.
+        # read back from its label as the same law, and a float parameter
+        # given as a bool must not build.
         law, params = law_and_params
         try:
             built = law(*params)
         except ValueError:
             return
+        assert not any(type(p) is bool for p, kind in zip(params, LAW_PARAMS[law]) if kind == "f")
         assert parse_law(built.describe()) == built
 
     def test_pareto_default_xmin(self):
