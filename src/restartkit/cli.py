@@ -276,12 +276,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def _sweep_schedules(args: argparse.Namespace) -> list[strategies.RestartSchedule]:
     from . import strategies
 
-    scheds = args.gammas or [strategies.WalshSchedule(gamma=g) for g in range(2, 11)]
-    if args.luby_unit is not None:
-        scheds.append(strategies.LubySchedule(unit=args.luby_unit))
-    if args.fixed is not None:
-        scheds.append(strategies.FixedSchedule(t=args.fixed))
-    return scheds
+    walsh = args.gammas or [strategies.WalshSchedule(gamma=g) for g in range(2, 11)]
+    luby = [] if args.luby_unit is None else [strategies.LubySchedule(unit=args.luby_unit)]
+    fixed = [] if args.fixed is None else [strategies.FixedSchedule(t=args.fixed)]
+    return [*walsh, *luby, *fixed]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

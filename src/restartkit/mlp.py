@@ -47,7 +47,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InsufficientDataError
-from .runner import MAX_CAP, LasVegasProcess, RunBlock, check_cutoff, format_float
+from .runner import LasVegasProcess, RunBlock, check_cap, format_float
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ class MlpConfig:
             )
         if not 0.0 < self.target_error < math.inf:
             raise ValueError(f"target_error must be in (0,inf), got {self.target_error}")
-        if not 1 <= self.max_epochs <= MAX_CAP:
-            raise ValueError(f"max_epochs must be in [1, 2**63 - 1], got {self.max_epochs}")
+        check_cap("max_epochs", self.max_epochs)
 
 
 @dataclass(frozen=True)
@@ -400,5 +399,5 @@ class MlpProcess(LasVegasProcess):
 
     def attempt_many(self, seeds: list[int], cutoff: int) -> RunBlock:
         """One row per seed, trained in lockstep stacks (`_train_runs`)."""
-        check_cutoff(cutoff)
+        check_cap("cutoff", cutoff)
         return _train_runs(self.cfg, self.data, seeds, cutoff)

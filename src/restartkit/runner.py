@@ -211,11 +211,11 @@ def check_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def check_cutoff(cutoff: int) -> None:
-    """Reject a cutoff other than a Python int in [1, `MAX_CAP`], as `attempt_many` takes."""
-    check_positive("cutoff", cutoff)
-    if cutoff > MAX_CAP:
-        raise ValueError(f"cutoff must be <= 2**63 - 1, got {cutoff}")
+def check_cap(name: str, value: int) -> None:
+    """Reject a cap, cutoff or budget other than a Python int in [1, `MAX_CAP`]."""
+    check_positive(name, value)
+    if value > MAX_CAP:
+        raise ValueError(f"{name} must be <= 2**63 - 1, got {value}")
 
 
 class RunSample:
@@ -233,10 +233,7 @@ class RunSample:
     """
 
     def __init__(self, seeds, runs: RunBlock, cap: int, metadata: str = "") -> None:
-        if type(cap) is not int:
-            raise ValueError(f"cap must be an integer, got {cap!r}")
-        if not 1 <= cap <= MAX_CAP:
-            raise ValueError(f"cap must be in [1, 2**63 - 1], got {cap}")
+        check_cap("cap", cap)
         seeds = list(seeds)
         epochs = runs.epochs
         if not (isinstance(epochs, np.ndarray) and epochs.dtype.kind in "iu"):
@@ -365,8 +362,7 @@ def collect_tasks(process: LasVegasProcess, n_runs: int, base_seed: int, n_jobs:
     """`collect_runs` as the pool tasks it queues, one `attempt_many` call per
     contiguous block of ceil(n_runs / workers) seeds (one block when serial),
     and the function that joins their blocks, in order, into its sample."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    check_positive("n_runs", n_runs)
     cap = process.cap
     seeds = derive_seed(base_seed, np.arange(n_runs, dtype=np.uint64)).tolist()
     size = -(-n_runs // worker_count(n_jobs, n_runs))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import AllTrialsFailedError
 from .runner import (
-    MAX_CAP, LasVegasProcess, Labelled, check_positive, derive_seed, mean_and_stddev,
+    LasVegasProcess, Labelled, check_cap, check_positive, derive_seed, mean_and_stddev,
     parallel_map, parse_label, worker_count,
 )
 
@@ -189,8 +189,7 @@ def run_schedules(
     spent min(epochs, t_i). So every attempt seed runs once, however many
     schedules try it, and each outcome equals its schedule run alone.
     """
-    if not 1 <= budget <= MAX_CAP:
-        raise ValueError(f"budget must be in [1, 2**63 - 1], got {budget}")
+    check_cap("budget", budget)
     walks = [schedule.cutoffs() for schedule in schedules]
     traces: list[list[tuple[int, int]]] = [[] for _ in schedules]
     spent = [0] * len(schedules)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .runner import (
-    LasVegasProcess, Labelled, RunBlock, check_cutoff, check_positive, mix64, parse_label,
+    LasVegasProcess, Labelled, RunBlock, check_cap, check_positive, mix64, parse_label,
 )
 from .tailstats import Ecdf
 
@@ -152,8 +152,7 @@ def exact_ecdf(law: SyntheticLaw, cap: int) -> Ecdf:
     mass beyond the cap is left censored, mirroring what an infinite
     empirical sample capped at `cap` would estimate.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    check_cap("cap", cap)
     support: list[int] = []
     cum: list[float] = []
     prev = 0.0
@@ -183,6 +182,9 @@ class SyntheticProcess(LasVegasProcess):
     law: SyntheticLaw
     cap_epochs: int = 1_000_000
 
+    def __post_init__(self) -> None:
+        check_cap("cap_epochs", self.cap_epochs)
+
     @property
     def cap(self) -> int:
         return self.cap_epochs
@@ -195,7 +197,7 @@ class SyntheticProcess(LasVegasProcess):
         draw if it fits within the cutoff (error 0.0), else the cutoff
         (censored, error 1.0)."""
         # Draws past int64 saturate at 2**63, which must stay above the cutoff.
-        check_cutoff(cutoff)
+        check_cap("cutoff", cutoff)
         times = self.law.sample_many(seeds)
         converged = times <= cutoff
         return RunBlock(

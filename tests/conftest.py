@@ -9,6 +9,18 @@ import pytest
 from restartkit import Dataset, LasVegasProcess, RunBlock, RunRecord, RunSample
 
 
+# A cap, cutoff or budget that no process takes, and what follows the
+# field's name in its refusal: each is refused where it enters the library.
+BAD_CAPS = [
+    (True, "must be an integer, got True"),
+    (2.5, "must be an integer, got 2.5"),
+    (np.int64(5), "must be an integer, got np.int64(5)"),
+    (0, "must be >= 1, got 0"),
+    (2**63, "must be <= 2**63 - 1, got 9223372036854775808"),
+]
+BAD_CAP_IDS = ["bool", "float", "numpy-int", "zero", "past-max-cap"]
+
+
 def reference_record_line(r: RunRecord) -> str:
     """A run-log record line as `json.dumps` writes it, the writer's oracle."""
     obj: dict = {

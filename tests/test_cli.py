@@ -788,6 +788,16 @@ def separate_pools_sweep(argv):
 
 
 class TestSweep:
+    def test_schedules_leave_the_parsed_gammas_alone(self):
+        # The namespace is read, not extended: each call builds the same list.
+        args = build_parser().parse_args(
+            ["sweep", "--stub", "constant:5", "--gammas", "2,4", "--luby-unit", "5", "--fixed", "9"]
+        )
+        first = [s.describe() for s in _sweep_schedules(args)]
+        assert first == ["walsh:2", "walsh:4", "luby:5", "fixed:9"]
+        assert [s.describe() for s in _sweep_schedules(args)] == first
+        assert [s.describe() for s in args.gammas] == ["walsh:2", "walsh:4"]
+
     @pytest.mark.parametrize(
         "source",
         [

@@ -20,7 +20,7 @@ from restartkit import (
     init_weights,
 )
 
-from conftest import tiny_dataset
+from conftest import BAD_CAP_IDS, BAD_CAPS, tiny_dataset
 from restartkit import load_thyroid, mlp, scale_min_max
 from restartkit.mlp import _column_sums
 
@@ -169,6 +169,13 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MlpConfig(**kwargs)
+
+    # A cap that no sample holds is refused where the process is built.
+    @pytest.mark.parametrize("max_epochs, problem", BAD_CAPS, ids=BAD_CAP_IDS)
+    def test_rejects_a_cap_no_sample_holds(self, max_epochs, problem):
+        with pytest.raises(ValueError) as info:
+            MlpConfig(max_epochs=max_epochs)
+        assert str(info.value) == f"max_epochs {problem}"
 
     def test_rejects_init_range_past_float(self):
         # `rng.uniform(-w, w)` raises OverflowError once 2 * w is infinite.

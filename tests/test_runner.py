@@ -142,6 +142,13 @@ class TestCollectRuns:
         with pytest.raises(ValueError):
             collect_runs(FormulaStub(), 0, base_seed=1)
 
+    # A run count is a Python int, as a cap is: True is not one run.
+    @pytest.mark.parametrize("n_runs", [True, 2.5], ids=["bool", "float"])
+    def test_rejects_a_run_count_that_is_not_an_int(self, n_runs):
+        with pytest.raises(ValueError) as info:
+            collect_runs(FormulaStub(), n_runs, base_seed=1)
+        assert str(info.value) == f"n_runs must be an integer, got {n_runs!r}"
+
     def test_attempt_error_propagates_from_collect_and_schedules(self):
         # A process reports divergence in its records; anything it raises
         # reaches the caller unchanged, whichever entry point attempted it.
@@ -159,21 +166,20 @@ class TestCollectRuns:
         with pytest.raises(ArithmeticError, match="boom at cutoff 5"):
             run_schedules(Exploding(), [FixedSchedule(5)], 0, budget=100)
 
+    # A process refuses a bad cap where it is built, so no process holds one.
     def test_float_stub_cap_fails_before_any_draw(self, monkeypatch):
-        process = SyntheticProcess(Geometric(0.5), cap_epochs=50.0)
         monkeypatch.setattr(Geometric, "sample_many", pytest.fail)
-        with pytest.raises(ValueError, match=r"^cutoff must be an integer, got 50\.0$"):
-            collect_runs(process, 5, base_seed=1)
+        with pytest.raises(ValueError, match=r"^cap_epochs must be an integer, got 50\.0$"):
+            SyntheticProcess(Geometric(0.5), cap_epochs=50.0)
 
     def test_float_mlp_cap_fails_before_any_training(self, monkeypatch):
-        cfg = MlpConfig(n_inputs=4, n_hidden=2, n_outputs=2, max_epochs=30.0)
         monkeypatch.setattr(mlp, "_train_runs", pytest.fail)
-        with pytest.raises(ValueError, match=r"^cutoff must be an integer, got 30\.0$"):
-            collect_runs(MlpProcess(cfg, tiny_dataset()), 2, base_seed=1)
+        with pytest.raises(ValueError, match=r"^max_epochs must be an integer, got 30\.0$"):
+            MlpConfig(n_inputs=4, n_hidden=2, n_outputs=2, max_epochs=30.0)
 
     @pytest.mark.parametrize("cutoff", [5.0, np.int64(5), True], ids=["float", "int64", "bool"])
     def test_check_cutoff_takes_python_ints_only(self, cutoff):
-        problem = sample_problem(partial(runner.check_cutoff, cutoff))
+        problem = sample_problem(partial(runner.check_cap, "cutoff", cutoff))
         assert problem == f"cutoff must be an integer, got {cutoff!r}"
 
 
@@ -704,7 +710,7 @@ class TestColumns:
         assert (loaded.cap, loaded.metadata) == (10, "m")
 
     def test_rejects_cap_beyond_int64(self):
-        with pytest.raises(ValueError, match=r"cap must be in \[1, 2\*\*63 - 1\]"):
+        with pytest.raises(ValueError, match=rf"^cap must be <= 2\*\*63 - 1, got {2**63}$"):
             sample_of([], cap=2**63)
         top = RunRecord(seed=1, epochs=2**63 - 1, converged=True, final_error=0.0)
         assert sample_of([top], cap=2**63 - 1).epochs.tolist() == [2**63 - 1]

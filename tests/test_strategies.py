@@ -30,7 +30,7 @@ from restartkit import (
 from restartkit.runner import MAX_CAP, LasVegasProcess, RunRecord, mix64, parallel_map
 from restartkit.strategies import StrategyOutcome, trial_tasks
 
-from conftest import ParityStub, block_of, make_sample
+from conftest import BAD_CAP_IDS, BAD_CAPS, ParityStub, block_of, make_sample
 
 TWO_POINT = TwoPoint(0.5, 1, 10)
 
@@ -150,7 +150,7 @@ class TestSchedules:
         ids=["fixed-float", "fixed-numpy-int", "fixed-bool", "luby-float", "expected-time-float"],
     )
     def test_rejects_a_cutoff_no_process_takes(self, build, name):
-        # Every process refuses a cutoff other than a Python int (`check_cutoff`).
+        # Every process refuses a cutoff other than a Python int (`check_cap`).
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             build()
 
@@ -374,9 +374,16 @@ class TestRunWithStrategy:
 
     def test_rejects_budget_past_the_largest_cap(self):
         # Every cutoff fits the budget, so this keeps cutoffs within 2**63 - 1.
-        with pytest.raises(ValueError, match=r"budget must be in \[1, 2\*\*63 - 1\]"):
+        with pytest.raises(ValueError, match=rf"^budget must be <= 2\*\*63 - 1, got {2**63}$"):
             run_schedules(StubAtThree(), [FixedSchedule(5)], 1, budget=MAX_CAP + 1)
         assert run_schedules(StubAtThree(), [FixedSchedule(5)], 1, MAX_CAP)[0].succeeded
+
+    # A budget bounds Python-int cutoff sums, so it is a cap by the same rule.
+    @pytest.mark.parametrize("budget, problem", BAD_CAPS, ids=BAD_CAP_IDS)
+    def test_rejects_a_budget_no_cutoff_sum_reaches(self, budget, problem):
+        with pytest.raises(ValueError) as info:
+            run_schedules(StubAtThree(), [FixedSchedule(5)], 1, budget=budget)
+        assert str(info.value) == f"budget {problem}"
 
     def test_budget_exhaustion(self):
         (outcome,) = run_schedules(StubAtThree(), [FixedSchedule(2)], 1, budget=10)

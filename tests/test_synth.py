@@ -24,6 +24,8 @@ from restartkit import (
 from restartkit.cli import main
 from restartkit.runner import mix64
 
+from conftest import BAD_CAP_IDS, BAD_CAPS
+
 
 NUMBER_PARAMS = st.integers(-1, 12) | st.integers() | st.sampled_from([1.0, 2.5, True, False])
 FLOAT_PARAMS = st.floats(0, 3) | st.floats() | st.integers(-1, 12) | st.integers() | st.booleans()
@@ -169,6 +171,12 @@ class TestExactEcdf:
         with pytest.raises(ValueError):
             exact_ecdf(Constant(5), cap=4)
 
+    @pytest.mark.parametrize("cap, problem", BAD_CAPS, ids=BAD_CAP_IDS)
+    def test_rejects_a_cap_no_sample_holds(self, cap, problem):
+        with pytest.raises(ValueError) as info:
+            exact_ecdf(Constant(1), cap=cap)
+        assert str(info.value) == f"cap {problem}"
+
 
 class TestSyntheticProcess:
     def test_attempt_respects_cutoff(self):
@@ -195,6 +203,13 @@ class TestSyntheticProcess:
     def test_deterministic(self):
         proc = SyntheticProcess(DiscretePareto(1.5, 1), cap_epochs=10_000)
         assert proc.attempt(99, 500) == proc.attempt(99, 500)
+
+    # A cap that no sample holds is refused where the process is built.
+    @pytest.mark.parametrize("cap, problem", BAD_CAPS, ids=BAD_CAP_IDS)
+    def test_rejects_a_cap_no_sample_holds(self, cap, problem):
+        with pytest.raises(ValueError) as info:
+            SyntheticProcess(Geometric(0.5), cap_epochs=cap)
+        assert str(info.value) == f"cap_epochs {problem}"
 
 
 LAWS = [Constant(5), TwoPoint(0.3, 2, 40), Geometric(0.1), DiscretePareto(1.2, 3)]
